@@ -15,8 +15,6 @@ from . import perms
 from .perms import Cycles, Word
 from .poly import ONE, Poly, Q, X, Y, ZERO
 
-CLASSES = ("RS", "RS+", "RS-", "SS", "ALL", "SNAKE", "CUD", "ALT")
-
 #: statistic name -> (carrier, variable)
 STATS = {
     "des": ("word", "x"),

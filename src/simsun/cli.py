@@ -25,12 +25,7 @@ ENUM_CLASSES = {
     "cud": ("CUD", 9),
 }
 
-ROOT_SUITES = (
-    "roots-nonpositive",
-    "roots-successive",
-    "roots-interlacing",
-    "roots-positive-q",
-)
+ROOT_SUITES = tuple(i for i in verify.REGISTRY if i.startswith("roots-"))
 
 
 class UsageError(Exception):
@@ -371,9 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None and args.n < 0:
-        print("error: n must be nonnegative", file=sys.stderr)
-        return 2
+    for name in ("n", "n_max"):
+        if (getattr(args, name, None) or 0) < 0:
+            print(f"error: --{name.replace('_', '-')} must be nonnegative", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except UsageError as exc:

@@ -51,14 +51,6 @@ def check_word(word: Sequence[int]) -> Word:
     return w
 
 
-def check_window(window: Sequence[int]) -> Word:
-    """Validate a signed-permutation window: |entries| form [n]."""
-    w = tuple(window)
-    if sorted(abs(v) for v in w) != list(range(1, len(w) + 1)) or 0 in w:
-        raise ValueError(f"not a signed permutation window: {w}")
-    return w
-
-
 def descent_set(word: Word) -> list[int]:
     """Positions i in [n-1] (1-based) with word[i] > word[i+1]."""
     return [i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1]]
@@ -212,10 +204,6 @@ def signed_permutations(n: int) -> Iterator[Word]:
             windows.append(tuple(s * v for s, v in zip(signs, perm)))
     windows.sort()
     return iter(windows)
-
-
-def reverse(word: Word) -> Word:
-    return word[::-1]
 
 
 def is_alternating(word: Word) -> bool:

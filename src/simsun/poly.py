@@ -200,9 +200,6 @@ class Poly:
             out[e[0]] = c
         return out
 
-    def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.terms.values())
-
     def __repr__(self):
         return f"Poly({self.text()})"
 

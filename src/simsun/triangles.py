@@ -4,10 +4,8 @@ Families (rows indexed by n, each row an exact polynomial):
 
 - ``S``     descent polynomials of simsun permutations,
             S(n,k) = (k+1)S(n-1,k) + (n-2k+1)S(n-1,k-1), S(0,0) = 1
-- ``What``  left-peak polynomials over all permutations,
-            W^(n+1) = (1+nx)W^(n) + 2x(1-x)W^(n)', W^_0 = W^_1 = 1
-- ``W``     interior-peak polynomials over all permutations,
-            W(n+1) = (nx-x+2)W(n) + 2x(1-x)W(n)', W_1 = 1
+- ``What``  left-peak polynomials over all permutations, W^_0 = W^_1 = 1
+- ``W``     interior-peak polynomials over all permutations, W_1 = 1
 - ``R``     alternating-run polynomials,
             R(n,k) = kR(n-1,k) + 2R(n-1,k-1) + (n-k)R(n-1,k-2), R(1,0) = 1
 - ``T``     up-down-run polynomials of simsun permutations,
@@ -15,56 +13,71 @@ Families (rows indexed by n, each row an exact polynomial):
 - ``P+``/``P-``/``P``  interior-peak polynomials of simsun permutations
             split by first step, coupled recurrences seeded at n = 2
 - ``A``     orbit-count triangle, a_i(n+1) = i*a_i(n) + (n-2i+2)a_{i-1}(n)
-- ``Sxq``   S(n+1)(x,q) = (q+nx)S(n)(x,q) + x(1-2x) d/dx S(n)(x,q)
+- ``Sxq``   descent polynomials refined by the cycle count q of the second kind
 - ``Sxyq``  trivariate rows via the binomial sum over Sxq rows
 - ``D``     leaf polynomials of increasing 1-2 trees via D(n+1) = x*S(n)
+
+S, What, W, Sxq, P+ and P- share one first-order step,
+
+    F_{n+1} = (a + (n + c)x) F_n + x(d + e x) F_n',
+
+driven by the ``FIRST_ORDER`` table of ``(seeds, a, c, d, e)``; the seeds
+are rows 0, 1, ... and the step applies from the last seed on.  P+ and P-
+add a coupling term: P+_{n+1} gains P-_n and P-_{n+1} gains x P+_n.
+R, T and A are integer triangles with their own recurrences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .poly import ONE, Poly, Q, X, Y, ZERO
 
-FAMILIES = ("S", "What", "W", "R", "T", "P+", "P-", "P", "A", "Sxq", "Sxyq", "D")
+#: family -> (seed rows, a, c, d, e) of the shared first-order step
+FIRST_ORDER = {
+    "S": ((ONE,), 1, 0, 1, -2),  # (1 + nx)S_n + x(1 - 2x)S_n'
+    "What": ((ONE, ONE), 1, 0, 2, -2),  # (1 + nx)W^_n + 2x(1 - x)W^_n'
+    "W": ((ONE, ONE), 2, -1, 2, -2),  # (2 + (n - 1)x)W_n + 2x(1 - x)W_n'
+    "Sxq": ((ONE,), Q, 0, 1, -2),  # (q + nx)S_n(x,q) + x(1 - 2x) d/dx S_n(x,q)
+    # the coupled recurrences hold for n >= 2; rows 0 and 1 are literals
+    "P+": ((ZERO, ONE, ONE), 1, -2, 1, -2),  # (1 + (n - 2)x)P+_n + x(1 - 2x)P+_n' + P-_n
+    "P-": ((ZERO, ONE, ONE), 1, -1, 1, -2),  # (1 + (n - 1)x)P-_n + x(1 - 2x)P-_n' + x P+_n
+}
 
 
-@dataclass
-class Triangle:
-    """Rows of exact coefficients for a univariate family."""
-
-    family: str
-    rows: list[list[int]] = field(default_factory=list)
+def _step(family: str, prev: Poly, n: int) -> Poly:
+    """F_{n+1} from F_n by the family's first-order step, without coupling."""
+    _, a, c, d, e = FIRST_ORDER[family]
+    return (a + (n + c) * X) * prev + X * (d + e * X) * prev.derivative("x")
 
 
-def _grow(rows: list[Poly], n_max: int, step) -> list[Poly]:
+def _first_order(family: str, n_max: int) -> list[Poly]:
+    rows = list(FIRST_ORDER[family][0])
     while len(rows) <= n_max:
-        rows.append(step(rows[-1], len(rows) - 1))
+        rows.append(_step(family, rows[-1], len(rows) - 1))
     return rows[: n_max + 1]
 
 
-def _family_S(n_max: int) -> list[Poly]:
-    def step(prev: Poly, n: int) -> Poly:
-        return (ONE + n * X) * prev + X * (ONE - 2 * X) * prev.derivative("x")
-
-    return _grow([ONE], n_max, step)
-
-
-def _family_What(n_max: int) -> list[Poly]:
-    def step(prev: Poly, n: int) -> Poly:
-        return (ONE + n * X) * prev + 2 * X * (ONE - X) * prev.derivative("x")
-
-    return _grow([ONE, ONE], n_max, step) if n_max >= 1 else [ONE]
+def _family_P_pair(n_max: int) -> tuple[list[Poly], list[Poly]]:
+    plus = list(FIRST_ORDER["P+"][0])
+    minus = list(FIRST_ORDER["P-"][0])
+    for n in range(len(plus) - 1, n_max):
+        p, m = plus[-1], minus[-1]
+        plus.append(_step("P+", p, n) + m)
+        minus.append(_step("P-", m, n) + X * p)
+    return plus[: n_max + 1], minus[: n_max + 1]
 
 
-def _family_W(n_max: int) -> list[Poly]:
-    def step(prev: Poly, n: int) -> Poly:
-        return (n * X - X + 2 * ONE) * prev + 2 * X * (ONE - X) * prev.derivative("x")
+def _family_P(n_max: int) -> list[Poly]:
+    plus, minus = _family_P_pair(n_max)
+    # P_0 = P_1 = 1 are literals; the split rows at n = 1 both equal 1
+    return [ONE, ONE][: n_max + 1] + [p + m for p, m in zip(plus[2:], minus[2:])]
 
-    return _grow([ONE, ONE], n_max, step) if n_max >= 1 else [ONE]
+
+def _at(row: list[int], k: int) -> int:
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def _family_R(n_max: int) -> list[Poly]:
@@ -72,11 +85,7 @@ def _family_R(n_max: int) -> list[Poly]:
     while len(rows) <= n_max:
         n = len(rows)
         prev = rows[-1]
-
-        def at(k: int) -> int:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        rows.append([at(k) * k + 2 * at(k - 1) + (n - k) * at(k - 2)
+        rows.append([_at(prev, k) * k + 2 * _at(prev, k - 1) + (n - k) * _at(prev, k - 2)
                      for k in range(n)])
     return [Poly.from_x_coeffs(r) for r in rows[: n_max + 1]]
 
@@ -86,12 +95,8 @@ def _family_T(n_max: int) -> list[Poly]:
     while len(rows) <= n_max:
         n = len(rows)
         prev = rows[-1]
-
-        def at(k: int) -> int:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        rows.append([-(-k // 2) * at(k) + at(k - 1) + (n - k + 1) * at(k - 2)
-                     for k in range(n + 1)])
+        rows.append([-(-k // 2) * _at(prev, k) + _at(prev, k - 1)
+                     + (n - k + 1) * _at(prev, k - 2) for k in range(n + 1)])
     return [Poly.from_x_coeffs(r) for r in rows[: n_max + 1]]
 
 
@@ -101,11 +106,7 @@ def _family_A(n_max: int) -> list[Poly]:
     while len(rows) <= n_max:
         n = len(rows) - 1
         prev = rows[-1]
-
-        def at(i: int) -> int:
-            return prev[i] if 0 <= i < len(prev) else 0
-
-        row = [i * at(i) + (n - 2 * i + 2) * at(i - 1)
+        row = [i * _at(prev, i) + (n - 2 * i + 2) * _at(prev, i - 1)
                for i in range((n + 1) // 2 + 1)]
         if n == 1:
             row[0] = 0  # a_0(n) = 0 for n > 1; the recurrence seeds a_1(2) = 1
@@ -113,27 +114,8 @@ def _family_A(n_max: int) -> list[Poly]:
     return [Poly.from_x_coeffs(r) for r in rows[: n_max + 1]]
 
 
-def _family_P_pair(n_max: int) -> tuple[list[Poly], list[Poly]]:
-    # Seeded at n = 2 (the coupled recurrences hold for n >= 2); the n = 1
-    # values are stored literals.
-    plus = [ZERO, ONE, ONE]
-    minus = [ZERO, ONE, ONE]
-    for n in range(2, n_max):
-        p, m = plus[-1], minus[-1]
-        plus.append(((n - 2) * X + ONE) * p + X * (ONE - 2 * X) * p.derivative("x") + m)
-        minus.append(((n - 1) * X + ONE) * m + X * (ONE - 2 * X) * m.derivative("x") + X * p)
-    return plus[: n_max + 1], minus[: n_max + 1]
-
-
-def _family_Sxq(n_max: int) -> list[Poly]:
-    def step(prev: Poly, n: int) -> Poly:
-        return (Q + n * X) * prev + X * (ONE - 2 * X) * prev.derivative("x")
-
-    return _grow([ONE], n_max, step)
-
-
 def _family_Sxyq(n_max: int) -> list[Poly]:
-    sxq = _family_Sxq(n_max)
+    sxq = _first_order("Sxq", n_max)
     rows = []
     for n in range(n_max + 1):
         row = ZERO
@@ -143,52 +125,35 @@ def _family_Sxyq(n_max: int) -> list[Poly]:
     return rows
 
 
+def _family_D(n_max: int) -> list[Poly]:
+    return [ONE] + [X * s for s in _first_order("S", max(n_max - 1, 0))][:n_max]
+
+
+_ROWS = {
+    "S": partial(_first_order, "S"),
+    "What": partial(_first_order, "What"),
+    "W": partial(_first_order, "W"),
+    "R": _family_R,
+    "T": _family_T,
+    "P+": lambda n_max: _family_P_pair(n_max)[0],
+    "P-": lambda n_max: _family_P_pair(n_max)[1],
+    "P": _family_P,
+    "A": _family_A,
+    "Sxq": partial(_first_order, "Sxq"),
+    "Sxyq": _family_Sxyq,
+    "D": _family_D,
+}
+
+FAMILIES = tuple(_ROWS)
+
+
 def family_polys(family: str, n_max: int) -> list[Poly]:
     """Rows 0..n_max of a named family as exact polynomials."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if family == "S":
-        return _family_S(n_max)
-    if family == "What":
-        return _family_What(n_max)
-    if family == "W":
-        return _family_W(n_max)
-    if family == "R":
-        return _family_R(n_max)
-    if family == "T":
-        return _family_T(n_max)
-    if family == "A":
-        return _family_A(n_max)
-    if family == "P+":
-        return _family_P_pair(n_max)[0]
-    if family == "P-":
-        return _family_P_pair(n_max)[1]
-    if family == "P":
-        plus, minus = _family_P_pair(n_max)
-        rows = [p + m for p, m in zip(plus, minus)]
-        if n_max >= 0:
-            rows[0] = ONE
-        if n_max >= 1:
-            rows[1] = ONE  # P_1 = 1 literal; the split rows both equal 1
-        return rows
-    if family == "Sxq":
-        return _family_Sxq(n_max)
-    if family == "Sxyq":
-        return _family_Sxyq(n_max)
-    if family == "D":
-        return [ONE] + [X * s for s in _family_S(max(n_max - 1, 0))][: n_max]
-    raise ValueError(f"unknown family {family!r}")
-
-
-def triangle(family: str, n_max: int) -> Triangle:
-    """Integer coefficient rows for a univariate family."""
-    rows = []
-    for p in family_polys(family, n_max):
-        coeffs = p.x_coeffs()
-        if not all(isinstance(c, int) for c in coeffs):
-            raise ValueError(f"family {family} has non-integer coefficients")
-        rows.append(coeffs)
-    return Triangle(family, rows)
+    if family not in _ROWS:
+        raise ValueError(f"unknown family {family!r}")
+    return _ROWS[family](n_max)
 
 
 # -- Stirling route to the S polynomials ------------------------------------
@@ -252,9 +217,6 @@ def s_from_stirling(n: int) -> Poly:
 
 # -- closed forms ------------------------------------------------------------
 
-CLOSED_FORM_IDS = ("P-from-S", "P+-from-S", "P--from-S", "T-from-S", "Sxq-at-minus1")
-
-
 def closed_forms(form_id: str, n: int) -> Poly:
     """Evaluate a registered closed form at index n.
 
@@ -273,7 +235,7 @@ def closed_forms(form_id: str, n: int) -> Poly:
         return (ONE - X) * (ONE - 2 * X) ** (m - 1)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    s = _family_S(n)[n]
+    s = _first_order("S", n)[n]
     ds = s.derivative("x")
     if form_id == "P-from-S":
         return (n + 1) * s - X * ds

@@ -1,9 +1,15 @@
 """Registry of machine-checkable identities with exact verdicts.
 
 Every entry pairs a checker with a default bound chosen so the whole suite
-runs in a few minutes.  Checkers compare two independently computed sides
-(recurrence vs. closed form, generator vs. statistic scan, series vs.
-triangle, ...) with zero tolerance and report the first counterexample.
+runs in a few minutes.  A checker yields comparisons ``(where, lhs, rhs)``:
+two independently computed sides (recurrence vs. closed form, generator vs.
+statistic scan, series vs. triangle, ...) and a label locating them.  ``run``
+is the one comparator: it compares each pair with ``!=`` (zero tolerance),
+stops at the first mismatch and reports its ``where`` as the detail.  A check
+that yields no comparison at its bound checked nothing: it is not ok, with
+detail ``no cases checked``.  Checkers look up their providers
+(``triangles.family_polys``, the ``bulk`` sweeps, ``series.build``, ...) on
+the module each time they run, so a provider replaced there is the one used.
 """
 
 from __future__ import annotations
@@ -11,10 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Iterator
 
 from . import bijections, bulk, classes, perms, roots, series, triangles
 from .poly import ONE, Poly, X, ZERO, mobius_compose
+
+#: one comparison of a checker: (where, lhs, rhs)
+Comparisons = Iterator[tuple[str, object, object]]
 
 
 @dataclass
@@ -29,9 +38,8 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class Entry:
-    check: Callable[[int], Optional[str]]
+    check: Callable[[int], Comparisons]
     default_bound: int
-    bound_kind: str  # "n_max" or "order"
     summary: str
 
 
@@ -50,395 +58,264 @@ def _coeff(p: Poly, k: int) -> int:
     return p.terms.get((k, 0, 0), 0)
 
 
+def _sweep(sweep: str, family: str, pick) -> Callable[[int], Comparisons]:
+    """Level-n marginal of a ``bulk`` sweep against row n of a family."""
+
+    def check(n_max: int) -> Comparisons:
+        dist = getattr(bulk, sweep)(n_max)
+        rows = triangles.family_polys(family, n_max)
+        for n in range(n_max + 1):
+            yield f"n={n}", _marginal(dist[n], pick), rows[n]
+
+    return check
+
+
+def _egf(name: str, family: str) -> Callable[[int], Comparisons]:
+    """EGF coefficients of a named series against the rows of a family."""
+
+    def check(order: int) -> Comparisons:
+        f = series.build(name, order)
+        rows = triangles.family_polys(family, order)
+        for n in range(order + 1):
+            yield f"n={n}", f.egf_coeff(n), rows[n]
+
+    return check
+
+
+def _bijection(verifier: str) -> Callable[[int], Comparisons]:
+    """Exhaustive bijection check whose per-k counts are descent counts."""
+
+    def check(n_max: int) -> Comparisons:
+        s = triangles.family_polys("S", n_max)
+        for n in range(1, n_max + 1):
+            report = getattr(bijections, verifier)(n)
+            yield f"n={n}: {report.detail}", report.ok, True
+            ks = range(n // 2 + 1)
+            yield (f"n={n}: per-k counts", [report.counts.get(k, 0) for k in ks],
+                   [_coeff(s[n], k) for k in ks])
+
+    return check
+
+
+def _certified(cert: roots.RzCertificate) -> bool:
+    return cert.real_rooted and cert.all_nonpositive and cert.all_simple
+
+
 # -- triangle and closed-form identities ---------------------------------------
 
 
-def _check_s_what_convolution(n_max: int) -> Optional[str]:
+def _s_what_convolution(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     what = [w.subs(x=2 * X) for w in triangles.family_polys("What", n_max)]
     for n in range(n_max + 1):
-        rhs = ZERO
-        for k in range(n + 1):
-            rhs = rhs + comb(n, k) * what[k] * what[n - k]
-        if rhs / 2**n != s[n]:
-            return f"n={n}"
-    return None
+        rhs = sum((comb(n, k) * what[k] * what[n - k] for k in range(n + 1)), ZERO)
+        yield f"n={n}", rhs / 2**n, s[n]
 
 
-def _check_w_doubling(n_max: int) -> Optional[str]:
+def _w_doubling(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     w = triangles.family_polys("W", n_max + 1)
     for n in range(n_max + 1):
-        rhs = Poly.from_x_coeffs(
-            [2 ** (n - k) * c for k, c in enumerate(s[n].x_coeffs())]
-        )
-        if w[n + 1] != rhs:
-            return f"n={n}"
-    return None
+        rhs = Poly.from_x_coeffs([2 ** (n - k) * c for k, c in enumerate(s[n].x_coeffs())])
+        yield f"n={n}", w[n + 1], rhs
 
 
-def _check_run_mobius(n_max: int) -> Optional[str]:
+def _run_mobius(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     w = triangles.family_polys("W", n_max)
     r = triangles.family_polys("R", n_max)
     for n in range(2, n_max + 1):
         via_w = X * mobius_compose(w[n], n - 2, 2) / 2 ** (n - 2)
-        via_s = 2 * X * mobius_compose(s[n - 1], n - 2, 1)
-        if r[n] != via_w:
-            return f"n={n} (interior-peak form)"
-        if r[n] != via_s:
-            return f"n={n} (descent form)"
-    return None
+        yield f"n={n} (interior-peak form)", r[n], via_w
+        yield f"n={n} (descent form)", r[n], 2 * X * mobius_compose(s[n - 1], n - 2, 1)
 
 
-def _check_p_split_from_s(n_max: int) -> Optional[str]:
+def _p_split_from_s(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     plus = triangles.family_polys("P+", n_max + 1)
     minus = triangles.family_polys("P-", n_max + 1)
     for n in range(1, n_max + 1):
         sc = s[n].x_coeffs()
-        if plus[n + 1] != Poly.from_x_coeffs([(n - 2 * k) * c for k, c in enumerate(sc)]):
-            return f"n={n} (first-step-down)"
-        if minus[n + 1] != Poly.from_x_coeffs([(1 + k) * c for k, c in enumerate(sc)]):
-            return f"n={n} (first-step-up)"
-    return None
+        yield (f"n={n} (first-step-down)", plus[n + 1],
+               Poly.from_x_coeffs([(n - 2 * k) * c for k, c in enumerate(sc)]))
+        yield (f"n={n} (first-step-up)", minus[n + 1],
+               Poly.from_x_coeffs([(1 + k) * c for k, c in enumerate(sc)]))
 
 
-def _check_p_recurrence_cleared(n_max: int) -> Optional[str]:
+def _p_recurrence_cleared(n_max: int) -> Comparisons:
     p = triangles.family_polys("P", n_max + 1)
     for n in range(1, n_max + 1):
         for k in range(n // 2 + 1):
             lhs = (n - k) * _coeff(p[n + 1], k)
-            rhs = (k + 1) * (n - k + 1) * _coeff(p[n], k) + (n - 2 * k + 1) * (
-                n - k
-            ) * _coeff(p[n], k - 1)
-            if lhs != rhs:
-                return f"n={n}, k={k}"
-    return None
+            rhs = ((k + 1) * (n - k + 1) * _coeff(p[n], k)
+                   + (n - 2 * k + 1) * (n - k) * _coeff(p[n], k - 1))
+            yield f"n={n}, k={k}", lhs, rhs
 
 
-def _check_p_low_coeffs(n_max: int) -> Optional[str]:
+def _p_low_coeffs(n_max: int) -> Comparisons:
     p = triangles.family_polys("P", n_max)
     for n in range(1, n_max + 1):
-        if _coeff(p[n], 0) != n:
-            return f"n={n}, k=0"
-        if _coeff(p[n], 1) != (n - 1) * (2 ** (n - 1) - n):
-            return f"n={n}, k=1"
-    return None
+        yield f"n={n}, k=0", _coeff(p[n], 0), n
+        yield f"n={n}, k=1", _coeff(p[n], 1), (n - 1) * (2 ** (n - 1) - n)
 
 
-def _check_t_split(n_max: int) -> Optional[str]:
+def _t_split(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     p = triangles.family_polys("P", n_max)
     t = triangles.family_polys("T", n_max)
     for n in range(1, n_max + 1):
         for k in range(n // 2 + 1):
-            if _coeff(s[n], k) != _coeff(t[n], 2 * k) + _coeff(t[n], 2 * k + 1):
-                return f"n={n}, k={k} (descent side)"
-            if _coeff(p[n], k) != _coeff(t[n], 2 * k + 1) + _coeff(t[n], 2 * k + 2):
-                return f"n={n}, k={k} (peak side)"
-    return None
+            yield (f"n={n}, k={k} (descent side)", _coeff(s[n], k),
+                   _coeff(t[n], 2 * k) + _coeff(t[n], 2 * k + 1))
+            yield (f"n={n}, k={k} (peak side)", _coeff(p[n], k),
+                   _coeff(t[n], 2 * k + 1) + _coeff(t[n], 2 * k + 2))
 
 
-def _check_t_even_odd(n_max: int) -> Optional[str]:
+def _t_even_odd(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     p = triangles.family_polys("P", n_max)
     t = triangles.family_polys("T", n_max)
     x2 = X * X
     for n in range(1, n_max + 1):
-        lhs = (ONE + X) * t[n]
-        rhs = X * s[n].subs(x=x2) + x2 * p[n].subs(x=x2)
-        if lhs != rhs:
-            return f"n={n}"
-    return None
+        yield f"n={n}", (ONE + X) * t[n], X * s[n].subs(x=x2) + x2 * p[n].subs(x=x2)
 
 
-def _check_closed_forms(n_max: int) -> Optional[str]:
+def _closed_forms(n_max: int) -> Comparisons:
     p = triangles.family_polys("P", n_max + 1)
     plus = triangles.family_polys("P+", n_max + 1)
     minus = triangles.family_polys("P-", n_max + 1)
     t = triangles.family_polys("T", n_max + 1)
     for n in range(n_max + 1):
-        if triangles.closed_forms("P-from-S", n) != p[n + 1]:
-            return f"P-from-S, n={n}"
-        if triangles.closed_forms("T-from-S", n) != t[n + 1]:
-            return f"T-from-S, n={n}"
+        yield f"P-from-S, n={n}", triangles.closed_forms("P-from-S", n), p[n + 1]
+        yield f"T-from-S, n={n}", triangles.closed_forms("T-from-S", n), t[n + 1]
         if n >= 1:
-            if triangles.closed_forms("P+-from-S", n) != plus[n + 1]:
-                return f"P+-from-S, n={n}"
-            if triangles.closed_forms("P--from-S", n) != minus[n + 1]:
-                return f"P--from-S, n={n}"
-    return None
+            yield f"P+-from-S, n={n}", triangles.closed_forms("P+-from-S", n), plus[n + 1]
+            yield f"P--from-S, n={n}", triangles.closed_forms("P--from-S", n), minus[n + 1]
 
 
-def _check_corner_alternating(n_max: int) -> Optional[str]:
+def _corner_alternating(n_max: int) -> Comparisons:
     dist = bulk.simsun_word_distributions(n_max)
     s = triangles.family_polys("S", n_max)
     p = triangles.family_polys("P", n_max)
     t = triangles.family_polys("T", n_max)
     for n in range(n_max + 1):
-        alt = sum(c for key, c in dist[n].items() if key[4])
         corner = _coeff(t[n], n)
-        if alt != corner:
-            return f"n={n}: {alt} alternating vs corner {corner}"
+        alt = sum(c for key, c in dist[n].items() if key[4])
+        yield f"n={n}: alternating count vs corner", alt, corner
         m, odd = divmod(n, 2)
-        expected = _coeff(p[n], m) if odd else _coeff(s[n], m)
-        if n >= 1 and corner != expected:
-            return f"n={n}: corner {corner} vs {expected}"
-    return None
+        if n >= 1:
+            middle = _coeff(p[n], m) if odd else _coeff(s[n], m)
+            yield f"n={n}: corner vs middle coefficient", corner, middle
 
 
-def _check_orbit_descents(n_max: int) -> Optional[str]:
+def _orbit_descents(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     a = triangles.family_polys("A", n_max + 2)
     for n in range(n_max + 1):
         for k in range(n // 2 + 1):
-            if a[n + 2].terms.get((k + 1, 0, 0), 0) != _coeff(s[n], k):
-                return f"n={n}, k={k}"
-    return None
+            yield f"n={n}, k={k}", _coeff(a[n + 2], k + 1), _coeff(s[n], k)
 
 
-def _check_euler_convolution(n_max: int) -> Optional[str]:
-    what = triangles.family_polys("What", n_max)
-    springer = [w.eval(x=2) for w in what]
+def _euler_convolution(n_max: int) -> Comparisons:
+    springer = [w.eval(x=2) for w in triangles.family_polys("What", n_max)]
     for n in range(n_max + 1):
         rhs = sum(comb(n, k) * springer[k] * springer[n - k] for k in range(n + 1))
-        if perms.euler_number(n + 1) * 2**n != rhs:
-            return f"n={n}"
-    return None
+        yield f"n={n}", perms.euler_number(n + 1) * 2**n, rhs
 
 
-def _check_trivariate_binomial(n_max: int) -> Optional[str]:
-    rows = triangles.family_polys("Sxyq", n_max)
-    dist = bulk.simsun_cycle_distributions(n_max)
-    for n in range(n_max + 1):
-        # key (exc, fix, cyc) -> monomial x^exc q^cyc y^fix
-        enum = _marginal(dist[n], lambda k: (k[0], k[2], k[1]))
-        if enum != rows[n]:
-            return f"n={n}"
-    return None
-
-
-def _check_stirling_reconstruction(n_max: int) -> Optional[str]:
+def _stirling_reconstruction(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     for n in range(1, n_max + 1):
-        if triangles.s_from_stirling(n) != s[n]:
-            return f"n={n}"
-    return None
+        yield f"n={n}", triangles.s_from_stirling(n), s[n]
 
 
-def _check_sxq_at_q1(n_max: int) -> Optional[str]:
+def _sxq_at_q1(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     sxq = triangles.family_polys("Sxq", n_max)
     for n in range(n_max + 1):
-        if sxq[n].subs(q=1) != s[n]:
-            return f"n={n}"
-    return None
+        yield f"n={n}", sxq[n].subs(q=1), s[n]
 
 
-def _check_sxq_at_minus1(n_max: int) -> Optional[str]:
+def _sxq_at_minus1(n_max: int) -> Comparisons:
     sxq = triangles.family_polys("Sxq", n_max)
     for n in range(1, n_max + 1):
-        if sxq[n].subs(q=-1) != triangles.closed_forms("Sxq-at-minus1", n):
-            return f"n={n}"
-    return None
+        yield f"n={n}", sxq[n].subs(q=-1), triangles.closed_forms("Sxq-at-minus1", n)
 
 
 # -- enumeration vs. recurrence -------------------------------------------------
 
 
-def _check_enum_descents(n_max: int) -> Optional[str]:
-    dist = bulk.simsun_word_distributions(n_max)
-    s = triangles.family_polys("S", n_max)
-    for n in range(n_max + 1):
-        if _marginal(dist[n], lambda k: (k[0], 0, 0)) != s[n]:
-            return f"n={n}"
-    return None
-
-
-def _check_enum_upruns(n_max: int) -> Optional[str]:
-    dist = bulk.simsun_word_distributions(n_max)
-    t = triangles.family_polys("T", n_max)
-    for n in range(n_max + 1):
-        if _marginal(dist[n], lambda k: (k[2], 0, 0)) != t[n]:
-            return f"n={n}"
-    return None
-
-
-def _check_enum_peaks(n_max: int) -> Optional[str]:
+def _enum_peaks(n_max: int) -> Comparisons:
     dist = bulk.simsun_word_distributions(n_max)
     p = triangles.family_polys("P", n_max)
     plus = triangles.family_polys("P+", n_max)
     minus = triangles.family_polys("P-", n_max)
     for n in range(n_max + 1):
-        if _marginal(dist[n], lambda k: (k[1], 0, 0)) != p[n]:
-            return f"n={n}"
-        if n < 2:
-            continue
-        down = _marginal(
-            {k: c for k, c in dist[n].items() if k[3]}, lambda k: (k[1], 0, 0)
-        )
-        up = _marginal(
-            {k: c for k, c in dist[n].items() if not k[3]}, lambda k: (k[1], 0, 0)
-        )
-        if down != plus[n]:
-            return f"n={n} (first-step-down)"
-        if up != minus[n]:
-            return f"n={n} (first-step-up)"
-    return None
+        yield f"n={n}", _marginal(dist[n], lambda k: (k[1], 0, 0)), p[n]
+        if n >= 2:
+            down = _marginal({k: c for k, c in dist[n].items() if k[3]}, lambda k: (k[1], 0, 0))
+            up = _marginal({k: c for k, c in dist[n].items() if not k[3]}, lambda k: (k[1], 0, 0))
+            yield f"n={n} (first-step-down)", down, plus[n]
+            yield f"n={n} (first-step-up)", up, minus[n]
 
 
-def _check_enum_exc_cyc(n_max: int) -> Optional[str]:
-    dist = bulk.simsun_cycle_distributions(n_max)
-    sxq = triangles.family_polys("Sxq", n_max)
-    for n in range(n_max + 1):
-        if _marginal(dist[n], lambda k: (k[0], k[2], 0)) != sxq[n]:
-            return f"n={n}"
-    return None
-
-
-def _check_enum_interior_peaks(n_max: int) -> Optional[str]:
-    dist = bulk.all_perm_word_distributions(n_max)
-    w = triangles.family_polys("W", n_max)
-    for n in range(n_max + 1):
-        if _marginal(dist[n], lambda k: (k[1], 0, 0)) != w[n]:
-            return f"n={n}"
-    return None
-
-
-def _check_enum_left_peaks(n_max: int) -> Optional[str]:
-    dist = bulk.all_perm_word_distributions(n_max)
-    what = triangles.family_polys("What", n_max)
-    for n in range(n_max + 1):
-        if _marginal(dist[n], lambda k: (k[0], 0, 0)) != what[n]:
-            return f"n={n}"
-    return None
-
-
-def _check_enum_runs(n_max: int) -> Optional[str]:
-    dist = bulk.all_perm_word_distributions(n_max)
-    r = triangles.family_polys("R", n_max)
-    for n in range(n_max + 1):
-        if _marginal(dist[n], lambda k: (k[2], 0, 0)) != r[n]:
-            return f"n={n}"
-    return None
-
-
-def _check_cardinalities(n_max: int) -> Optional[str]:
+def _cardinalities(n_max: int) -> Comparisons:
     words = bulk.simsun_word_distributions(n_max)
     cycles = bulk.simsun_cycle_distributions(n_max)
     for n in range(n_max + 1):
-        first = sum(words[n].values())
-        second = sum(cycles[n].values())
         euler = perms.euler_number(n + 1)
-        if not first == second == euler:
-            return f"n={n}: {first}, {second}, expected {euler}"
-    return None
+        yield f"n={n} (first kind)", sum(words[n].values()), euler
+        yield f"n={n} (second kind)", sum(cycles[n].values()), euler
 
 
-def _check_filter_matches_generator(n_max: int) -> Optional[str]:
+def _filter_matches_generator(n_max: int) -> Comparisons:
     for n in range(n_max + 1):
         gen1 = set(classes.gen_simsun_first(n))
         filt1 = {w for w in perms.permutations(n) if classes.is_simsun_first(w)}
-        if gen1 != filt1:
-            return f"n={n} (first kind)"
+        yield f"n={n} (first kind)", gen1, filt1
         gen2 = set(classes.gen_simsun_second(n))
-        filt2 = {
-            perms.to_cycles(w)
-            for w in perms.permutations(n)
-            if classes.is_simsun_second(w)
-        }
-        if gen2 != filt2:
-            return f"n={n} (second kind)"
-    return None
+        filt2 = {perms.to_cycles(w) for w in perms.permutations(n)
+                 if classes.is_simsun_second(w)}
+        yield f"n={n} (second kind)", gen2, filt2
 
 
-def _check_descent_left_peak(n_max: int) -> Optional[str]:
+def _descent_left_peak(n_max: int) -> Comparisons:
+    # whole stat columns are compared once per n: no label is built per member
     for n in range(n_max + 1):
+        des, lpk, pk_first_down = [], [], []
         for w in classes.gen_simsun_first(n):
             rec = perms.word_stats(w)
-            if rec.des != rec.lpk:
-                return f"n={n}, {w}: des {rec.des} != lpk {rec.lpk}"
-            if n >= 2:
-                expected = rec.pk + 1 if w[0] > w[1] else rec.pk
-                if rec.lpk != expected:
-                    return f"n={n}, {w}: lpk {rec.lpk} != {expected}"
-    return None
+            des.append(rec.des)
+            lpk.append(rec.lpk)
+            pk_first_down.append(rec.pk + (n >= 2 and w[0] > w[1]))
+        yield f"n={n}: des vs lpk", des, lpk
+        if n >= 2:
+            yield f"n={n}: lpk vs pk + [first step down]", lpk, pk_first_down
 
 
-def _check_descent_excedance(n_max: int) -> Optional[str]:
+def _descent_excedance(n_max: int) -> Comparisons:
     words = bulk.simsun_word_distributions(n_max)
     cycles = bulk.simsun_cycle_distributions(n_max)
     for n in range(n_max + 1):
         des = _marginal(words[n], lambda k: (k[0], 0, 0))
-        exc = _marginal(cycles[n], lambda k: (k[0], 0, 0))
-        if des != exc:
-            return f"n={n}"
-    return None
+        yield f"n={n}", des, _marginal(cycles[n], lambda k: (k[0], 0, 0))
 
 
-def _check_phi_partition(n_max: int) -> Optional[str]:
-    s = triangles.family_polys("S", n_max)
-    for n in range(1, n_max + 1):
-        report = bijections.verify_phi(n)
-        if not report.ok:
-            return f"n={n}: {report.detail}"
-        for k in range(n // 2 + 1):
-            if report.counts.get(k, 0) != _coeff(s[n], k):
-                return f"n={n}, k={k}: block count mismatch"
-    return None
-
-
-def _check_psi_transport(n_max: int) -> Optional[str]:
-    s = triangles.family_polys("S", n_max)
-    for n in range(1, n_max + 1):
-        report = bijections.verify_psi(n)
-        if not report.ok:
-            return f"n={n}: {report.detail}"
-        for k in range(n // 2 + 1):
-            if report.counts.get(k, 0) != _coeff(s[n], k):
-                return f"n={n}, k={k}: class size mismatch"
-    return None
-
-
-def _check_cud_cycles(n_max: int) -> Optional[str]:
+def _cud_cycles(n_max: int) -> Comparisons:
     cycles = bulk.simsun_cycle_distributions(n_max)
     for n in range(n_max + 1):
         lhs = _marginal(cycles[n], lambda k: (0, k[2], 0))
-        rhs = classes.distribution("CUD", ("cyc",), n)
-        if lhs != rhs:
-            return f"n={n}"
-    return None
+        yield f"n={n}", lhs, classes.distribution("CUD", ("cyc",), n)
 
 
 # -- generating-function checks -------------------------------------------------
 
 
-def _check_series_descent_egf(order: int) -> Optional[str]:
-    f = series.build("Sxz", order)
-    s = triangles.family_polys("S", order)
-    for n in range(order + 1):
-        if f.egf_coeff(n) != s[n]:
-            return f"n={n}"
-    return None
+def _series_square(order: int) -> Comparisons:
+    yield "whole series", series.build("Sxz", order), series.build("Sxz-from-What", order)
 
 
-def _check_series_left_peak_egf(order: int) -> Optional[str]:
-    f = series.build("What", order)
-    what = triangles.family_polys("What", order)
-    for n in range(order + 1):
-        if f.egf_coeff(n) != what[n]:
-            return f"n={n}"
-    return None
-
-
-def _check_series_square(order: int) -> Optional[str]:
-    if series.build("Sxz", order) != series.build("Sxz-from-What", order):
-        return "builders disagree"
-    return None
-
-
-def _check_series_pde(order: int) -> Optional[str]:
+def _series_pde(order: int) -> Comparisons:
     # (1 - xz) dS/dz = q S + x(1-2x) dS/dx, checked on coefficients 0..order
     s = series.build("Sxqz", order + 1)
     sz = s.derivative_z()
@@ -446,262 +323,202 @@ def _check_series_pde(order: int) -> Optional[str]:
     sx = s.map_coeffs(lambda c: c.derivative("x"))
     rhs = s * Poly.var("q") + sx * (X * (ONE - 2 * X))
     for n in range(order + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return f"z^{n}"
-    return None
+        yield f"z^{n}", lhs.coeffs[n], rhs.coeffs[n]
 
 
-def _check_series_exc_cyc_egf(order: int) -> Optional[str]:
-    f = series.build("Sxqz", order)
-    sxq = triangles.family_polys("Sxq", order)
-    for n in range(order + 1):
-        if f.egf_coeff(n) != sxq[n]:
-            return f"n={n}"
-    return None
-
-
-def _check_series_springer(order: int) -> Optional[str]:
+def _series_springer(order: int) -> Comparisons:
     f = series.build("springer", order)
     for n in range(order + 1):
-        count = sum(1 for _ in perms.snakes(n))
-        if f.egf_coeff(n) != Poly.const(count):
-            return f"n={n}"
-    return None
+        yield f"n={n}", f.egf_coeff(n), Poly.const(sum(1 for _ in perms.snakes(n)))
 
 
-def _check_series_cycle_count_egf(order: int) -> Optional[str]:
+def _series_cycle_count_egf(order: int) -> Comparisons:
     f = series.build("one-minus-sin-negq", order)
     dist = bulk.simsun_cycle_distributions(order)
     for n in range(order + 1):
-        if f.egf_coeff(n) != _marginal(dist[n], lambda k: (0, k[2], 0)):
-            return f"n={n}"
-    return None
-
-
-def _check_series_trivariate(order: int) -> Optional[str]:
-    f = series.build("trivariate", order)
-    rows = triangles.family_polys("Sxyq", order)
-    for n in range(order + 1):
-        if f.egf_coeff(n) != rows[n]:
-            return f"n={n}"
-    return None
+        yield f"n={n}", f.egf_coeff(n), _marginal(dist[n], lambda k: (0, k[2], 0))
 
 
 # -- root location ---------------------------------------------------------------
 
 
-def _check_roots_nonpositive(n_max: int) -> Optional[str]:
+def _roots_nonpositive(n_max: int) -> Comparisons:
     for family in ("S", "P", "P+", "P-"):
         polys = triangles.family_polys(family, n_max)
         for n in range(2, n_max + 1):
-            cert = roots.certify_rz(polys[n])
-            if not (cert.real_rooted and cert.all_nonpositive and cert.all_simple):
-                return f"{family}, n={n}"
-    return None
+            yield f"{family}, n={n}", _certified(roots.certify_rz(polys[n])), True
 
 
-def _check_roots_successive(n_max: int) -> Optional[str]:
+def _roots_successive(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max + 1)
     for n in range(1, n_max + 1):
-        if not roots.check_relation(s[n], s[n + 1], "precede").holds:
-            return f"n={n}"
-    return None
+        yield f"n={n}", roots.check_relation(s[n], s[n + 1], "precede").holds, True
 
 
-def _check_roots_interlacing(n_max: int) -> Optional[str]:
+def _roots_interlacing(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     p = triangles.family_polys("P", n_max + 1)
     plus = triangles.family_polys("P+", n_max + 1)
     minus = triangles.family_polys("P-", n_max + 1)
     for n in range(2, n_max + 1):
-        if not roots.check_relation(p[n + 1], s[n], "alternate-left").holds:
-            return f"n={n} (peak polynomial)"
-        if not roots.check_relation(plus[n + 1], s[n], "precede").holds:
-            return f"n={n} (first-step-down part)"
-        if not roots.check_relation(s[n], minus[n + 1], "alternate-left").holds:
-            return f"n={n} (first-step-up part)"
-    return None
+        yield (f"n={n} (peak polynomial)",
+               roots.check_relation(p[n + 1], s[n], "alternate-left").holds, True)
+        yield (f"n={n} (first-step-down part)",
+               roots.check_relation(plus[n + 1], s[n], "precede").holds, True)
+        yield (f"n={n} (first-step-up part)",
+               roots.check_relation(s[n], minus[n + 1], "alternate-left").holds, True)
 
 
-def _check_roots_positive_q(n_max: int) -> Optional[str]:
+def _roots_positive_q(n_max: int) -> Comparisons:
     sxq = triangles.family_polys("Sxq", n_max)
     for q in (Fraction(1, 2), 1, 2, 3):
         for n in range(2, n_max + 1):
-            cert = roots.certify_rz(sxq[n].subs(q=q))
-            if not (cert.real_rooted and cert.all_nonpositive and cert.all_simple):
-                return f"q={q}, n={n}"
-    return None
+            yield f"q={q}, n={n}", _certified(roots.certify_rz(sxq[n].subs(q=q))), True
 
 
 # -- registry --------------------------------------------------------------------
 
 REGISTRY: dict[str, Entry] = {
     "s-what-convolution": Entry(
-        _check_s_what_convolution, 14, "n_max",
+        _s_what_convolution, 14,
         "descent rows equal the binomial convolution of doubled left-peak rows",
     ),
     "w-doubling": Entry(
-        _check_w_doubling, 14, "n_max",
+        _w_doubling, 14,
         "interior-peak counts over all permutations are 2^(n-k) times descent counts",
     ),
     "run-mobius": Entry(
-        _check_run_mobius, 14, "n_max",
-        "alternating-run rows from both Mobius-type substitutions",
+        _run_mobius, 14, "alternating-run rows from both Mobius-type substitutions"
     ),
     "p-split-from-s": Entry(
-        _check_p_split_from_s, 14, "n_max",
-        "coefficients of the split peak polynomials from the descent triangle",
+        _p_split_from_s, 14, "coefficients of the split peak polynomials from the descent triangle"
     ),
     "p-recurrence-cleared": Entry(
-        _check_p_recurrence_cleared, 14, "n_max",
-        "peak-row recurrence in cleared-denominator form",
+        _p_recurrence_cleared, 14, "peak-row recurrence in cleared-denominator form"
     ),
     "p-low-coeffs": Entry(
-        _check_p_low_coeffs, 14, "n_max",
-        "constant and linear coefficients of the peak polynomials",
+        _p_low_coeffs, 14, "constant and linear coefficients of the peak polynomials"
     ),
     "t-split": Entry(
-        _check_t_split, 14, "n_max",
-        "descent and peak counts as sums of adjacent up-down-run counts",
+        _t_split, 14, "descent and peak counts as sums of adjacent up-down-run counts"
     ),
     "t-even-odd": Entry(
-        _check_t_even_odd, 14, "n_max",
-        "(1+x) times the up-down-run row splits into descent and peak parts",
+        _t_even_odd, 14, "(1+x) times the up-down-run row splits into descent and peak parts"
     ),
     "closed-forms": Entry(
-        _check_closed_forms, 14, "n_max",
-        "every registered closed form matches its recurrence triangle",
+        _closed_forms, 14, "every registered closed form matches its recurrence triangle"
     ),
     "corner-alternating": Entry(
-        _check_corner_alternating, 12, "n_max",
-        "top up-down-run counts equal alternating-permutation counts",
+        _corner_alternating, 12, "top up-down-run counts equal alternating-permutation counts"
     ),
     "orbit-descents": Entry(
-        _check_orbit_descents, 14, "n_max",
-        "orbit-count triangle is a reindexing of the descent triangle",
+        _orbit_descents, 14, "orbit-count triangle is a reindexing of the descent triangle"
     ),
     "euler-convolution": Entry(
-        _check_euler_convolution, 10, "n_max",
-        "zigzag numbers from the binomial convolution of Springer numbers",
+        _euler_convolution, 10, "zigzag numbers from the binomial convolution of Springer numbers"
     ),
     "trivariate-binomial": Entry(
-        _check_trivariate_binomial, 9, "n_max",
+        # key (exc, fix, cyc) -> monomial x^exc q^cyc y^fix
+        _sweep("simsun_cycle_distributions", "Sxyq", lambda k: (k[0], k[2], k[1])), 9,
         "binomial-sum trivariate rows match the (exc, fix, cyc) enumeration",
     ),
     "stirling-reconstruction": Entry(
-        _check_stirling_reconstruction, 15, "n_max",
-        "descent rows rebuilt from the Stirling-number expansion",
+        _stirling_reconstruction, 15, "descent rows rebuilt from the Stirling-number expansion"
     ),
     "sxq-at-q1": Entry(
-        _check_sxq_at_q1, 12, "n_max",
-        "bivariate rows specialize to descent rows at q=1",
+        _sxq_at_q1, 12, "bivariate rows specialize to descent rows at q=1"
     ),
     "sxq-at-minus1": Entry(
-        _check_sxq_at_minus1, 20, "n_max",
-        "bivariate rows at q=-1 match the product closed form",
+        _sxq_at_minus1, 20, "bivariate rows at q=-1 match the product closed form"
     ),
     "enum-descents": Entry(
-        _check_enum_descents, 12, "n_max",
+        _sweep("simsun_word_distributions", "S", lambda k: (k[0], 0, 0)), 12,
         "descent triangle vs. direct scans of generated first-kind members",
     ),
     "enum-upruns": Entry(
-        _check_enum_upruns, 12, "n_max",
+        _sweep("simsun_word_distributions", "T", lambda k: (k[2], 0, 0)), 12,
         "up-down-run triangle vs. direct scans of generated first-kind members",
     ),
     "enum-peaks": Entry(
-        _check_enum_peaks, 12, "n_max",
-        "peak triangles (joint and split) vs. direct scans",
+        _enum_peaks, 12, "peak triangles (joint and split) vs. direct scans"
     ),
     "enum-exc-cyc": Entry(
-        _check_enum_exc_cyc, 11, "n_max",
+        _sweep("simsun_cycle_distributions", "Sxq", lambda k: (k[0], k[2], 0)), 11,
         "bivariate triangle vs. (exc, cyc) scans of second-kind members",
     ),
     "enum-interior-peaks": Entry(
-        _check_enum_interior_peaks, 10, "n_max",
+        _sweep("all_perm_word_distributions", "W", lambda k: (k[1], 0, 0)), 10,
         "interior-peak triangle vs. scans over all permutations",
     ),
     "enum-left-peaks": Entry(
-        _check_enum_left_peaks, 10, "n_max",
+        _sweep("all_perm_word_distributions", "What", lambda k: (k[0], 0, 0)), 10,
         "left-peak triangle vs. scans over all permutations",
     ),
     "enum-runs": Entry(
-        _check_enum_runs, 10, "n_max",
+        _sweep("all_perm_word_distributions", "R", lambda k: (k[2], 0, 0)), 10,
         "alternating-run triangle vs. scans over all permutations",
     ),
     "cardinalities": Entry(
-        _check_cardinalities, 10, "n_max",
-        "both kinds are counted by the zigzag numbers",
+        _cardinalities, 10, "both kinds are counted by the zigzag numbers"
     ),
     "filter-matches-generator": Entry(
-        _check_filter_matches_generator, 9, "n_max",
+        _filter_matches_generator, 9,
         "membership filters agree with the insertion generators as sets",
     ),
     "descent-left-peak": Entry(
-        _check_descent_left_peak, 10, "n_max",
-        "des = lpk on the first kind; lpk = pk + [first step down]",
+        _descent_left_peak, 10, "des = lpk on the first kind; lpk = pk + [first step down]"
     ),
     "descent-excedance": Entry(
-        _check_descent_excedance, 10, "n_max",
+        _descent_excedance, 10,
         "descents over the first kind equidistribute with excedances over the second",
     ),
     "phi-partition": Entry(
-        _check_phi_partition, 8, "n_max",
+        _bijection("verify_phi"), 8,
         "image blocks partition the longer permutations with matching peak counts",
     ),
     "psi-transport": Entry(
-        _check_psi_transport, 9, "n_max",
-        "descent-to-excedance bijection onto the second kind",
+        _bijection("verify_psi"), 9, "descent-to-excedance bijection onto the second kind"
     ),
     "cud-cycles": Entry(
-        _check_cud_cycles, 9, "n_max",
+        _cud_cycles, 9,
         "cycle counts over the second kind equidistribute with cycle-up-down permutations",
     ),
     "series-descent-egf": Entry(
-        _check_series_descent_egf, 12, "order",
-        "closed-form descent EGF matches the triangle",
+        _egf("Sxz", "S"), 12, "closed-form descent EGF matches the triangle"
     ),
     "series-left-peak-egf": Entry(
-        _check_series_left_peak_egf, 12, "order",
-        "closed-form left-peak EGF matches the triangle",
+        _egf("What", "What"), 12, "closed-form left-peak EGF matches the triangle"
     ),
     "series-square": Entry(
-        _check_series_square, 12, "order",
-        "descent EGF equals the squared rescaled left-peak EGF",
+        _series_square, 12, "descent EGF equals the squared rescaled left-peak EGF"
     ),
     "series-pde": Entry(
-        _check_series_pde, 10, "order",
-        "bivariate EGF satisfies its first-order PDE termwise",
+        _series_pde, 10, "bivariate EGF satisfies its first-order PDE termwise"
     ),
     "series-exc-cyc-egf": Entry(
-        _check_series_exc_cyc_egf, 10, "order",
-        "q-th power of the descent EGF matches the bivariate triangle",
+        _egf("Sxqz", "Sxq"), 10, "q-th power of the descent EGF matches the bivariate triangle"
     ),
     "series-springer": Entry(
-        _check_series_springer, 8, "order",
-        "1/(cos z - sin z) coefficients count snakes",
+        _series_springer, 8, "1/(cos z - sin z) coefficients count snakes"
     ),
     "series-cycle-count-egf": Entry(
-        _check_series_cycle_count_egf, 9, "order",
+        _series_cycle_count_egf, 9,
         "(1 - sin z)^(-q) coefficients match cycle counts over the second kind",
     ),
     "series-trivariate": Entry(
-        _check_series_trivariate, 9, "order",
-        "trivariate EGF matches the binomial-sum rows",
+        _egf("trivariate", "Sxyq"), 9, "trivariate EGF matches the binomial-sum rows"
     ),
     "roots-nonpositive": Entry(
-        _check_roots_nonpositive, 25, "n_max",
-        "descent and peak polynomials have simple nonpositive real roots",
+        _roots_nonpositive, 25, "descent and peak polynomials have simple nonpositive real roots"
     ),
     "roots-successive": Entry(
-        _check_roots_successive, 20, "n_max",
-        "each descent polynomial precedes the next",
+        _roots_successive, 20, "each descent polynomial precedes the next"
     ),
     "roots-interlacing": Entry(
-        _check_roots_interlacing, 20, "n_max",
-        "split peak polynomials interlace the descent polynomials",
+        _roots_interlacing, 20, "split peak polynomials interlace the descent polynomials"
     ),
     "roots-positive-q": Entry(
-        _check_roots_positive_q, 15, "n_max",
+        _roots_positive_q, 15,
         "bivariate rows at sample positive q have simple nonpositive real roots",
     ),
 }
@@ -717,17 +534,20 @@ def run(identity: str, bound: int | None = None) -> IdentityReport:
         raise KeyError(f"unknown identity {identity!r}")
     entry = REGISTRY[identity]
     used = entry.default_bound if bound is None else bound
-    detail = entry.check(used)
-    return IdentityReport(identity, used, detail is None, detail or "")
+    cases = 0
+    for where, lhs, rhs in entry.check(used):
+        cases += 1
+        if lhs != rhs:
+            return IdentityReport(identity, used, False, where)
+    if cases == 0:
+        return IdentityReport(identity, used, False, "no cases checked")
+    return IdentityReport(identity, used, True)
 
 
 def run_all(bound: int | None = None) -> list[IdentityReport]:
     """Run every entry.  A bound override applies only to entries whose
     default exceeds it, so cheap wide checks keep their full range."""
-    reports = []
-    for identity, entry in REGISTRY.items():
-        used = entry.default_bound
-        if bound is not None:
-            used = min(used, bound)
-        reports.append(run(identity, used))
-    return reports
+    return [
+        run(identity, entry.default_bound if bound is None else min(entry.default_bound, bound))
+        for identity, entry in REGISTRY.items()
+    ]

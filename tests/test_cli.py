@@ -77,6 +77,9 @@ def test_verify_single(capsys):
     assert "pass" in out
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
+    for argv in (("all", "--n-max", "-1"), ("t-split", "--n-max", "-3")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and "must be nonnegative" in err
 
 
 def test_verify_json_schema(capsys):
@@ -123,6 +126,11 @@ def test_roots(capsys):
     assert code == 0
     assert out.count("pass") == 4
     code, _, err = run(capsys, "roots", "nope")
+    assert code == 2
+    code, out, _ = run(capsys, "roots", "all", "--n-max", "1")
+    assert code == 1
+    assert out.count("pass") == 1 and out.count("FAIL (no cases checked)") == 3
+    code, _, _ = run(capsys, "roots", "all", "--n-max", "-1")
     assert code == 2
 
 

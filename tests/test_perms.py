@@ -26,12 +26,6 @@ def test_check_word_accepts_and_rejects():
         perms.check_word((1, 1, 2))
 
 
-def test_check_window():
-    assert perms.check_window((2, -1)) == (2, -1)
-    with pytest.raises(ValueError):
-        perms.check_window((2, -2))
-
-
 def test_descent_set():
     assert perms.descent_set((3, 5, 1, 4, 2)) == [2, 4]
     assert perms.descent_set((1, 2, 3)) == []

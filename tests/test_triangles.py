@@ -51,6 +51,8 @@ def test_published_rows():
     assert row("W", 3) == [4, 2]
     assert row("What", 0) == [1]
     assert row("What", 1) == [1]
+    with pytest.raises(ValueError):
+        triangles.family_polys("nope", 3)
 
 
 def test_frozen_derived_rows():
@@ -101,16 +103,6 @@ def test_row_sums_are_zigzag_numbers():
     s = triangles.family_polys("S", 10)
     for n in range(11):
         assert s[n].eval(x=1) == EULER[n + 1]
-
-
-def test_triangle_export():
-    tri = triangles.triangle("S", 5)
-    assert tri.family == "S"
-    assert tri.rows[5] == [1, 26, 34]
-    with pytest.raises(ValueError):
-        triangles.triangle("Sxq", 3)
-    with pytest.raises(ValueError):
-        triangles.family_polys("nope", 3)
 
 
 def test_stirling_numbers():

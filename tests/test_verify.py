@@ -1,8 +1,10 @@
 """Identity registry plumbing and spot checks at small bounds."""
 
+from collections import Counter
+
 import pytest
 
-from simsun import triangles, verify
+from simsun import bulk, triangles, verify
 
 
 def test_unknown_identity():
@@ -57,3 +59,29 @@ def test_detects_injected_fault(monkeypatch):
     report = verify.run("enum-descents", 6)
     assert not report.ok
     assert report.detail
+
+
+@pytest.mark.parametrize(
+    "sweep, identity",
+    [("simsun_word_distributions", "enum-descents"), ("all_perm_word_distributions", "enum-runs")],
+)
+def test_detects_fault_in_sweep(monkeypatch, sweep, identity):
+    original = getattr(bulk, sweep)
+
+    def bumped(n_max):
+        # copies, because the sweeps cache what they return
+        dist = {n: Counter(level) for n, level in original(n_max).items()}
+        dist[n_max][next(iter(dist[n_max]))] += 1
+        return dist
+
+    monkeypatch.setattr(bulk, sweep, bumped)
+    report = verify.run(identity, 5)
+    assert not report.ok
+    assert report.detail == "n=5"
+
+
+def test_zero_cases_is_not_a_pass():
+    report = verify.run("roots-nonpositive", 1)
+    assert not report.ok
+    assert report.detail == "no cases checked"
+    assert verify.run("p-low-coeffs", 0).detail == "no cases checked"
