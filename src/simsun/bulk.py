@@ -1,110 +1,125 @@
 """Vectorized brute-force oracles for the big enumeration sweeps.
 
-Objects are generated level by level with numpy (insertion of the next
-largest entry into every legal gap), and statistics are computed by direct
-scans of the stored words or cycle maps, independently of any recurrence.
-Memory stays bounded by chunking the statistic scans.
+One engine, ``_sweep``, drives all three.  An insertion rule builds each
+level from the last by putting the next largest entry into every allowed
+place of every stored object: a gap of a word, from a mask of allowed
+gaps, or a splice into a cycle map.  A scanner reads statistic columns off
+the stored words or maps directly, independently of any recurrence, in
+chunks of ``_CHUNK`` rows.  Every statistic of a level of size m lies in
+0..m, so a chunk's columns fold into one base-(m + 1) int64 key, counted
+by ``np.bincount`` and turned back into tuples by ``np.unravel_index``.
+
+Each sweep caches its largest result: a smaller bound gets a prefix of it,
+a larger bound recomputes.  A level of more than ``ROW_BUDGET`` rows raises
+``SweepTooLarge`` before it is allocated.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 import numpy as np
 
 _CHUNK = 1 << 21
+# admits word level 12 (E_13 = 22,368,256 rows); refuses E_14 and 12! rows
+ROW_BUDGET = 50_000_000
+
+_cache: dict[str, dict[int, Counter]] = {}
 
 
-@lru_cache(maxsize=4)
+class SweepTooLarge(Exception):
+    """A sweep level would hold more rows than ``ROW_BUDGET``."""
+
+
 def simsun_word_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (des, pk, uprun, starts_with_descent, alternating)
     over the first-kind simsun permutations, by direct word scans."""
-    out: dict[int, Counter] = {0: Counter({(0, 0, 0, 0, 1): 1})}
-    level = np.array([[1]], dtype=np.int8)
-    for m in range(1, n_max + 1):
-        if m > 1:
-            level = _insert_word_level(level)
-        out[m] = _word_counts(level)
-    return out
+    return _sweep("words", n_max, _insert_simsun, _word_stats, (0, 0, 0, 0, 1))
 
 
-def _insert_word_level(level: np.ndarray) -> np.ndarray:
-    rows, m = level.shape
-    allowed = np.ones((rows, m + 1), dtype=bool)
-    if m >= 2:
-        allowed[:, : m - 1] = level[:, :-1] <= level[:, 1:]
-    counts = allowed.sum(axis=1)
-    total = int(counts.sum())
-    row_idx, gaps = np.nonzero(allowed)
-    child = np.empty((total, m + 1), dtype=np.int8)
-    for g in range(m + 1):
-        sel = gaps == g
-        src = row_idx[sel]
-        if g:
-            child[sel, :g] = level[src, :g]
-        child[sel, g] = m + 1
-        if g < m:
-            child[sel, g + 1:] = level[src, g:]
-    return child
-
-
-def _word_counts(level: np.ndarray) -> Counter:
-    rows, m = level.shape
-    counts: Counter = Counter()
-    for start in range(0, rows, _CHUNK):
-        a = level[start : start + _CHUNK]
-        asc = a[:, :-1] < a[:, 1:]
-        des = (~asc).sum(axis=1)
-        if m >= 3:
-            pk = (asc[:, :-1] & ~asc[:, 1:]).sum(axis=1)
-        else:
-            pk = np.zeros(len(a), dtype=np.int64)
-        if m >= 2:
-            uprun = 1 + (~asc[:, :1]).sum(axis=1) + (asc[:, 1:] != asc[:, :-1]).sum(axis=1)
-            starts = (~asc[:, 0]).astype(np.int64)
-            alt = (~asc[:, ::2]).all(axis=1) & asc[:, 1::2].all(axis=1)
-        else:
-            uprun = np.ones(len(a), dtype=np.int64)
-            starts = np.zeros(len(a), dtype=np.int64)
-            alt = np.ones(len(a), dtype=bool)
-        key = np.stack(
-            [des.astype(np.int64), pk.astype(np.int64), uprun.astype(np.int64),
-             starts, alt.astype(np.int64)],
-            axis=1,
-        )
-        uniq, cnt = np.unique(key, axis=0, return_counts=True)
-        for k, c in zip(uniq, cnt):
-            counts[tuple(int(v) for v in k)] += int(c)
-    return counts
-
-
-@lru_cache(maxsize=4)
 def simsun_cycle_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (exc, fix, cyc) over second-kind simsun
     permutations.  exc and fix come from direct scans of the stored maps;
     cyc is counted by pointer chasing to each cycle minimum."""
-    out: dict[int, Counter] = {0: Counter({(0, 0, 0): 1})}
-    level = np.array([[1]], dtype=np.int8)
-    for m in range(1, n_max + 1):
-        if m > 1:
-            level = _insert_cycle_level(level)
-        out[m] = _cycle_counts(level)
-    return out
+    return _sweep("cycles", n_max, _splice_cycles, _cycle_stats, (0, 0, 0))
 
 
-def _insert_cycle_level(level: np.ndarray) -> np.ndarray:
+def all_perm_word_distributions(n_max: int) -> dict[int, Counter]:
+    """Per-n joint counts of (lpk, pk, altruns) over all permutations of [n],
+    generated by unrestricted insertion."""
+    return _sweep("all", n_max, _insert_all, _all_word_stats, (0, 0, 0))
+
+
+def _sweep(name, n_max, insert, scan, empty_key) -> dict[int, Counter]:
+    cached = _cache.get(name)
+    if cached is None or max(cached) < n_max:
+        cached = {0: Counter({empty_key: 1})}
+        level = np.ones((1, 1), dtype=np.int8)
+        for m in range(1, n_max + 1):
+            if m > 1:
+                level = insert(level)
+            cached[m] = _count(level, scan)
+        _cache[name] = cached
+    return {n: cached[n] for n in range(n_max + 1)}
+
+
+def _count(level: np.ndarray, scan) -> Counter:
+    rows, m = level.shape
+    bins = 0
+    for start in range(0, rows, _CHUNK):
+        columns = scan(level[start : start + _CHUNK])
+        key = np.zeros(len(columns[0]), dtype=np.int64)
+        for column in columns:
+            key = key * (m + 1) + column
+        bins = bins + np.bincount(key, minlength=(m + 1) ** len(columns))
+    found = np.flatnonzero(bins)
+    digits = np.unravel_index(found, (m + 1,) * len(columns))
+    keys = zip(*(d.tolist() for d in digits))
+    return Counter(dict(zip(keys, bins[found].tolist())))
+
+
+def _child(rows: int, width: int) -> np.ndarray:
+    """An uninitialised level, refused before allocation when over budget."""
+    if rows > ROW_BUDGET:
+        raise SweepTooLarge(f"sweep level {width} needs {rows:,} rows (budget {ROW_BUDGET:,})")
+    return np.empty((rows, width), dtype=np.int8)
+
+
+def _insert_simsun(level: np.ndarray) -> np.ndarray:
+    # gap g < m - 1 is allowed only when level[g] < level[g + 1]
+    allowed = np.ones((len(level), level.shape[1] + 1), dtype=bool)
+    allowed[:, :-2] = level[:, :-1] < level[:, 1:]
+    return _insert_gaps(level, allowed)
+
+
+def _insert_all(level: np.ndarray) -> np.ndarray:
+    return _insert_gaps(level, np.ones((len(level), level.shape[1] + 1), dtype=bool))
+
+
+def _insert_gaps(level: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Insert m + 1 into every allowed gap g (before letter g), grouped by g."""
+    m = level.shape[1]
+    ends = np.cumsum(allowed.sum(axis=0))
+    child = _child(int(ends[-1]), m + 1)
+    for g in range(m + 1):
+        src = level[allowed[:, g]]
+        block = child[ends[g] - len(src) : ends[g]]
+        block[:, :g] = src[:, :g]
+        block[:, g] = m + 1
+        block[:, g + 1:] = src[:, g:]
+    return child
+
+
+def _splice_cycles(level: np.ndarray) -> np.ndarray:
     rows, m = level.shape
     values = np.arange(1, m + 1, dtype=np.int8)
     inv = np.empty_like(level)
     np.put_along_axis(inv, level.astype(np.intp) - 1, np.tile(values, (rows, 1)), axis=1)
     # splice after letter i is allowed unless i is a cyclic peak value
     allowed = ~((inv < values) & (level < values))
-    counts = allowed.sum(axis=1) + 1  # plus the new singleton cycle
-    total = int(counts.sum())
+    child = _child(int(allowed.sum()) + rows, m + 1)  # plus the new singleton cycle
     row_idx, after = np.nonzero(allowed)
     k = len(row_idx)
-    child = np.empty((total, m + 1), dtype=np.int8)
     child[:k, :m] = level[row_idx]
     child[np.arange(k), after] = m + 1
     child[:k, m] = level[row_idx, after]
@@ -113,70 +128,28 @@ def _insert_cycle_level(level: np.ndarray) -> np.ndarray:
     return child
 
 
-def _cycle_counts(level: np.ndarray) -> Counter:
-    rows, m = level.shape
-    values = np.arange(1, m + 1, dtype=np.int8)
-    counts: Counter = Counter()
-    for start in range(0, rows, _CHUNK):
-        a = level[start : start + _CHUNK]
-        exc = (a[:, : m - 1] > values[: m - 1]).sum(axis=1) if m > 1 else np.zeros(len(a), dtype=np.int64)
-        fix = (a == values).sum(axis=1)
-        # orbit minimum by iterated min over forward steps
-        rep = np.tile(values, (len(a), 1))
-        cur = a.copy()
-        for _ in range(m):
-            rep = np.minimum(rep, cur)
-            cur = np.take_along_axis(a, cur.astype(np.intp) - 1, axis=1)
-        cyc = (rep == values).sum(axis=1)
-        key = np.stack([exc.astype(np.int64), fix.astype(np.int64), cyc.astype(np.int64)], axis=1)
-        uniq, cnt = np.unique(key, axis=0, return_counts=True)
-        for kk, c in zip(uniq, cnt):
-            counts[tuple(int(v) for v in kk)] += int(c)
-    return counts
+def _word_stats(a: np.ndarray) -> list[np.ndarray]:
+    asc = a[:, :-1] < a[:, 1:]
+    first_down = (~asc[:, :1]).sum(axis=1)
+    pk = (asc[:, :-1] & ~asc[:, 1:]).sum(axis=1)
+    uprun = 1 + first_down + (asc[:, 1:] != asc[:, :-1]).sum(axis=1)
+    alt = (~asc[:, ::2]).all(axis=1) & asc[:, 1::2].all(axis=1)
+    return [(~asc).sum(axis=1), pk, uprun, first_down, alt]
 
 
-@lru_cache(maxsize=4)
-def all_perm_word_distributions(n_max: int) -> dict[int, Counter]:
-    """Per-n joint counts of (lpk, pk, altruns) over all permutations of [n],
-    generated by unrestricted insertion."""
-    out: dict[int, Counter] = {0: Counter({(0, 0, 0): 1})}
-    level = np.array([[1]], dtype=np.int8)
-    for m in range(1, n_max + 1):
-        if m > 1:
-            rows, cols = level.shape
-            reps = np.repeat(level, cols + 1, axis=0)
-            gaps = np.tile(np.arange(cols + 1), rows)
-            child = np.empty((len(reps), cols + 1), dtype=np.int8)
-            for g in range(cols + 1):
-                sel = gaps == g
-                if g:
-                    child[sel, :g] = reps[sel, :g]
-                child[sel, g] = m
-                if g < cols:
-                    child[sel, g + 1:] = reps[sel, g:]
-            level = child
-        out[m] = _all_word_counts(level)
-    return out
+def _cycle_stats(a: np.ndarray) -> list[np.ndarray]:
+    values = np.arange(1, a.shape[1] + 1, dtype=np.int8)
+    # orbit minimum by iterated min over forward steps a(i), a(a(i)), ...
+    low = cur = a
+    for _ in range(a.shape[1] - 1):
+        cur = np.take_along_axis(a, cur.astype(np.intp) - 1, axis=1)
+        low = np.minimum(low, cur)
+    return [(a > values).sum(axis=1), (a == values).sum(axis=1), (low == values).sum(axis=1)]
 
 
-def _all_word_counts(level: np.ndarray) -> Counter:
-    rows, m = level.shape
-    counts: Counter = Counter()
-    for start in range(0, rows, _CHUNK):
-        a = level[start : start + _CHUNK]
-        if m == 1:
-            counts[(0, 0, 0)] += len(a)
-            continue
-        asc = a[:, :-1] < a[:, 1:]
-        altruns = 1 + (asc[:, 1:] != asc[:, :-1]).sum(axis=1)
-        ext = np.hstack([np.ones((len(a), 1), dtype=bool), asc])
-        lpk = (ext[:, :-1] & ~asc).sum(axis=1)
-        if m >= 3:
-            pk = (asc[:, :-1] & ~asc[:, 1:]).sum(axis=1)
-        else:
-            pk = np.zeros(len(a), dtype=np.int64)
-        key = np.stack([lpk.astype(np.int64), pk.astype(np.int64), altruns.astype(np.int64)], axis=1)
-        uniq, cnt = np.unique(key, axis=0, return_counts=True)
-        for k, c in zip(uniq, cnt):
-            counts[tuple(int(v) for v in k)] += int(c)
-    return counts
+def _all_word_stats(a: np.ndarray) -> list[np.ndarray]:
+    asc = a[:, :-1] < a[:, 1:]
+    pk = (asc[:, :-1] & ~asc[:, 1:]).sum(axis=1)
+    # a single letter has no runs; lpk = pk + [first step down]
+    altruns = (a.shape[1] > 1) + (asc[:, 1:] != asc[:, :-1]).sum(axis=1)
+    return [(~asc[:, :1]).sum(axis=1) + pk, pk, altruns]

@@ -2,7 +2,8 @@
 
 Subcommands: triangle, enumerate, verify, bijection, roots, series.
 Everything is deterministic; output formats are text, csv and json.
-Exit codes: 0 success, 1 identity violation, 2 usage error.
+Exit codes: 0 success, 1 identity violation, 2 usage error or a sweep
+level over the row budget of ``bulk``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import io
 import json
 import sys
 
-from . import bijections, classes, perms, series, triangles, verify
+from . import bijections, bulk, classes, perms, series, triangles, verify
 from .poly import Poly
 
 ENUM_CLASSES = {
@@ -372,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, bulk.SweepTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

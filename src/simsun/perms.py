@@ -29,7 +29,6 @@ class StatRecord:
     pk: int
     altruns: int
     uprun: int
-    lalt: int
 
 
 @dataclass(frozen=True)
@@ -57,14 +56,13 @@ def descent_set(word: Word) -> list[int]:
 
 
 def word_stats(word: Word) -> StatRecord:
-    """All six word statistics in one pass conventions:
+    """All five word statistics in one pass conventions:
 
     - des counts descents at i in [n-1];
     - lpk prepends a virtual 0 and counts peaks at i in [n-1];
     - pk counts interior peaks at i in {2, ..., n-1};
     - altruns counts maximal monotone runs (0 for a single letter);
-    - uprun counts the runs of the 0-prepended word;
-    - lalt is the longest subsequence of shape a1 > a2 < a3 > ...
+    - uprun counts the runs of the 0-prepended word.
     """
     n = len(word)
     des = len(descent_set(word))
@@ -85,10 +83,12 @@ def word_stats(word: Word) -> StatRecord:
             for i in range(1, n)
             if (ext[i - 1] < ext[i]) != (ext[i] < ext[i + 1])
         )
-    return StatRecord(des, lpk, pk, altruns, uprun, _lalt(word))
+    return StatRecord(des, lpk, pk, altruns, uprun)
 
 
-def _lalt(word: Word) -> int:
+def lalt(word: Word) -> int:
+    """Length of the longest subsequence of shape a1 > a2 < a3 > ...;
+    it equals uprun (O(n^2), so ``word_stats`` leaves it out)."""
     # even[i]/odd[i]: longest alternating subsequence ending at i whose next
     # required comparison is > (even) or < (odd); first comparison must be >.
     n = len(word)

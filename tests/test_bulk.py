@@ -2,6 +2,8 @@
 
 from collections import Counter
 
+import pytest
+
 from simsun import bulk, classes, perms
 
 N_SMALL = 6
@@ -49,3 +51,24 @@ def test_sweep_totals():
         assert sum(words[n].values()) == euler[n + 1]
         assert sum(cycles[n].values()) == euler[n + 1]
         assert sum(bulk.all_perm_word_distributions(N_SMALL)[n].values()) == fact
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    ["simsun_word_distributions", "simsun_cycle_distributions", "all_perm_word_distributions"],
+)
+def test_prefix_cache_matches_cold_runs(monkeypatch, sweep):
+    def fresh():
+        monkeypatch.setattr(bulk, "_cache", {})
+        return getattr(bulk, sweep)
+
+    cold = {n_max: fresh()(n_max) for n_max in (4, 6)}
+    for order in ((6, 4), (4, 6)):
+        fn = fresh()
+        got = {n_max: fn(n_max) for n_max in order}
+        assert got == cold
+        for dist in got.values():
+            for level in dist.values():
+                assert all(type(v) is int for key in level for v in key)
+                assert all(type(c) is int and c > 0 for c in level.values())
+    assert fn(4)[4] is fn(6)[4]  # the smaller bound is served from the cache

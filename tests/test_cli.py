@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from simsun import cli
+from simsun import bulk, cli
 
 
 def run(capsys, *argv):
@@ -80,6 +80,15 @@ def test_verify_single(capsys):
     for argv in (("all", "--n-max", "-1"), ("t-split", "--n-max", "-3")):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and "must be nonnegative" in err
+
+
+def test_sweep_over_row_budget_exits_2(capsys, monkeypatch):
+    # a tiny budget stands in for a level too large for the machine
+    monkeypatch.setattr(bulk, "ROW_BUDGET", 1000)
+    monkeypatch.setattr(bulk, "_cache", {})
+    code, out, err = run(capsys, "verify", "enum-descents", "--n-max", "8")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert sum(bulk.simsun_word_distributions(5)[5].values()) == 61
 
 
 def test_verify_json_schema(capsys):
