@@ -8,7 +8,7 @@ Submodules:
 - ``triangles``   recurrence engines for every polynomial family
 - ``series``      truncated EGFs with polynomial coefficients
 - ``bijections``  the block correspondence and the descent-to-excedance map
-- ``roots``       Sturm-sequence root certification and interlacing
+- ``roots``       sign-alternation root certificates and interlacing
 - ``bulk``        vectorized brute-force oracles for large sweeps
 - ``verify``      registry of machine-checkable identities
 - ``cli``         command-line front end

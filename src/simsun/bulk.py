@@ -10,12 +10,15 @@ chunks of ``_CHUNK`` rows.  Every statistic of a level of size m lies in
 by ``np.bincount`` and turned back into tuples by ``np.unravel_index``.
 
 Each sweep caches its largest result: a smaller bound gets a prefix of it,
-a larger bound recomputes.  A level of more than ``ROW_BUDGET`` rows raises
-``SweepTooLarge`` before it is allocated.
+a larger bound recomputes.  A bound whose top level would hold more than
+``ROW_BUDGET`` rows (E_{n+1} or n!) raises ``SweepTooLarge`` before any
+level is built.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -28,29 +31,32 @@ _cache: dict[str, dict[int, Counter]] = {}
 
 
 class SweepTooLarge(Exception):
-    """A sweep level would hold more rows than ``ROW_BUDGET``."""
+    """A sweep's top level would hold more rows than ``ROW_BUDGET``."""
 
 
 def simsun_word_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (des, pk, uprun, starts_with_descent, alternating)
     over the first-kind simsun permutations, by direct word scans."""
-    return _sweep("words", n_max, _insert_simsun, _word_stats, (0, 0, 0, 0, 1))
+    return _sweep("words", n_max, _zigzag_rows, _insert_simsun, _word_stats, (0, 0, 0, 0, 1))
 
 
 def simsun_cycle_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (exc, fix, cyc) over second-kind simsun
     permutations.  exc and fix come from direct scans of the stored maps;
     cyc is counted by pointer chasing to each cycle minimum."""
-    return _sweep("cycles", n_max, _splice_cycles, _cycle_stats, (0, 0, 0))
+    return _sweep("cycles", n_max, _zigzag_rows, _splice_cycles, _cycle_stats, (0, 0, 0))
 
 
 def all_perm_word_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (lpk, pk, altruns) over all permutations of [n],
     generated by unrestricted insertion."""
-    return _sweep("all", n_max, _insert_all, _all_word_stats, (0, 0, 0))
+    return _sweep("all", n_max, math.factorial, _insert_all, _all_word_stats, (0, 0, 0))
 
 
-def _sweep(name, n_max, insert, scan, empty_key) -> dict[int, Counter]:
+def _sweep(name, n_max, rows, insert, scan, empty_key) -> dict[int, Counter]:
+    if rows(n_max) > ROW_BUDGET:
+        raise SweepTooLarge(
+            f"sweep level {n_max} needs {rows(n_max):,} rows (budget {ROW_BUDGET:,})")
     cached = _cache.get(name)
     if cached is None or max(cached) < n_max:
         cached = {0: Counter({empty_key: 1})}
@@ -78,11 +84,13 @@ def _count(level: np.ndarray, scan) -> Counter:
     return Counter(dict(zip(keys, bins[found].tolist())))
 
 
-def _child(rows: int, width: int) -> np.ndarray:
-    """An uninitialised level, refused before allocation when over budget."""
-    if rows > ROW_BUDGET:
-        raise SweepTooLarge(f"sweep level {width} needs {rows:,} rows (budget {ROW_BUDGET:,})")
-    return np.empty((rows, width), dtype=np.int8)
+def _zigzag_rows(m: int) -> int:
+    """E_{m+1}, the number of simsun permutations of [m] of either kind,
+    from row m + 1 of the Seidel-Entringer triangle."""
+    row = [1]
+    for _ in range(m + 1):
+        row = list(itertools.accumulate(reversed(row), initial=0))
+    return row[-1]
 
 
 def _insert_simsun(level: np.ndarray) -> np.ndarray:
@@ -100,7 +108,7 @@ def _insert_gaps(level: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Insert m + 1 into every allowed gap g (before letter g), grouped by g."""
     m = level.shape[1]
     ends = np.cumsum(allowed.sum(axis=0))
-    child = _child(int(ends[-1]), m + 1)
+    child = np.empty((int(ends[-1]), m + 1), dtype=np.int8)
     for g in range(m + 1):
         src = level[allowed[:, g]]
         block = child[ends[g] - len(src) : ends[g]]
@@ -117,7 +125,8 @@ def _splice_cycles(level: np.ndarray) -> np.ndarray:
     np.put_along_axis(inv, level.astype(np.intp) - 1, np.tile(values, (rows, 1)), axis=1)
     # splice after letter i is allowed unless i is a cyclic peak value
     allowed = ~((inv < values) & (level < values))
-    child = _child(int(allowed.sum()) + rows, m + 1)  # plus the new singleton cycle
+    # one child per allowed splice, plus the new singleton cycle
+    child = np.empty((int(allowed.sum()) + rows, m + 1), dtype=np.int8)
     row_idx, after = np.nonzero(allowed)
     k = len(row_idx)
     child[:k, :m] = level[row_idx]

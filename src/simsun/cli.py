@@ -76,6 +76,26 @@ def parse_perm(text: str):
         raise UsageError(str(exc)) from None
 
 
+def _verdicts(args, key: str, reports: list) -> int:
+    """Print reports in ``args.format`` under ``key``, the argument that
+    selected them ("identity" or "suite"); exit 1 when any failed."""
+    results = [{key: r.identity, "bound": r.bound, "ok": r.ok, "detail": r.detail}
+               for r in reports]
+    if args.format == "json":
+        _emit_json(args.command, {key: getattr(args, key), "n_max": args.n_max}, results)
+    elif args.format == "csv":
+        out = io.StringIO()
+        writer = csv.DictWriter(out, fieldnames=[key, "bound", "ok", "detail"])
+        writer.writeheader()
+        writer.writerows(results)
+        sys.stdout.write(out.getvalue())
+    else:
+        for r in reports:
+            verdict = "pass" if r.ok else f"FAIL ({r.detail})"
+            print(f"{r.identity}: bound {r.bound}: {verdict}")
+    return 0 if all(r.ok for r in reports) else 1
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -175,25 +195,7 @@ def cmd_verify(args) -> int:
         if args.identity not in verify.REGISTRY:
             raise UsageError(f"unknown identity {args.identity!r}")
         reports = [verify.run(args.identity, args.n_max)]
-    results = [
-        {"identity": r.identity, "bound": r.bound, "ok": r.ok, "detail": r.detail}
-        for r in reports
-    ]
-    if args.format == "json":
-        _emit_json(
-            "verify", {"identity": args.identity, "n_max": args.n_max}, results
-        )
-    elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=["identity", "bound", "ok", "detail"])
-        writer.writeheader()
-        writer.writerows(results)
-        sys.stdout.write(out.getvalue())
-    else:
-        for r in reports:
-            verdict = "pass" if r.ok else f"FAIL ({r.detail})"
-            print(f"{r.identity}: bound {r.bound}: {verdict}")
-    return 0 if all(r.ok for r in reports) else 1
+    return _verdicts(args, "identity", reports)
 
 
 def cmd_bijection(args) -> int:
@@ -269,20 +271,7 @@ def cmd_roots(args) -> int:
     else:
         raise UsageError(f"unknown suite {args.suite!r}")
     reports = [verify.run(s, args.n_max) for s in suites]
-    if args.format == "json":
-        _emit_json(
-            "roots",
-            {"suite": args.suite, "n_max": args.n_max},
-            [
-                {"suite": r.identity, "bound": r.bound, "ok": r.ok, "detail": r.detail}
-                for r in reports
-            ],
-        )
-    else:
-        for r in reports:
-            verdict = "pass" if r.ok else f"FAIL ({r.detail})"
-            print(f"{r.identity}: bound {r.bound}: {verdict}")
-    return 0 if all(r.ok for r in reports) else 1
+    return _verdicts(args, "suite", reports)
 
 
 def cmd_series(args) -> int:

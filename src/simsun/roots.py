@@ -1,20 +1,28 @@
-"""Exact real-root certification and interlacing checks.
+"""Exact real-root certification and interlacing checks, by certificate.
 
-Univariate polynomials are handled as dense lists of Fractions (ascending
-degree).  Root counts come from Sturm sequences evaluated at exact rational
-endpoints; root isolation bisects until each interval holds one root.
-Weak inequalities in the interlacing definitions are honored through exact
-gcd detection of common roots, never numeric closeness.
+Univariate polynomials are dense lists of Fractions (ascending degree).
+Every verdict rests on one small checker, ``_alternates``: increasing
+rationals at which no polynomial vanishes and, across each gap, exactly
+the named one changes sign, all by integer Horner evaluation.  An exact
+bisection, ``_search``, proposes the points and is not trusted: a wrong
+point only makes the checker refuse.  Weak inequalities in the
+interlacing definitions are honored through the exact gcd of common
+roots, never numeric closeness.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Poly
 
 Dense = list[Fraction]
+
+# bisection steps in one bracket before the search rules out a repeated root
+_PATIENCE = 64
 
 
 def dense(p: Poly | list) -> Dense:
@@ -40,136 +48,155 @@ def derivative(p: Dense) -> Dense:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _rem(a: Dense, b: Dense) -> Dense:
-    a = a[:]
-    db, lb = degree(b), b[-1]
-    while degree(a) >= db:
-        factor = a[-1] / lb
-        shift = degree(a) - db
+def _divmod(a: Dense, b: Dense) -> tuple[Dense, Dense]:
+    """Exact long division: a = q·b + r with deg r < deg b."""
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = a[:]
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        q[shift] = factor = r[-1] / b[-1]
         for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def poly_gcd(a: Dense, b: Dense) -> Dense:
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def squarefree(p: Dense) -> Dense:
-    g = poly_gcd(p, derivative(p))
-    if degree(g) <= 0:
-        return p
-    # exact division p / g
-    q: Dense = []
-    r = p[:]
-    dg, lg = degree(g), g[-1]
-    while degree(r) >= dg:
-        factor = r[-1] / lg
-        shift = degree(r) - dg
-        q.append(factor)
-        for i, c in enumerate(g):
             r[i + shift] -= factor * c
         r.pop()
         while r and r[-1] == 0:
             r.pop()
-    assert not r, "squarefree division left a remainder"
-    return list(reversed(q))
+    return q, r
 
 
-def sturm_chain(p: Dense) -> list[Dense]:
-    chain = [p, derivative(p)]
-    while chain[-1]:
-        nxt = [-c for c in _rem(chain[-2], chain[-1])]
-        if not nxt:
-            break
-        chain.append(nxt)
-    return [c for c in chain if c]
+def poly_gcd(a: Dense, b: Dense) -> Dense:
+    """The monic gcd (empty for two zero polynomials)."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
 
 
-def sign_changes(chain: list[Dense], t: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = evaluate(p, t)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def squarefree(p: Dense) -> Dense:
+    """p divided by gcd(p, p'): the same roots, each simple."""
+    return _divmod(p, poly_gcd(p, derivative(p)))[0]
 
 
-def count_roots(chain: list[Dense], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in the half-open interval (lo, hi]."""
-    return sign_changes(chain, lo) - sign_changes(chain, hi)
+def _integral(p: Dense) -> list[int]:
+    """p times the positive lcm of its denominators."""
+    scale = math.lcm(*(c.denominator for c in p))
+    return [c.numerator * (scale // c.denominator) for c in p]
 
 
-def cauchy_bound(p: Dense) -> Fraction:
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p) / lead
+def _horner(p: list[int], t: Fraction) -> int:
+    """b^deg(p)·p(a/b) for t = a/b, b > 0: it has the sign of p(t)."""
+    a, b = t.numerator, t.denominator
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * power
+        power *= b
+    return acc
 
 
-@dataclass
-class Root:
-    """One isolated real root: the half-open rational interval (lo, hi]."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def bisect(self, chain: list[Dense]) -> None:
-        mid = (self.lo + self.hi) / 2
-        if count_roots(chain, self.lo, mid):
-            self.hi = mid
-        else:
-            self.lo = mid
+def _sign(p: list[int], t: Fraction) -> int:
+    value = _horner(p, t)
+    return (value > 0) - (value < 0)
 
 
-@dataclass
-class Isolation:
-    poly: Dense
-    chain: list[Dense]
-    roots: list[Root]
-    all_simple: bool
+def _alternates(polys: list[list[int]], turns: list[int], points: list[Fraction]) -> bool:
+    """The checker: the points increase, no polynomial vanishes at any of
+    them, ``polys[turns[k]]`` changes sign across gap k, and polys[j] is
+    named deg polys[j] times in ``turns``.  A sign change across a gap needs
+    a root inside, and polys[j] has at most deg polys[j] of them, so then
+    all roots are real and simple, one in each gap where their polynomial is
+    named and none elsewhere: in increasing order they belong to
+    polys[turns[0]], polys[turns[1]], ...
+    """
+    if len(points) != len(turns) + 1 or any(a >= b for a, b in zip(points, points[1:])):
+        return False
+    if any(turns.count(j) != len(p) - 1 for j, p in enumerate(polys)):
+        return False
+    signs = [[_sign(p, t) for p in polys] for t in points]
+    return all(0 not in row for row in signs) and all(
+        before[owner] != after[owner] for owner, before, after in zip(turns, signs, signs[1:])
+    )
 
 
-def isolate_roots(p: Dense) -> Isolation:
-    """Isolating intervals for the distinct real roots, sorted increasingly."""
-    if not p:
-        raise ValueError("zero polynomial")
-    sf = squarefree(p)
-    simple = len(sf) == len(p)
-    chain = sturm_chain(sf)
-    if degree(sf) == 0:
-        return Isolation(sf, chain, [], simple)
-    bound = cauchy_bound(sf)
-    pending = [Root(-bound, bound)]
-    done: list[Root] = []
-    while pending:
-        iv = pending.pop()
-        c = count_roots(chain, iv.lo, iv.hi)
-        if c == 0:
-            continue
-        if c == 1:
-            done.append(iv)
-            continue
-        mid = (iv.lo + iv.hi) / 2
-        pending.append(Root(iv.lo, mid))
-        pending.append(Root(mid, iv.hi))
-    done.sort(key=lambda r: r.lo)
-    return Isolation(sf, chain, done, simple)
+def _halve(p: list[int], bracket: list) -> None:
+    """Halve [lo, hi, sign of p at lo, ...] around the one root of p inside."""
+    lo, hi, at_lo = bracket[:3]
+    mid = (lo + hi) / 2
+    side = _sign(p, mid)
+    if side == 0:
+        bracket[:2] = (lo + mid) / 2, (mid + hi) / 2
+    else:
+        bracket[side != at_lo] = mid  # lo moves up when the sign is the same
+
+
+def _search(p: list[int]) -> list[Fraction] | None:
+    """Untrusted: deg p + 1 increasing points at which p alternates in sign.
+
+    Recursive via Rolle: if p has simple real roots then so has p', and at
+    the root of p' between two roots of p, p has the sign of that gap.  So
+    each bracket of p' is halved until p has that sign at its midpoint.
+    None when a slope bound shows p has the wrong sign at a root of p', or
+    when p has a repeated root.  The outer points are ±(Cauchy bound).
+    """
+    if len(p) == 1:
+        return [Fraction(0)]
+    dp = derivative(p)
+    crit = _search(dp)
+    if crit is None:
+        return None
+    bound = 1 + Fraction(max(map(abs, p[:-1])), abs(p[-1]))
+    points = [-bound]
+    for k, (lo, hi) in enumerate(zip(crit, crit[1:])):
+        want = (-1) ** (len(crit) - k - 1) * (1 if p[-1] > 0 else -1)
+        # |p'| <= slope on [lo, hi], so |p(mid) - p(root of p')| <= slope·(hi - lo)
+        slope = sum(abs(c) * max(-lo, hi) ** i for i, c in enumerate(dp))
+        bracket = [lo, hi, _sign(dp, lo)]
+        for steps in itertools.count(1):
+            mid = (bracket[0] + bracket[1]) / 2
+            value = _horner(p, mid)
+            if value * want > 0:
+                break
+            if abs(value) > slope * (bracket[1] - bracket[0]) * mid.denominator ** (len(p) - 1):
+                return None
+            if steps == _PATIENCE and len(poly_gcd(dense(p), dense(dp))) > 1:
+                return None
+            _halve(dp, bracket)
+        points.append(mid)
+    return points + [bound]
+
+
+def _merge(polys: list[list[int]]) -> list[Fraction] | None:
+    """Untrusted: one increasing point sequence for coprime polynomials.
+
+    Each gap of each polynomial's own certificate is a bracket holding one
+    root.  Overlapping brackets are halved until none overlap; then the
+    lowest start and every upper end separate the roots, one per gap.
+    """
+    brackets = []
+    for j, p in enumerate(polys):
+        points = _search(p)
+        if points is None:
+            return None
+        brackets += [[lo, hi, _sign(p, lo), j] for lo, hi in zip(points, points[1:])]
+    while True:
+        brackets.sort()
+        clashing = [b for a, c in zip(brackets, brackets[1:]) if a[1] > c[0] for b in (a, c)]
+        if not clashing:
+            return [brackets[0][0] if brackets else Fraction(0)] + [b[1] for b in brackets]
+        for b in clashing:
+            _halve(polys[b[3]], b)
 
 
 @dataclass
 class RzCertificate:
+    """Verdicts on the zeros of p and the certificate behind them.
+
+    ``points`` alternate in sign on the squarefree part of p with its roots
+    at 0 divided out, or are None when no certificate was found.
+    ``all_nonpositive`` means every root is real and at most 0.
+    """
+
     real_rooted: bool
     all_nonpositive: bool
     all_simple: bool
-    isolation: Isolation
+    points: list[Fraction] | None
 
 
 def certify_rz(p: Poly | list) -> RzCertificate:
@@ -177,27 +204,18 @@ def certify_rz(p: Poly | list) -> RzCertificate:
     d = dense(p)
     if not d:
         raise ValueError("zero polynomial")
-    iso = isolate_roots(d)
-    real_rooted = len(iso.roots) == degree(iso.poly)
-    nonpositive = True
-    if degree(iso.poly) >= 1:
-        bound = cauchy_bound(iso.poly)
-        nonpositive = count_roots(iso.chain, Fraction(0), bound) == 0
-    return RzCertificate(real_rooted, nonpositive, iso.all_simple, iso)
-
-
-def _compare(a: Root, ca: list[Dense], b: Root, cb: list[Dense], g: list[Dense] | None) -> int:
-    """-1, 0, 1 ordering of two isolated roots; 0 only via a proven common root."""
-    while True:
-        if a.hi <= b.lo:
-            return -1
-        if b.hi <= a.lo:
-            return 1
-        lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-        if g and lo < hi and count_roots(g, lo, hi) == 1:
-            return 0
-        a.bisect(ca)
-        b.bisect(cb)
+    zeros = next(i for i, c in enumerate(d) if c)
+    rest = sf = d[zeros:]
+    points = _search(_integral(rest))
+    if points is None:
+        sf = squarefree(rest)
+        if len(sf) < len(rest):
+            points = _search(_integral(sf))
+    polys, turns = [_integral(sf)], [0] * degree(sf)
+    real_rooted = points is not None and _alternates(polys, turns, points)
+    # the other roots are negative iff the last point can move to 0
+    nonpositive = real_rooted and _alternates(polys, turns, points[:-1] + [Fraction(0)])
+    return RzCertificate(real_rooted, nonpositive, zeros <= 1 and len(sf) == len(rest), points)
 
 
 RELATIONS = ("interlace", "alternate-left", "precede")
@@ -216,6 +234,10 @@ def check_relation(p: Poly | list, q: Poly | list, relation: str) -> RelationRep
     ``interlace``       deg q = deg p + 1 and q's roots bracket p's
     ``alternate-left``  equal degrees and p's roots weakly precede q's
     ``precede``         whichever of the two the degrees select
+
+    A common root can always stand as an adjacent pair in the merged order,
+    also with multiplicity, so the relation holds iff it holds strictly for
+    the cofactors of gcd(p, q).
     """
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
@@ -225,44 +247,20 @@ def check_relation(p: Poly | list, q: Poly | list, relation: str) -> RelationRep
     # stated convention: any constant precedes any polynomial of degree <= 1
     if relation == "precede" and degree(dp) == 0 and degree(dq) <= 1:
         return RelationReport(relation, True, "constant convention")
-    if relation == "precede":
-        if degree(dq) == degree(dp) + 1:
-            relation_eff = "interlace"
-        elif degree(dq) == degree(dp):
-            relation_eff = "alternate-left"
-        else:
-            return RelationReport(relation, False, "degree mismatch")
-    else:
-        relation_eff = relation
-        if relation == "interlace" and degree(dq) != degree(dp) + 1:
-            raise ValueError("interlace requires deg q = deg p + 1")
-        if relation == "alternate-left" and degree(dq) != degree(dp):
-            raise ValueError("alternate-left requires equal degrees")
-    for d in (dp, dq):
-        cert = certify_rz(d)
-        if not cert.real_rooted:
-            return RelationReport(relation, False, "not real-rooted")
-    ip, iq = isolate_roots(dp), isolate_roots(dq)
-    g = poly_gcd(ip.poly, iq.poly)
-    gchain = sturm_chain(g) if degree(g) >= 1 else None
-
-    def le(a: Root, b: Root) -> bool:
-        return _compare(a, ip.chain, b, iq.chain, gchain) <= 0
-
-    def ge(a: Root, b: Root) -> bool:
-        return _compare(a, ip.chain, b, iq.chain, gchain) >= 0
-
-    xs, ts = ip.roots, iq.roots
-    if relation_eff == "interlace":
-        # t_1 <= x_1 <= t_2 <= ... <= x_m <= t_{m+1}
-        for i, x in enumerate(xs):
-            if not (ge(x, ts[i]) and le(x, ts[i + 1])):
-                return RelationReport(relation, False, f"order fails at root {i + 1}")
-    else:
-        # x_1 <= t_1 <= x_2 <= ... <= x_m <= t_m
-        for i, x in enumerate(xs):
-            if not le(x, ts[i]):
-                return RelationReport(relation, False, f"order fails at root {i + 1}")
-            if i + 1 < len(xs) and not ge(xs[i + 1], ts[i]):
-                return RelationReport(relation, False, f"order fails at root {i + 1}")
+    shift = degree(dq) - degree(dp)  # 1 selects interlace, 0 alternate-left
+    if relation == "precede" and shift not in (0, 1):
+        return RelationReport(relation, False, "degree mismatch")
+    if relation == "interlace" and shift != 1:
+        raise ValueError("interlace requires deg q = deg p + 1")
+    if relation == "alternate-left" and shift != 0:
+        raise ValueError("alternate-left requires equal degrees")
+    if not (certify_rz(dp).real_rooted and certify_rz(dq).real_rooted):
+        return RelationReport(relation, False, "not real-rooted")
+    g = poly_gcd(dp, dq)
+    polys = [_integral(_divmod(d, g)[0]) for d in (dp, dq)]
+    # interlace: q p q ... p q; alternate-left: p q p ... p q
+    turns = [(k + shift) % 2 for k in range(len(polys[0]) + len(polys[1]) - 2)]
+    points = _merge(polys)
+    if points is None or not _alternates(polys, turns, points):
+        return RelationReport(relation, False, "roots out of order")
     return RelationReport(relation, True)

@@ -86,7 +86,14 @@ def test_sweep_over_row_budget_exits_2(capsys, monkeypatch):
     # a tiny budget stands in for a level too large for the machine
     monkeypatch.setattr(bulk, "ROW_BUDGET", 1000)
     monkeypatch.setattr(bulk, "_cache", {})
-    code, out, err = run(capsys, "verify", "enum-descents", "--n-max", "8")
+
+    def refuse(*args):
+        raise AssertionError("a level was built before the budget check")
+
+    with monkeypatch.context() as patch:
+        # the bound is refused up front, before any level is built
+        patch.setattr(bulk, "_insert_gaps", refuse)
+        code, out, err = run(capsys, "verify", "enum-descents", "--n-max", "8")
     assert code == 2 and out == "" and err.startswith("error:")
     assert sum(bulk.simsun_word_distributions(5)[5].values()) == 61
 
@@ -141,6 +148,9 @@ def test_roots(capsys):
     assert out.count("pass") == 1 and out.count("FAIL (no cases checked)") == 3
     code, _, _ = run(capsys, "roots", "all", "--n-max", "-1")
     assert code == 2
+    code, out, _ = run(capsys, "roots", "roots-successive", "--n-max", "5", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["suite,bound,ok,detail", "roots-successive,5,True,"]
 
 
 def test_series(capsys):

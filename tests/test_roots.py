@@ -1,13 +1,25 @@
-"""Sturm-sequence certification and root-ordering relations."""
+"""Sign-alternation certificates and root-ordering relations."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simsun import roots, triangles
 from simsun.poly import ONE, Poly, X
 
 F = Fraction
+
+
+def from_roots(rs, scale=1, quadratic=None) -> Poly:
+    """scale · prod (x - r), times an irreducible x^2 + a x + b if given."""
+    p = Poly.from_x_coeffs([scale])
+    for r in rs:
+        p = p * Poly.from_x_coeffs([-r, 1])
+    if quadratic is not None:
+        p = p * Poly.from_x_coeffs([quadratic[1], quadratic[0], 1])
+    return p
 
 
 def test_dense_conversion():
@@ -29,25 +41,9 @@ def test_gcd_and_squarefree():
     assert roots.poly_gcd(a, b) == [F(1), F(1)]
     assert roots.squarefree(a) == [F(1), F(1)]
     assert roots.squarefree(b) == b
-
-
-def test_count_roots():
-    p = roots.dense([2, 3, 1])  # (x+1)(x+2)
-    chain = roots.sturm_chain(p)
-    assert roots.count_roots(chain, F(-3), F(0)) == 2
-    assert roots.count_roots(chain, F(-3, 2), F(0)) == 1
-    assert roots.count_roots(chain, F(0), F(10)) == 0
-
-
-def test_isolation():
-    iso = roots.isolate_roots(roots.dense([2, 3, 1]))
-    assert len(iso.roots) == 2
-    assert iso.all_simple
-    lo = [r.lo for r in iso.roots]
-    assert lo == sorted(lo)
-    doubled = roots.isolate_roots(roots.dense([1, 2, 1]))
-    assert len(doubled.roots) == 1
-    assert not doubled.all_simple
+    # the quotient keeps its zero coefficients
+    assert roots.squarefree(roots.dense([0, 0, 1, 1])) == [F(0), F(1), F(1)]  # x^2 (x+1)
+    assert roots.squarefree(roots.dense([1, 0, 2, 0, 1])) == [F(1), F(0), F(1)]  # (1+x^2)^2
 
 
 def test_certify_examples():
@@ -59,8 +55,30 @@ def test_certify_examples():
     assert not cert.real_rooted
     cert = roots.certify_rz(Poly.from_x_coeffs([-1, 0, 1]))  # roots -1 and 1
     assert cert.real_rooted and not cert.all_nonpositive
+    cert = roots.certify_rz(Poly.from_x_coeffs([2, 3, 1]))  # (x+1)(x+2)
+    assert cert.real_rooted and cert.all_simple
+    assert len(cert.points) == 3 and cert.points == sorted(set(cert.points))
+    cert = roots.certify_rz(Poly.from_x_coeffs([1, 2, 1]))  # doubled root
+    assert cert.real_rooted and cert.all_nonpositive and not cert.all_simple
+    cert = roots.certify_rz(Poly.from_x_coeffs([1, 0, 2, 0, 1]))  # (1+x^2)^2
+    assert not (cert.real_rooted or cert.all_nonpositive or cert.all_simple)
+    cert = roots.certify_rz(Poly.from_x_coeffs([0, 0, 1, 1]))  # x^2 (x+1)
+    assert cert.real_rooted and cert.all_nonpositive and not cert.all_simple
+    cert = roots.certify_rz(Poly.from_x_coeffs([3, 0, 0, -2]))  # p' = -6x^2
+    assert not cert.real_rooted and cert.all_simple
     with pytest.raises(ValueError):
         roots.certify_rz([])
+
+
+def test_checker_refuses_bad_certificates():
+    p = [2, 3, 1]  # (x+1)(x+2), roots -2 and -1
+    assert roots._alternates([p], [0, 0], [F(-3), F(-3, 2), F(0)])
+    assert not roots._alternates([p], [0, 0], [F(-3), F(0), F(-3, 2)])  # not increasing
+    assert not roots._alternates([p], [0, 0], [F(-3), F(-1), F(0)])  # a point on a root
+    assert not roots._alternates([p], [0], [F(-3), F(-3, 2)])  # one root unaccounted
+    # x + 2 and x + 1: the root of the first comes first
+    assert roots._alternates([[2, 1], [1, 1]], [0, 1], [F(-3), F(-3, 2), F(0)])
+    assert not roots._alternates([[2, 1], [1, 1]], [1, 0], [F(-3), F(-3, 2), F(0)])
 
 
 def test_relation_examples():
@@ -84,6 +102,14 @@ def test_relation_with_shared_root():
     q = Poly.from_x_coeffs([2, 3, 1])
     assert roots.check_relation(p, q, "interlace").holds
     assert roots.check_relation(p, q, "precede").holds
+    # repeated roots: -3 <= -2 fails before -3 <= -1
+    assert not roots.check_relation(
+        from_roots([-1, -2]), from_roots([-3, -3, -1]), "interlace"
+    ).holds
+    # -2 <= -1 <= -1 <= -1 <= 1/3 <= 1/2
+    assert roots.check_relation(
+        from_roots([-2, -1, F(1, 3)]), from_roots([-1, -1, F(1, 2)]), "alternate-left"
+    ).holds
 
 
 def test_relation_degree_errors():
@@ -105,3 +131,58 @@ def test_family_certificates_small():
     p = triangles.family_polys("P", 13)
     for n in range(2, 13):
         assert roots.check_relation(p[n + 1], s[n], "alternate-left").holds
+
+
+# small rationals, with 0 and repeats likely
+root_values = st.sampled_from([F(k, d) for k in range(-4, 3) for d in (1, 2, 3)])
+root_lists = st.lists(root_values, max_size=5)
+quadratics = st.none() | st.sampled_from([(0, 1), (1, 1), (-2, 3), (F(1, 2), 2)])
+scales = st.sampled_from([1, -1, 3, F(-2, 5)])
+
+
+def weakly_ordered(xs, ts, relation) -> bool:
+    """The chained inequalities on sorted root lists; xs for p, ts for q."""
+    xs, ts = sorted(xs), sorted(ts)
+    if relation == "precede":
+        if not xs and len(ts) <= 1:
+            return True
+        if len(ts) not in (len(xs), len(xs) + 1):
+            return False
+        relation = "interlace" if len(ts) == len(xs) + 1 else "alternate-left"
+    if relation == "interlace":
+        chain = [t for pair in zip(ts, xs) for t in pair] + ts[-1:]
+    else:
+        chain = [t for pair in zip(xs, ts) for t in pair]
+    return chain == sorted(chain)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(root_lists, quadratics, scales)
+def test_certificates_match_root_lists(rs, quadratic, scale):
+    cert = roots.certify_rz(from_roots(rs, scale, quadratic))
+    real = quadratic is None
+    assert cert.real_rooted == real
+    assert cert.all_nonpositive == (real and all(r <= 0 for r in rs))
+    assert cert.all_simple == (len(set(rs)) == len(rs))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(root_lists, root_lists, st.sampled_from(roots.RELATIONS), st.booleans(),
+       st.sampled_from([None, "p", "q"]), scales)
+def test_relations_match_root_lists(xs, ts, relation, ordered, complex_in, scale):
+    if ordered:
+        # deal one sorted list out in the relation's pattern, so it mostly holds
+        merged = sorted(xs + ts)
+        q_first = int(relation == "interlace" or (relation == "precede" and len(merged) % 2 == 1))
+        ts, xs = merged[1 - q_first :: 2], merged[q_first :: 2]
+    if relation == "interlace" and len(ts) != len(xs) + 1:
+        ts = ts[: len(xs) + 1] + [F(-4)] * (len(xs) + 1 - len(ts))
+    if relation == "alternate-left" and len(ts) != len(xs):
+        ts = ts[: len(xs)] + [F(2)] * (len(xs) - len(ts))
+    # an irreducible quadratic stands in for two of the roots
+    complex_p = complex_in == "p" and len(xs) >= 2
+    complex_q = complex_in == "q" and len(ts) >= 2
+    p = from_roots(xs[2:] if complex_p else xs, scale, (1, 1) if complex_p else None)
+    q = from_roots(ts[2:] if complex_q else ts, 1, (1, 1) if complex_q else None)
+    expected = weakly_ordered(xs, ts, relation) and not (complex_p or complex_q)
+    assert roots.check_relation(p, q, relation).holds == expected
