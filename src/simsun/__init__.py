@@ -3,7 +3,7 @@
 Submodules:
 
 - ``perms``       permutations, cycle forms, signed windows, statistics
-- ``classes``     recognizers, insertion generators, labelings, distributions
+- ``classes``     recognizers, labelled insertion trees, labelings, distributions
 - ``poly``        sparse exact polynomials in x, q, y
 - ``triangles``   recurrence engines for every polynomial family
 - ``series``      truncated EGFs with polynomial coefficients

@@ -1,23 +1,21 @@
-"""The block correspondence between simsun permutations with k descents and
-permutations one letter longer with k interior peaks, and the bijection onto
-second-kind simsun permutations transporting descents to excedances.
+"""The block correspondence φ between simsun permutations with k descents
+and permutations one letter longer with k interior peaks, and the bijection
+ψ onto second-kind simsun permutations transporting descents to excedances.
 
-Both maps are defined by replaying insertion histories: stripping the
-largest entry of a first-kind simsun permutation classifies the slot it
-occupied (END, or a descent label x_r, or a free label y_s), and each case
-translates into an insertion rule on the image side.
+Each map is history → replay through the labelled trees of ``classes``:
+strip the largest entry step by step, recording the label of the place it
+held, then insert again at the places carrying the renamed labels.  The φ
+block doubles at the two END places and at the two gaps of a peak.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import classes, perms
-from .classes import label_first, label_peak, label_second
+from .classes import END, FIRST, PEAK, SECOND, Label, Tree
 from .perms import Cycles, Word
-
-#: slot classification: ("END", 0) or ("x", r) or ("y", s)
-Slot = tuple[str, int]
 
 
 @dataclass
@@ -31,151 +29,84 @@ class VerifyReport:
     counts: dict[int, int] = field(default_factory=dict)
 
 
-def removal_slot(word: Word) -> tuple[Word, Slot]:
-    """Strip the largest entry and classify the slot it occupied."""
-    n = len(word)
-    pos = word.index(n) + 1
-    parent = tuple(v for v in word if v != n)
-    if pos == n:
-        return parent, ("END", 0)
-    kind, idx = label_first(parent)[pos - 1]
-    return parent, (kind, idx)
+#: most images in one φ block: 2^18, under the 353,792 rows of RS_10
+PHI_BLOCK_LIMIT = 2**18
 
 
-def insertion_history(word: Word) -> list[Slot]:
-    """Slot classifications for rebuilding the word from (1,) upward."""
-    history: list[Slot] = []
-    w = word
-    while len(w) > 1:
-        w, slot = removal_slot(w)
-        history.append(slot)
+def _history(obj: tuple, tree: Tree) -> list[Label]:
+    """Labels of the places that rebuild obj from the root of the tree."""
+    history = []
+    while obj != tree.root:
+        obj, place = tree.strip(obj)
+        history.append(dict(tree.places(obj))[place])
     history.reverse()
     return history
 
 
-def replay_history(history: list[Slot]) -> Word:
-    """Inverse of insertion_history."""
-    word = (1,)
+def _replay(history: list[Label], tree: Tree, rename: dict[str, str]) -> list:
+    """Every object grown from the root by inserting, at each step, at all
+    places whose label is the next history label with its kind renamed."""
+    level = [tree.root]
     for kind, idx in history:
-        m = len(word)
-        if kind == "END":
-            gap = m
-        else:
-            gap = next(g for g, lab in label_first(word).items() if lab == (kind, idx))
-        word = word[:gap] + (m + 1,) + word[gap:]
+        label = (rename.get(kind, kind), idx)
+        level = [tree.insert(obj, place) for obj in level
+                 for place, lab in tree.places(obj) if lab == label]
+    return level
+
+
+def insertion_history(word: Word) -> list[Label]:
+    """Place labels for rebuilding a first-kind word from (1,) upward."""
+    return _history(word, FIRST)
+
+
+def replay_history(history: list[Label]) -> Word:
+    """Inverse of insertion_history."""
+    (word,) = _replay(history, FIRST, {})
     return word
 
 
-def _insert(word: Word, gap: int, entry: int) -> Word:
-    return word[:gap] + (entry,) + word[gap:]
+def _check_first(word: Word) -> None:
+    if len(word) < 1:
+        raise ValueError("defined for n >= 1")
+    if not classes.is_simsun_first(word):
+        raise ValueError(f"not simsun (first kind): {word}")
 
 
 def phi_forward(word: Word) -> list[Word]:
     """Image block of a first-kind simsun permutation: 2^(n-des) permutations
-    of [n+1], each with des(word) interior peaks."""
-    n = len(word)
-    if n < 1:
-        raise ValueError("defined for n >= 1")
-    if not classes.is_simsun_first(word):
-        raise ValueError(f"not simsun (first kind): {word}")
-    if n == 1:
-        return [(1, 2), (2, 1)]
-    parent, (kind, idx) = removal_slot(word)
-    images = phi_forward(parent)
-    out = []
-    entry = n + 1
-    for sigma in images:
-        if kind == "END":
-            out.append(sigma + (entry,))
-            out.append((entry,) + sigma)
-        elif kind == "x":
-            gaps = sorted(g for g, lab in label_peak(sigma).items() if lab == ("p", idx))
-            out.append(_insert(sigma, gaps[0], entry))
-            out.append(_insert(sigma, gaps[1], entry))
-        else:
-            gap = next(g for g, lab in label_peak(sigma).items() if lab == ("q", idx))
-            out.append(_insert(sigma, gap, entry))
-    return out
+    of [n+1], each with des(word) interior peaks, at most PHI_BLOCK_LIMIT."""
+    _check_first(word)
+    free = len(word) - len(perms.descent_set(word))
+    if 2**free > PHI_BLOCK_LIMIT:
+        raise ValueError(f"phi block too large: 2^{free} images (limit {PHI_BLOCK_LIMIT:,})")
+    return _replay([END] + _history(word, FIRST), PEAK, {"x": "p", "y": "q"})
 
 
 def phi_inverse(word: Word) -> Word:
     """The unique simsun source whose image block contains the word."""
-    n1 = len(word)
-    if n1 < 2:
+    if len(word) < 2:
         raise ValueError("defined on permutations of length >= 2")
-    if n1 == 2:
-        return (1,)
-    pos = word.index(n1) + 1
-    parent = tuple(v for v in word if v != n1)
-    if pos == 1 or pos == n1:
-        slot: Slot = ("END", 0)
-    else:
-        kind, idx = label_peak(parent)[pos - 1]
-        slot = ("x" if kind == "p" else "y", idx)
-    source = phi_inverse(parent)
-    m = len(source)
-    kind, idx = slot
-    if kind == "END":
-        return source + (m + 1,)
-    gap = next(g for g, lab in label_first(source).items() if lab == (kind, idx))
-    return _insert(source, gap, m + 1)
+    # the first step, 2 into (1,), is END either way
+    (source,) = _replay(_history(word, PEAK)[1:], FIRST, {"p": "x", "q": "y"})
+    return source
 
 
 def psi_forward(word: Word) -> Cycles:
     """Second-kind simsun image with des(word) excedances."""
-    n = len(word)
-    if n < 1:
-        raise ValueError("defined for n >= 1")
-    if not classes.is_simsun_first(word):
-        raise ValueError(f"not simsun (first kind): {word}")
-    if n == 1:
-        return ((1,),)
-    parent, (kind, idx) = removal_slot(word)
-    sigma = psi_forward(parent)
-    if kind == "END":
-        return sigma + ((n,),)
-    target = "u" if kind == "x" else "v"
-    letter = next(v for v, lab in label_second(sigma).items() if lab == (target, idx))
-    return _splice_after(sigma, letter, n)
-
-
-def _splice_after(cycles: Cycles, letter: int, entry: int) -> Cycles:
-    out = []
-    for cyc in cycles:
-        if letter in cyc:
-            i = cyc.index(letter) + 1
-            out.append(cyc[:i] + (entry,) + cyc[i:])
-        else:
-            out.append(cyc)
-    return tuple(out)
+    _check_first(word)
+    (image,) = _replay(_history(word, FIRST), SECOND, {"x": "u", "y": "v"})
+    return image
 
 
 def psi_inverse(cycles: Cycles) -> Word:
-    """Inverse of the descent-to-excedance bijection."""
-    n = sum(len(c) for c in cycles)
-    if n < 1:
-        raise ValueError("defined for n >= 1")
+    """Inverse of the descent-to-excedance bijection, for any cycle form."""
     word = perms.from_cycles(cycles)
+    if not word:
+        raise ValueError("defined for n >= 1")
     if not classes.is_simsun_second(word):
         raise ValueError(f"not simsun (second kind): {cycles}")
-    if n == 1:
-        return (1,)
-    home = next(c for c in cycles if n in c)
-    if len(home) == 1:
-        slot: Slot = ("END", 0)
-        parent = tuple(c for c in cycles if n not in c)
-    else:
-        pred = home[home.index(n) - 1]
-        parent = perms.remove_largest(cycles, 1)
-        kind, idx = label_second(parent)[pred]
-        slot = ("x" if kind == "u" else "y", idx)
-    source = psi_inverse(parent)
-    m = len(source)
-    kind, idx = slot
-    if kind == "END":
-        return source + (m + 1,)
-    gap = next(g for g, lab in label_first(source).items() if lab == (kind, idx))
-    return _insert(source, gap, m + 1)
+    (source,) = _replay(_history(perms.to_cycles(word), SECOND), FIRST, {"u": "x", "v": "y"})
+    return source
 
 
 def verify_phi(n: int) -> VerifyReport:
@@ -197,8 +128,6 @@ def verify_phi(n: int) -> VerifyReport:
                 return VerifyReport("phi", n, False, f"inverse({t}) != {p}")
             seen[t] = p
         by_k[k] = by_k.get(k, 0) + 1
-    import math
-
     if len(seen) != math.factorial(n + 1):
         return VerifyReport("phi", n, False, f"blocks cover {len(seen)} permutations")
     return VerifyReport("phi", n, True, counts=by_k)

@@ -2,8 +2,9 @@
 
 Subcommands: triangle, enumerate, verify, bijection, roots, series.
 Everything is deterministic; output formats are text, csv and json.
-Exit codes: 0 success, 1 identity violation, 2 usage error or a sweep
-level over the row budget of ``bulk``.
+Exit codes: 0 success, 1 identity violation, 2 usage error, a sweep
+level over the row budget of ``bulk``, or a phi block over
+``bijections.PHI_BLOCK_LIMIT``.
 """
 
 from __future__ import annotations
@@ -199,8 +200,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    if args.perm is None and args.n is None:
-        raise UsageError("bijection needs --perm or --n")
+    if (args.perm is None) == (args.n is None):
+        raise UsageError("bijection needs exactly one of --perm and --n")
     if args.n is not None:
         limit = 8 if args.map == "phi" else 9
         if not 1 <= args.n <= limit:

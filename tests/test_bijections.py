@@ -48,6 +48,22 @@ def test_insertion_history_replay():
             history = bijections.insertion_history(w)
             assert len(history) == n - 1
             assert bijections.replay_history(history) == w
+    # every tree: replaying the history reaches the object, and only objects
+    # with the same history; just the peak tree branches, at END and p_r
+    trees = (
+        (classes.FIRST, classes.gen_simsun_first, ()),
+        (classes.PEAK, perms.permutations, ("END", "p")),
+        (classes.SECOND, classes.gen_simsun_second, ()),
+    )
+    for tree, members, doubling in trees:
+        for n in range(1, 7):
+            for obj in members(n):
+                history = bijections._history(obj, tree)
+                assert len(history) == n - 1
+                level = bijections._replay(history, tree, {})
+                assert obj in level
+                assert all(bijections._history(o, tree) == history for o in level)
+                assert len(level) == 2 ** sum(kind in doubling for kind, _ in history)
 
 
 def test_psi_round_trips():
@@ -58,6 +74,9 @@ def test_psi_round_trips():
                 perms.from_cycles(c)
             ).exc
             assert bijections.psi_inverse(c) == w
+    # any cycle form of the same permutation has the same source
+    assert bijections.psi_inverse(((2, 3), (1,))) == bijections.psi_inverse(((1,), (2, 3)))
+    assert bijections.psi_inverse(((3, 2), (1,))) == (1, 3, 2)
 
 
 def test_exhaustive_small():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from simsun import bulk, cli
+from simsun import bijections, bulk, cli
 
 
 def run(capsys, *argv):
@@ -128,6 +128,37 @@ def test_bijection_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "bijection", "phi", "--perm", "(1,2)")
     assert code == 2
+    code, out, err = run(capsys, "bijection", "phi", "--perm", "12", "--n", "3")
+    assert code == 2 and out == "" and "exactly one of --perm and --n" in err
+
+
+def test_bijection_psi_long_input(capsys):
+    # the replay is iterative: a long history does not exhaust the stack
+    word = ",".join(map(str, range(1, 1101)))
+    code, out, _ = run(capsys, "bijection", "psi", "--perm", word)
+    assert code == 0
+    assert out.splitlines()[1].endswith("(1099^{v1099})(1100^{v1100})")
+    cycles = "".join(f"({i})" for i in range(1, 1101))
+    code, out, _ = run(capsys, "bijection", "psi", "--perm", cycles)
+    assert code == 0
+    assert out.splitlines()[1].endswith("1099^{y1100}1100")
+
+
+def test_phi_block_over_limit_exits_2(capsys, monkeypatch):
+    def refuse(history, tree, rename):
+        raise AssertionError("the block was built before the limit check")
+
+    monkeypatch.setattr(bijections, "_replay", refuse)
+    # n - des = 30: 2^30 images
+    code, out, err = run(capsys, "bijection", "phi", "--perm", ",".join(map(str, range(1, 31))))
+    assert code == 2 and out == "" and err.startswith("error:") and "2^30" in err
+    # n - des = 19 is one over the limit: 2^19 > 2^18
+    code, _, err = run(capsys, "bijection", "phi", "--perm", ",".join(map(str, range(1, 20))))
+    assert code == 2 and "2^19" in err
+    # n - des = 18 is admitted
+    monkeypatch.setattr(bijections, "_replay", lambda history, tree, rename: [])
+    code, out, _ = run(capsys, "bijection", "phi", "--perm", ",".join(map(str, range(1, 19))))
+    assert code == 0 and out.startswith("source:")
 
 
 def test_bijection_exhaustive(capsys):
