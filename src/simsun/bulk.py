@@ -23,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-_CHUNK = 1 << 21
+_CHUNK = 1 << 16
 # admits word level 12 (E_13 = 22,368,256 rows); refuses E_14 and 12! rows
 ROW_BUDGET = 50_000_000
 

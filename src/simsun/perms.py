@@ -165,32 +165,6 @@ def standardize(cycles: Cycles) -> Cycles:
     return to_cycles(from_cycles(cycles))
 
 
-def restrict_to(word: Word, k: int) -> Word:
-    """Subword of letters <= k in order of appearance (a permutation of [k])."""
-    if not 0 <= k <= len(word):
-        raise ValueError(f"k={k} out of range for n={len(word)}")
-    return tuple(v for v in word if v <= k)
-
-
-def remove_largest(cycles: Cycles, k: int) -> Cycles:
-    """Delete the k largest letters by bypassing them in the functional graph.
-
-    Remaining letters are exactly [n-k], so no relabeling is needed.
-    """
-    word = from_cycles(cycles)
-    n = len(word)
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
-    cut = n - k
-    new = []
-    for i in range(1, cut + 1):
-        j = word[i - 1]
-        while j > cut:
-            j = word[j - 1]
-        new.append(j)
-    return to_cycles(tuple(new))
-
-
 def permutations(n: int) -> Iterator[Word]:
     """All permutations of [n] in lexicographic order."""
     return iter(itertools.permutations(range(1, n + 1)))

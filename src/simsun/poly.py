@@ -1,8 +1,16 @@
 """Sparse exact polynomials in the variables x, q, y.
 
 Terms map exponent triples (ex, eq, ey) to exact coefficients (int or
-Fraction).  Zero coefficients are never stored, so equality is structural.
-Printing uses increasing x-degree, e.g. ``1 + 11*x + 4*x^2``.
+Fraction).  Zero coefficients are never stored, and a whole Fraction is
+stored as an int, so equality is structural.  Printing uses increasing
+x-degree, e.g. ``1 + 11*x + 4*x^2``.
+
+Only the public constructor ``Poly(...)`` accepts arbitrary rationals.  Ring
+operations (``+``, ``*``, ``-``, scalar ``/``, ``derivative``, ``subs`` with
+scalars) combine stored coefficients, and int and Fraction are closed under
+them, so their results are int or Fraction.  ``_made`` relies on that: it
+only drops zeros and turns a Fraction of denominator 1 into an int, by
+``type(c) is Fraction``, with no abstract-base-class ``isinstance``.
 """
 
 from __future__ import annotations
@@ -20,6 +28,17 @@ def _norm(c: Scalar) -> Scalar:
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _made(terms: dict[Exponents, Scalar]) -> "Poly":
+    """The Poly of a fresh dict of int and Fraction coefficients."""
+    clean = {}
+    for e, c in terms.items():
+        if c:
+            clean[e] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+    p = object.__new__(Poly)
+    object.__setattr__(p, "terms", clean)
+    return p
 
 
 class Poly:
@@ -58,8 +77,11 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
+        kind = type(other)
+        if kind is Poly:
             return other
+        if kind is int or kind is Fraction:
+            return _made({(0, 0, 0): other})
         if isinstance(other, Rational):
             return Poly.const(other)
         return NotImplemented
@@ -69,14 +91,15 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
+        get = terms.get
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return Poly(terms)
+            terms[e] = get(e, 0) + c
+        return _made(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.terms.items()})
+        return _made({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -92,11 +115,13 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         terms: dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly(terms)
+        get = terms.get
+        right = list(other.terms.items())
+        for (x1, q1, y1), c1 in self.terms.items():
+            for (x2, q2, y2), c2 in right:
+                e = (x1 + x2, q1 + q2, y1 + y2)
+                terms[e] = get(e, 0) + c1 * c2
+        return _made(terms)
 
     __rmul__ = __mul__
 
@@ -115,7 +140,7 @@ class Poly:
     def __truediv__(self, scalar):
         if isinstance(scalar, Rational):
             inv = 1 / Fraction(scalar)
-            return Poly({e: c * inv for e, c in self.terms.items()})
+            return _made({e: c * inv for e, c in self.terms.items()})
         return NotImplemented
 
     def __eq__(self, other):
@@ -140,13 +165,15 @@ class Poly:
                 ne = list(e)
                 ne[i] -= 1
                 terms[tuple(ne)] = c * e[i]
-        return Poly(terms)
+        return _made(terms)
 
     def subs(self, **values) -> "Poly":
         """Substitute polynomials or scalars for named variables."""
         for name in values:
             if name not in VARS:
                 raise ValueError(f"unknown variable {name!r}")
+        if all(type(v) is int or type(v) is Fraction for v in values.values()):
+            return self._subs_scalars(values)
         result = Poly()
         for e, c in self.terms.items():
             term = Poly.const(c)
@@ -161,6 +188,24 @@ class Poly:
                     term = term * Poly.var(name) ** e[i]
             result = result + term
         return result
+
+    def _subs_scalars(self, values: dict[str, Scalar]) -> "Poly":
+        """``subs`` with int or Fraction values, in one pass over the terms:
+        each coefficient times its value powers, added at the exponents left."""
+        bound = [(i, values[name], {}) for i, name in enumerate(VARS) if name in values]
+        terms: dict[Exponents, Scalar] = {}
+        for e, c in self.terms.items():
+            left = list(e)
+            for i, v, powers in bound:
+                k = left[i]
+                if k:
+                    if k not in powers:
+                        powers[k] = v**k
+                    c = c * powers[k]
+                    left[i] = 0
+            e = tuple(left)
+            terms[e] = terms.get(e, 0) + c
+        return _made(terms)
 
     def eval(self, **values) -> Scalar:
         """Evaluate with every occurring variable bound to a scalar."""
@@ -239,14 +284,19 @@ ZERO = Poly()
 def mobius_compose(p: Poly, m: int, alpha: Scalar) -> Poly:
     """Return (1+x)^m * p(alpha*x / (1+x)) as a polynomial.
 
-    Expands sum_k p_k (alpha*x)^k (1+x)^(m-k); requires deg p <= m.
+    Expands sum_k p_k (alpha*x)^k (1+x)^(m-k): the coefficient of x^j is
+    sum_k p_k alpha^k C(m-k, j-k).  Requires deg p <= m.
     """
     coeffs = p.x_coeffs()
     if len(coeffs) - 1 > m:
         raise ValueError(f"deg p = {len(coeffs) - 1} exceeds m = {m}")
-    one_plus_x = ONE + X
-    result = ZERO
+    out: list[Scalar] = [0] * (m + 1)
     for k, c in enumerate(coeffs):
         if c:
-            result = result + Poly.const(c) * (Poly.const(alpha) * X) ** k * one_plus_x ** (m - k)
-    return result
+            c = c * alpha**k
+            # binom runs through C(m-k, j-k) for j = k..m
+            binom = 1
+            for j in range(k, m + 1):
+                out[j] += c * binom
+                binom = binom * (m - j) // (j - k + 1)
+    return _made({(j, 0, 0): c for j, c in enumerate(out)})

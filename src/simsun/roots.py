@@ -162,16 +162,18 @@ def _search(p: list[int]) -> list[Fraction] | None:
     return points + [bound]
 
 
-def _merge(polys: list[list[int]]) -> list[Fraction] | None:
+def _merge(polys: list[list[int]], found: list) -> list[Fraction] | None:
     """Untrusted: one increasing point sequence for coprime polynomials.
 
     Each gap of each polynomial's own certificate is a bracket holding one
-    root.  Overlapping brackets are halved until none overlap; then the
-    lowest start and every upper end separate the roots, one per gap.
+    root; ``found[j]`` is a certificate of ``polys[j]`` already made, or None
+    to search for one.  Overlapping brackets are halved until none overlap;
+    then the lowest start and every upper end separate the roots, one per gap.
     """
     brackets = []
-    for j, p in enumerate(polys):
-        points = _search(p)
+    for j, (p, points) in enumerate(zip(polys, found)):
+        if points is None:
+            points = _search(p)
         if points is None:
             return None
         brackets += [[lo, hi, _sign(p, lo), j] for lo, hi in zip(points, points[1:])]
@@ -254,13 +256,18 @@ def check_relation(p: Poly | list, q: Poly | list, relation: str) -> RelationRep
         raise ValueError("interlace requires deg q = deg p + 1")
     if relation == "alternate-left" and shift != 0:
         raise ValueError("alternate-left requires equal degrees")
-    if not (certify_rz(dp).real_rooted and certify_rz(dq).real_rooted):
+    certs = [certify_rz(dp), certify_rz(dq)]
+    if not (certs[0].real_rooted and certs[1].real_rooted):
         return RelationReport(relation, False, "not real-rooted")
     g = poly_gcd(dp, dq)
     polys = [_integral(_divmod(d, g)[0]) for d in (dp, dq)]
+    # with a constant gcd the cofactors are p and q: a certificate of the
+    # whole polynomial (all roots simple, none at 0) brackets its roots
+    found = [c.points if len(g) == 1 and c.all_simple and d[0] else None
+             for c, d in zip(certs, (dp, dq))]
     # interlace: q p q ... p q; alternate-left: p q p ... p q
     turns = [(k + shift) % 2 for k in range(len(polys[0]) + len(polys[1]) - 2)]
-    points = _merge(polys)
+    points = _merge(polys, found)
     if points is None or not _alternates(polys, turns, points):
         return RelationReport(relation, False, "roots out of order")
     return RelationReport(relation, True)

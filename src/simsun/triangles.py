@@ -217,34 +217,47 @@ def s_from_stirling(n: int) -> Poly:
 
 # -- closed forms ------------------------------------------------------------
 
-def closed_forms(form_id: str, n: int) -> Poly:
-    """Evaluate a registered closed form at index n.
+
+def _t_from_s(n: int, s: Poly) -> Poly:
+    # the primed factor is d/dx of S_n(x^2), chain rule included
+    s2 = s.subs(x=X * X)
+    return X * (ONE + n * X) * s2 + X * X * (ONE - 2 * X) * s2.derivative("x") / 2
+
+
+#: form -> (first n, row n from n and S_n)
+_FROM_S = {
+    "P-from-S": (0, lambda n, s: (n + 1) * s - X * s.derivative("x")),
+    "P+-from-S": (1, lambda n, s: n * s - 2 * X * s.derivative("x")),
+    "P--from-S": (1, lambda n, s: s + X * s.derivative("x")),
+    "T-from-S": (0, _t_from_s),
+}
+
+
+def _sxq_at_minus1(n: int) -> Poly:
+    m, odd = divmod(n, 2)
+    if odd:
+        return -((ONE - 2 * X) ** m)
+    return (ONE - X) * (ONE - 2 * X) ** (m - 1)
+
+
+def closed_forms(form_id: str, n_max: int) -> list[Poly | None]:
+    """Rows 0..n_max of a registered closed form, row n at index n.
 
     ``P-from-S``      P_{n+1} = (n+1)S_n - x S_n'
-    ``P+-from-S``     P+_{n+1} = n S_n - 2x S_n'
-    ``P--from-S``     P-_{n+1} = S_n + x S_n'
+    ``P+-from-S``     P+_{n+1} = n S_n - 2x S_n'                 (n >= 1)
+    ``P--from-S``     P-_{n+1} = S_n + x S_n'                    (n >= 1)
     ``T-from-S``      T_{n+1} = x(1+nx)S_n(x^2) + (1/2)x^2(1-2x)S_n'(x^2)
-    ``Sxq-at-minus1`` (1-x)(1-2x)^(m-1) for n = 2m, -(1-2x)^m for n = 2m+1
+    ``Sxq-at-minus1`` (1-x)(1-2x)^(m-1) for n = 2m, -(1-2x)^m for n = 2m+1 (n >= 1)
+
+    Rows below a form's first n are None.  The forms from S build S_0..S_n_max
+    once, by S's own recurrence, and nothing else.
     """
+    if form_id != "Sxq-at-minus1" and form_id not in _FROM_S:
+        raise ValueError(f"unknown closed form {form_id!r}")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if form_id == "Sxq-at-minus1":
-        if n < 1:
-            raise ValueError("defined for n >= 1")
-        m, odd = divmod(n, 2)
-        if odd:
-            return -((ONE - 2 * X) ** m)
-        return (ONE - X) * (ONE - 2 * X) ** (m - 1)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    s = _first_order("S", n)[n]
-    ds = s.derivative("x")
-    if form_id == "P-from-S":
-        return (n + 1) * s - X * ds
-    if form_id == "P+-from-S":
-        return n * s - 2 * X * ds
-    if form_id == "P--from-S":
-        return s + X * ds
-    if form_id == "T-from-S":
-        # the primed factor is d/dx of S_n(x^2), chain rule included
-        s2 = s.subs(x=X * X)
-        return X * (ONE + n * X) * s2 + X * X * (ONE - 2 * X) * s2.derivative("x") / 2
-    raise ValueError(f"unknown closed form {form_id!r}")
+        return [None] + [_sxq_at_minus1(n) for n in range(1, n_max + 1)]
+    first, row = _FROM_S[form_id]
+    s = _first_order("S", n_max)
+    return [None] * first + [row(n, s[n]) for n in range(first, n_max + 1)]

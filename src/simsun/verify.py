@@ -185,12 +185,12 @@ def _closed_forms(n_max: int) -> Comparisons:
     plus = triangles.family_polys("P+", n_max + 1)
     minus = triangles.family_polys("P-", n_max + 1)
     t = triangles.family_polys("T", n_max + 1)
+    sides = {"P-from-S": p, "T-from-S": t, "P+-from-S": plus, "P--from-S": minus}
+    forms = {form: triangles.closed_forms(form, n_max) for form in sides}
     for n in range(n_max + 1):
-        yield f"P-from-S, n={n}", triangles.closed_forms("P-from-S", n), p[n + 1]
-        yield f"T-from-S, n={n}", triangles.closed_forms("T-from-S", n), t[n + 1]
-        if n >= 1:
-            yield f"P+-from-S, n={n}", triangles.closed_forms("P+-from-S", n), plus[n + 1]
-            yield f"P--from-S, n={n}", triangles.closed_forms("P--from-S", n), minus[n + 1]
+        for form, side in sides.items():
+            if forms[form][n] is not None:
+                yield f"{form}, n={n}", forms[form][n], side[n + 1]
 
 
 def _corner_alternating(n_max: int) -> Comparisons:
@@ -238,8 +238,9 @@ def _sxq_at_q1(n_max: int) -> Comparisons:
 
 def _sxq_at_minus1(n_max: int) -> Comparisons:
     sxq = triangles.family_polys("Sxq", n_max)
+    closed = triangles.closed_forms("Sxq-at-minus1", n_max)
     for n in range(1, n_max + 1):
-        yield f"n={n}", sxq[n].subs(q=-1), triangles.closed_forms("Sxq-at-minus1", n)
+        yield f"n={n}", sxq[n].subs(q=-1), closed[n]
 
 
 # -- enumeration vs. recurrence -------------------------------------------------

@@ -72,3 +72,16 @@ def test_prefix_cache_matches_cold_runs(monkeypatch, sweep):
                 assert all(type(v) is int for key in level for v in key)
                 assert all(type(c) is int and c > 0 for c in level.values())
     assert fn(4)[4] is fn(6)[4]  # the smaller bound is served from the cache
+
+
+def test_counts_fold_over_chunks(monkeypatch):
+    # at n = 7 every level fits one default chunk; chunks of 7 rows split
+    # each level into many, the last one partial
+    sweeps = ("simsun_word_distributions", "simsun_cycle_distributions",
+              "all_perm_word_distributions")
+    monkeypatch.setattr(bulk, "_cache", {})
+    whole = {name: getattr(bulk, name)(7) for name in sweeps}
+    monkeypatch.setattr(bulk, "_CHUNK", 7)
+    monkeypatch.setattr(bulk, "_cache", {})
+    for name in sweeps:
+        assert getattr(bulk, name)(7) == whole[name]

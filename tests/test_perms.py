@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from simsun import perms
@@ -106,21 +106,6 @@ def test_excedance_cyclic_peak_double_excedance_partition(w):
     assert rec.exc == rec.cpk + doubles
 
 
-def test_restrict_to():
-    assert perms.restrict_to((3, 5, 1, 4, 2), 3) == (3, 1, 2)
-    assert perms.restrict_to((3, 5, 1, 4, 2), 0) == ()
-    with pytest.raises(ValueError):
-        perms.restrict_to((1,), 2)
-
-
-def test_remove_largest_bypasses():
-    cycles = ((1, 5, 3, 4), (2,))
-    assert perms.remove_largest(cycles, 1) == ((1, 3, 4), (2,))
-    assert perms.remove_largest(cycles, 5) == ()
-    with pytest.raises(ValueError):
-        perms.remove_largest(cycles, 6)
-
-
 def test_permutations_lexicographic():
     got = list(perms.permutations(3))
     assert got == sorted(got)
@@ -167,13 +152,3 @@ def test_cycle_up_down():
 
 def test_euler_numbers():
     assert [perms.euler_number(n) for n in range(10)] == EULER[:10]
-
-
-@settings(max_examples=25)
-@given(small_perms)
-def test_restriction_chain_consistency(w):
-    # restricting to k keeps relative order and forms a permutation of [k]
-    for k in range(len(w) + 1):
-        r = perms.restrict_to(w, k)
-        assert sorted(r) == list(range(1, k + 1))
-        assert perms.restrict_to(r, max(k - 1, 0)) == perms.restrict_to(w, max(k - 1, 0))

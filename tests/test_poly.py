@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simsun.poly import ONE, Poly, Q, X, Y, ZERO, mobius_compose
@@ -18,6 +18,21 @@ coefficients = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
 polys = st.dictionaries(exponents, coefficients, max_size=5).map(Poly)
+scalars = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(min_value=-4, max_value=4).map(lambda k: Fraction(2 * k, 2)),
+)
+x_polys = st.lists(coefficients, max_size=6).map(Poly.from_x_coeffs)
+kernel = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def canonical(p: Poly) -> bool:
+    """No stored coefficient is 0, and every Fraction has a denominator > 1."""
+    return all(
+        c != 0 and (type(c) is int or type(c) is Fraction and c.denominator > 1)
+        for c in p.terms.values()
+    )
 
 
 def test_construction_drops_zeros():
@@ -98,3 +113,36 @@ def test_derivative_is_linear_and_leibniz(p):
 @given(polys, st.integers(min_value=-5, max_value=5).filter(bool))
 def test_scalar_division_roundtrip(p, s):
     assert (p / s) * s == p
+
+
+@kernel
+@given(polys, polys, scalars)
+def test_results_are_canonical(a, b, s):
+    assert canonical(a) and canonical(b)
+    results = [a + b, a - b, -a, a * b, a * s, s + a, s - a]
+    results += [a.derivative(name) for name in ("x", "q", "y")]
+    results += [a.subs(x=s), a.subs(q=s, y=s), a.subs(q=b), a.subs(x=X * s)]
+    if s:
+        results.append(a / s)
+    assert all(canonical(r) for r in results)
+
+
+@kernel
+@given(polys, scalars, scalars)
+def test_scalar_subs_matches_polynomial_subs(p, u, v):
+    # a Poly value takes the general path, term products added up
+    for name in ("x", "q", "y"):
+        assert p.subs(**{name: u}) == p.subs(**{name: Poly.const(u)})
+    assert p.subs(x=u, y=v) == p.subs(x=Poly.const(u), y=Poly.const(v))
+    assert p.subs(q=u, x=v, y=u) == p.subs(q=Poly.const(u), x=Poly.const(v), y=Poly.const(u))
+
+
+@kernel
+@given(x_polys, st.integers(min_value=0, max_value=3), scalars)
+def test_mobius_compose_matches_expansion(p, extra, alpha):
+    m = max(p.degree("x"), 0) + extra
+    expected = ZERO
+    for k, c in enumerate(p.x_coeffs()):
+        expected = expected + c * (alpha * X) ** k * (ONE + X) ** (m - k)
+    got = mobius_compose(p, m, alpha)
+    assert got == expected and canonical(got)

@@ -112,6 +112,27 @@ def test_relation_with_shared_root():
     ).holds
 
 
+def test_relation_reuses_whole_certificates(monkeypatch):
+    # with a constant gcd, a certificate of the whole polynomial (simple
+    # roots, none at 0) is the merge's brackets, so it is searched once
+    searched = []
+    search = roots._search
+    monkeypatch.setattr(roots, "_search", lambda p: searched.append(tuple(p)) or search(p))
+
+    def searches(p, q):
+        searched.clear()
+        assert roots.check_relation(p, q, "alternate-left").holds
+        return [searched.count(tuple(roots._integral(roots.dense(r)))) for r in (p, q)]
+
+    assert searches(from_roots([-4, -2]), from_roots([-3, -1])) == [1, 1]
+    # a root at 0 is divided out of the certificate, so the merge searches p
+    assert searches(from_roots([-2, 0]), from_roots([-1, 1])) == [1, 1]
+    assert searched.count(tuple(roots._integral(roots.dense(from_roots([-2]))))) == 1
+    # a common root: the merge searches the cofactors
+    assert searches(from_roots([-3, -1]), from_roots([-2, -1])) == [1, 1]
+    assert searched.count((3, 1)) == 1 and searched.count((2, 1)) == 1
+
+
 def test_relation_degree_errors():
     with pytest.raises(ValueError):
         roots.check_relation(ONE + X, ONE + X, "interlace")

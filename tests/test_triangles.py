@@ -121,14 +121,21 @@ def test_stirling_reconstruction():
 
 
 def test_closed_forms():
-    assert triangles.closed_forms("P-from-S", 4) == Poly.from_x_coeffs([5, 44, 12])
-    assert triangles.closed_forms("T-from-S", 0) == X
-    assert triangles.closed_forms("P+-from-S", 4) == Poly.from_x_coeffs([4, 22])
-    assert triangles.closed_forms("P--from-S", 4) == Poly.from_x_coeffs([1, 22, 12])
-    assert triangles.closed_forms("Sxq-at-minus1", 4) == Poly.from_x_coeffs([1, -3, 2])
-    assert triangles.closed_forms("Sxq-at-minus1", 5) == -((ONE - 2 * X) ** 2)
+    assert triangles.closed_forms("P-from-S", 4)[4] == Poly.from_x_coeffs([5, 44, 12])
+    assert triangles.closed_forms("T-from-S", 0) == [X]
+    assert triangles.closed_forms("P+-from-S", 4)[4] == Poly.from_x_coeffs([4, 22])
+    assert triangles.closed_forms("P--from-S", 4)[4] == Poly.from_x_coeffs([1, 22, 12])
+    minus1 = triangles.closed_forms("Sxq-at-minus1", 5)
+    assert minus1[4] == Poly.from_x_coeffs([1, -3, 2])
+    assert minus1[5] == -((ONE - 2 * X) ** 2)
+    # rows below a form's first n are None
+    assert minus1[0] is None
+    assert triangles.closed_forms("P+-from-S", 0) == [None]
+    assert triangles.closed_forms("P--from-S", 2)[:1] == [None]
     with pytest.raises(ValueError):
         triangles.closed_forms("nope", 3)
+    with pytest.raises(ValueError):
+        triangles.closed_forms("P-from-S", -1)
 
 
 def test_closed_forms_match_recurrences():
@@ -137,13 +144,19 @@ def test_closed_forms_match_recurrences():
     minus = triangles.family_polys("P-", 13)
     t = triangles.family_polys("T", 13)
     sxq = triangles.family_polys("Sxq", 12)
+    forms = {f: triangles.closed_forms(f, 11) for f in (
+        "P-from-S", "T-from-S", "P+-from-S", "P--from-S", "Sxq-at-minus1")}
+    assert all(len(rows) == 12 for rows in forms.values())
     for n in range(12):
-        assert triangles.closed_forms("P-from-S", n) == p[n + 1]
-        assert triangles.closed_forms("T-from-S", n) == t[n + 1]
+        assert forms["P-from-S"][n] == p[n + 1]
+        assert forms["T-from-S"][n] == t[n + 1]
         if n >= 1:
-            assert triangles.closed_forms("P+-from-S", n) == plus[n + 1]
-            assert triangles.closed_forms("P--from-S", n) == minus[n + 1]
-            assert sxq[n].subs(q=-1) == triangles.closed_forms("Sxq-at-minus1", n)
+            assert forms["P+-from-S"][n] == plus[n + 1]
+            assert forms["P--from-S"][n] == minus[n + 1]
+            assert sxq[n].subs(q=-1) == forms["Sxq-at-minus1"][n]
+    # each row of a bound equals that row computed at a smaller bound
+    for f, rows in forms.items():
+        assert triangles.closed_forms(f, 5) == rows[:6]
 
 
 def test_bivariate_specializes_to_univariate():
