@@ -12,9 +12,10 @@ All functions are pure and all values immutable.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 Word = tuple[int, ...]
 Cycles = tuple[tuple[int, ...], ...]
@@ -56,34 +57,30 @@ def descent_set(word: Word) -> list[int]:
 
 
 def word_stats(word: Word) -> StatRecord:
-    """All five word statistics in one pass conventions:
+    """All five word statistics in one pass over adjacent pairs, conventions:
 
     - des counts descents at i in [n-1];
     - lpk prepends a virtual 0 and counts peaks at i in [n-1];
     - pk counts interior peaks at i in {2, ..., n-1};
     - altruns counts maximal monotone runs (0 for a single letter);
     - uprun counts the runs of the 0-prepended word.
+
+    The virtual 0 only adds a peak, and a run, before a first step down.
     """
     n = len(word)
-    des = len(descent_set(word))
-    ext = (0,) + word
-    lpk = sum(1 for i in range(1, n) if ext[i - 1] < ext[i] > ext[i + 1])
-    pk = sum(1 for i in range(2, n) if word[i - 2] < word[i - 1] > word[i])
-    altruns = 0
-    if n >= 2:
-        altruns = 1 + sum(
-            1
-            for i in range(1, n - 1)
-            if (word[i - 1] < word[i]) != (word[i] < word[i + 1])
-        )
-    uprun = 0
-    if n >= 1:
-        uprun = 1 + sum(
-            1
-            for i in range(1, n)
-            if (ext[i - 1] < ext[i]) != (ext[i] < ext[i + 1])
-        )
-    return StatRecord(des, lpk, pk, altruns, uprun)
+    if n < 2:
+        return StatRecord(0, 0, 0, 0, n)
+    first_down = word[0] > word[1]
+    des, pk, turns = int(first_down), 0, 0
+    was_up = not first_down
+    for a, b in zip(word[1:], word[2:]):
+        up = a < b
+        if up != was_up:
+            turns += 1
+            pk += was_up
+            was_up = up
+        des += not up
+    return StatRecord(des, pk + first_down, pk, turns + 1, turns + 1 + first_down)
 
 
 def lalt(word: Word) -> int:
@@ -210,57 +207,68 @@ def is_up_down_cycle(cycle: tuple[int, ...]) -> bool:
 
 
 def is_cycle_up_down(word: Word) -> bool:
-    return all(is_up_down_cycle(c) for c in to_cycles(word))
+    """Every cycle, read from its minimum, has the pattern of
+    ``is_up_down_cycle``; stops at the first violation."""
+    seen = [False] * (len(word) + 1)
+    for start in range(1, len(word) + 1):
+        if seen[start]:
+            continue
+        # start is the minimum of its cycle: smaller letters are all seen
+        up, a, b = True, start, word[start - 1]
+        while b != start:
+            if (a < b) != up:
+                return False
+            seen[b] = True
+            up, a, b = not up, b, word[b - 1]
+    return True
+
+
+def _zigzags(n: int, candidates: Callable[[Word], Word]) -> Iterator[Word]:
+    """Words p(1) > p(2) < p(3) > ... of length n, depth first in lex order.
+
+    ``candidates(free)`` lists in increasing order the letters that the
+    unused absolute values ``free`` (a sorted tuple) offer; a letter may
+    open the word when it is positive.
+    """
+    stack: list[tuple[Word, tuple[int, ...]]] = [((), tuple(range(1, n + 1)))]
+    while stack:
+        prefix, free = stack.pop()
+        i = len(prefix)
+        if i == n:
+            yield prefix
+            continue
+        letters = candidates(free)
+        lo, hi = 0, len(letters)
+        if not i:
+            lo = bisect.bisect_right(letters, 0)
+        elif i % 2:  # p(i) > p(i+1)
+            hi = bisect.bisect_left(letters, prefix[-1])
+        else:
+            lo = bisect.bisect_right(letters, prefix[-1])
+        if i + 1 == n:
+            for v in letters[lo:hi]:
+                yield prefix + (v,)
+            continue
+        # the least letter leaves nothing below it for the next step down,
+        # the greatest nothing above it for the next step up
+        if i % 2:
+            hi = min(hi, len(letters) - 1)
+        else:
+            lo = max(lo, 1)
+        for v in reversed(letters[lo:hi]):
+            j = free.index(abs(v))
+            stack.append((prefix + (v,), free[:j] + free[j + 1:]))
 
 
 def snakes(n: int) -> Iterator[Word]:
-    """Type-B snakes of [n] in lexicographic window order (pruned search)."""
-
-    def extend(prefix: list[int], used: set[int]) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        i = len(prefix)  # next 0-based position
-        for v in itertools.chain(range(-n, 0), range(1, n + 1)):
-            if abs(v) in used or (i == 0 and v < 0):
-                continue
-            if i > 0:
-                if i % 2 == 1 and not prefix[-1] > v:
-                    continue
-                if i % 2 == 0 and not prefix[-1] < v:
-                    continue
-            prefix.append(v)
-            used.add(abs(v))
-            yield from extend(prefix, used)
-            prefix.pop()
-            used.discard(abs(v))
-
-    if n == 0:
-        yield ()
-        return
-    yield from extend([], set())
+    """Type-B snakes of [n] in lexicographic window order (pruned search):
+    each next letter is an unused value with either sign."""
+    return _zigzags(n, lambda free: tuple(-v for v in reversed(free)) + free)
 
 
 def alternating_permutations(n: int) -> Iterator[Word]:
     """Alternating (down-up) permutations of [n], pruned search, lex order."""
-
-    def extend(prefix: list[int], free: list[int]) -> Iterator[Word]:
-        if not free:
-            yield tuple(prefix)
-            return
-        i = len(prefix)
-        for idx, v in enumerate(free):
-            if i > 0:
-                if i % 2 == 1 and not prefix[-1] > v:
-                    continue
-                if i % 2 == 0 and not prefix[-1] < v:
-                    continue
-            prefix.append(v)
-            rest = free[:idx] + free[idx + 1:]
-            yield from extend(prefix, rest)
-            prefix.pop()
-
-    yield from extend([], list(range(1, n + 1)))
+    return _zigzags(n, lambda free: free)
 
 
 def euler_number(n: int) -> int:

@@ -1,5 +1,7 @@
 """The block correspondence and the descent-to-excedance bijection."""
 
+import re
+
 import pytest
 
 from simsun import bijections, classes, perms
@@ -92,3 +94,54 @@ def test_phi_block_sizes_small():
             block = bijections.phi_forward(w)
             assert len(block) == 2 ** (n - k)
             assert all(perms.word_stats(t).pk == k for t in block)
+
+
+def test_walks_agree_with_replay():
+    # a consistency check, not a second oracle: the walks and history ->
+    # replay read the same trees, so this shows only that the exhaustive
+    # checks see the maps that single objects get
+    for n in range(1, 8):
+        blocks = dict(bijections._phi_blocks(n))
+        images = dict(bijections._psi_images(n))
+        words = list(classes.gen_simsun_first(n))
+        assert blocks.keys() == images.keys() == set(words)
+        for w in words:
+            assert blocks[w] == bijections.phi_forward(w)
+            assert images[w] == [bijections.psi_forward(w)]
+    for n in range(1, 7):
+        for t, sources in bijections._phi_sources(n):
+            assert sources == [bijections.phi_inverse(t)]
+        for c, sources in bijections._psi_sources(n):
+            assert sources == [bijections.psi_inverse(c)]
+
+
+def _relabel(tree, old, new):
+    """The tree with the place label ``old`` read as ``new``."""
+    def places(obj):
+        return [(g, new if lab == old else lab) for g, lab in tree.places(obj)]
+    return tree._replace(places=places)
+
+
+def _crossed(rename):
+    """Inverse renaming with the two kinds crossed, e.g. p -> y, q -> x."""
+    return dict(zip(rename.values(), reversed(list(rename))))
+
+
+@pytest.mark.parametrize("target, value, verifier", [
+    ("PHI", {"x": "q", "y": "p"}, "verify_phi"),
+    ("PHI", {"x": "p"}, "verify_phi"),
+    ("PEAK", _relabel(classes.PEAK, ("q", 2), ("q", 1)), "verify_phi"),
+    ("PEAK", _relabel(classes.PEAK, ("p", 1), ("p", 2)), "verify_phi"),
+    ("PSI", {"x": "v", "y": "u"}, "verify_psi"),
+    ("SECOND", _relabel(classes.SECOND, ("v", 2), ("v", 1)), "verify_psi"),
+    ("SECOND", _relabel(classes.SECOND, ("u", 1), ("v", 3)), "verify_psi"),
+    # only the inverse walks read the flipped renaming
+    ("_flip", _crossed, "verify_phi"),
+    ("_flip", _crossed, "verify_psi"),
+])
+def test_walk_mutations_fail(monkeypatch, target, value, verifier):
+    monkeypatch.setattr(bijections, target, value)
+    report = getattr(bijections, verifier)(5)
+    assert not report.ok
+    # the detail names the first object that went wrong
+    assert re.search(r"\(\(?\d+,", report.detail), report.detail

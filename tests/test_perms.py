@@ -52,6 +52,25 @@ def test_word_stats_examples():
     assert perms.word_stats((1,)).altruns == 0
 
 
+def _runs(word):
+    """Maximal monotone runs, read off the signs of the steps."""
+    return len(list(itertools.groupby(a < b for a, b in zip(word, word[1:]))))
+
+
+def test_word_stats_match_definitions():
+    for n in range(9):
+        for w in itertools.permutations(range(1, n + 1)):
+            ext = (0,) + w
+            expected = perms.StatRecord(
+                des=sum(w[i] > w[i + 1] for i in range(n - 1)),
+                lpk=sum(ext[i - 1] < ext[i] > ext[i + 1] for i in range(1, n)),
+                pk=sum(w[i - 1] < w[i] > w[i + 1] for i in range(1, n - 1)),
+                altruns=_runs(w),
+                uprun=_runs(ext),
+            )
+            assert perms.word_stats(w) == expected, w
+
+
 @given(small_perms)
 def test_uprun_equals_longest_alternating_subsequence(w):
     assert perms.word_stats(w).uprun == perms.lalt(w)
@@ -138,7 +157,7 @@ def test_snakes_match_filter():
 
 
 def test_alternating_matches_filter():
-    for n in range(6):
+    for n in range(9):
         listed = list(perms.alternating_permutations(n))
         brute = [w for w in perms.permutations(n) if perms.is_alternating(w)]
         assert listed == brute
@@ -148,6 +167,13 @@ def test_cycle_up_down():
     assert perms.is_cycle_up_down((1, 2, 3))  # three singletons
     assert perms.is_up_down_cycle((1, 4, 3))
     assert not perms.is_up_down_cycle((1, 3, 4))
+
+
+def test_cycle_up_down_matches_cycle_forms():
+    for n in range(8):
+        for w in perms.permutations(n):
+            expected = all(perms.is_up_down_cycle(c) for c in perms.to_cycles(w))
+            assert perms.is_cycle_up_down(w) == expected, w
 
 
 def test_euler_numbers():
