@@ -16,7 +16,15 @@ Submodules:
 
 __version__ = "0.1.0"
 
+
+class TooLarge(Exception):
+    """A bound the machine cannot afford, refused before any work is done:
+    a sweep level over ``bulk.ROW_BUDGET`` rows or a φ block over
+    ``bijections.PHI_BLOCK_LIMIT`` images."""
+
+
 __all__ = [
+    "TooLarge",
     "bijections",
     "bulk",
     "classes",

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from . import classes, perms
+from . import TooLarge, classes, perms
 from .classes import END, FIRST, PEAK, SECOND, Label, Tree
 from .perms import Cycles, Word
 
@@ -96,7 +96,7 @@ def phi_forward(word: Word) -> list[Word]:
     _check_first(word)
     free = len(word) - len(perms.descent_set(word))
     if 2**free > PHI_BLOCK_LIMIT:
-        raise ValueError(f"phi block too large: 2^{free} images (limit {PHI_BLOCK_LIMIT:,})")
+        raise TooLarge(f"phi block too large: 2^{free} images (limit {PHI_BLOCK_LIMIT:,})")
     return _replay([END] + _history(word, FIRST), PEAK, PHI)
 
 

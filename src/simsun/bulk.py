@@ -11,7 +11,7 @@ by ``np.bincount`` and turned back into tuples by ``np.unravel_index``.
 
 Each sweep caches its largest result: a smaller bound gets a prefix of it,
 a larger bound recomputes.  A bound whose top level would hold more than
-``ROW_BUDGET`` rows (E_{n+1} or n!) raises ``SweepTooLarge`` before any
+``ROW_BUDGET`` rows (E_{n+1} or n!) raises ``TooLarge`` before any
 level is built.
 """
 
@@ -23,15 +23,13 @@ from collections import Counter
 
 import numpy as np
 
+from . import TooLarge
+
 _CHUNK = 1 << 16
 # admits word level 12 (E_13 = 22,368,256 rows); refuses E_14 and 12! rows
 ROW_BUDGET = 50_000_000
 
 _cache: dict[str, dict[int, Counter]] = {}
-
-
-class SweepTooLarge(Exception):
-    """A sweep's top level would hold more rows than ``ROW_BUDGET``."""
 
 
 def simsun_word_distributions(n_max: int) -> dict[int, Counter]:
@@ -55,7 +53,7 @@ def all_perm_word_distributions(n_max: int) -> dict[int, Counter]:
 
 def _sweep(name, n_max, rows, insert, scan, empty_key) -> dict[int, Counter]:
     if rows(n_max) > ROW_BUDGET:
-        raise SweepTooLarge(
+        raise TooLarge(
             f"sweep level {n_max} needs {rows(n_max):,} rows (budget {ROW_BUDGET:,})")
     cached = _cache.get(name)
     if cached is None or max(cached) < n_max:

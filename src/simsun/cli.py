@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: triangle, enumerate, verify, bijection, roots, series.
-Everything is deterministic; output formats are text, csv and json.
-Exit codes: 0 success, 1 identity violation, 2 usage error, a sweep
-level over the row budget of ``bulk``, or a phi block over
-``bijections.PHI_BLOCK_LIMIT``.
+Everything is deterministic; output formats are text, csv and json, except
+that ``bijection`` prints text or json only.  Exit codes: 0 success, 1
+identity violation, 2 usage error or ``TooLarge`` (a sweep level over the
+row budget of ``bulk``, or a phi block over ``bijections.PHI_BLOCK_LIMIT``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import io
 import json
 import sys
 
-from . import bijections, bulk, classes, perms, series, triangles, verify
+from . import TooLarge, bijections, classes, perms, series, triangles, verify
 from .poly import Poly
 
 ENUM_CLASSES = {
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map", choices=("phi", "psi"))
     p.add_argument("--perm", default=None)
     p.add_argument("--n", type=int, default=None)
-    add_format(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("roots", help="run root-location suites")
@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         return args.func(args)
-    except (UsageError, bulk.SweepTooLarge) as exc:
+    except (UsageError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

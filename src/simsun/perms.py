@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 Cycles = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(NamedTuple):
     """Word-level statistics of a permutation."""
 
     des: int
@@ -32,8 +30,7 @@ class StatRecord:
     uprun: int
 
 
-@dataclass(frozen=True)
-class CycleStatRecord:
+class CycleStatRecord(NamedTuple):
     """Cycle-level statistics of a permutation."""
 
     exc: int

@@ -177,26 +177,24 @@ class Series:
         return self.coeffs[n] * factorial(n)
 
 
-def _cos_like(a: Poly, order: int, quarter: bool) -> Series:
-    """sum_j a^j z^(2j) / (d^j (2j)!) with d = 4 or 1."""
+def _cos_like(a: Poly, order: int) -> Series:
+    """sum_j a^j z^(2j) / (2j)!, which is cos(z sqrt(-a))."""
     out = [ZERO] * (order + 1)
     for j in range(order // 2 + 1):
-        denom = (4**j if quarter else 1) * factorial(2 * j)
-        out[2 * j] = a**j / denom
+        out[2 * j] = a**j / factorial(2 * j)
     return Series(out, order)
 
 
-def _sin_like(a: Poly, order: int, quarter: bool) -> Series:
-    """sum_j a^j z^(2j+1) / (d^j (2j+1)!) with d = 4*... matching _cos_like."""
+def _sin_like(a: Poly, order: int) -> Series:
+    """sum_j a^j z^(2j+1) / (2j+1)!, which is sin(z sqrt(-a)) / sqrt(-a)."""
     out = [ZERO] * (order + 1)
     for j in range((order - 1) // 2 + 1):
-        denom = (4**j * 2 if quarter else 1) * factorial(2 * j + 1)
-        out[2 * j + 1] = a**j / denom
+        out[2 * j + 1] = a**j / factorial(2 * j + 1)
     return Series(out, order)
 
 
 def sin_z(order: int) -> Series:
-    return _sin_like(Poly.const(-1), order, quarter=False)
+    return _sin_like(Poly.const(-1), order)
 
 
 def build(name: str, order: int = DEFAULT_ORDER) -> Series:
@@ -211,19 +209,19 @@ def build(name: str, order: int = DEFAULT_ORDER) -> Series:
     ``trivariate``          exp(qz(y-1)) * Sxz^q
     """
     if name == "Sxz":
-        a = ONE - 2 * X
-        den = _cos_like(a, order, True) - _sin_like(a, order, True)
+        a = (ONE - 2 * X) / 4
+        den = _cos_like(a, order) - _sin_like(a, order) * Fraction(1, 2)
         inv = den.inverse()
         return inv * inv
     if name == "What":
         b = ONE - X
-        return (_cos_like(b, order, False) - _sin_like(b, order, False)).inverse()
+        return (_cos_like(b, order) - _sin_like(b, order)).inverse()
     if name == "Sxz-from-What":
         w = build("What", order).map_coeffs(lambda c: c.subs(x=2 * X)).scale_z(Fraction(1, 2))
         return w * w
     if name == "springer":
         minus_one = Poly.const(-1)
-        return (_cos_like(minus_one, order, False) - _sin_like(minus_one, order, False)).inverse()
+        return (_cos_like(minus_one, order) - _sin_like(minus_one, order)).inverse()
     if name == "Sxqz":
         return (build("Sxz", order).log() * Q).exp()
     if name == "one-minus-sin-negq":

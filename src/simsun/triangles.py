@@ -12,45 +12,55 @@ Families (rows indexed by n, each row an exact polynomial):
             T(n,k) = ceil(k/2)T(n-1,k) + T(n-1,k-1) + (n-k+1)T(n-1,k-2)
 - ``P+``/``P-``/``P``  interior-peak polynomials of simsun permutations
             split by first step, coupled recurrences seeded at n = 2
-- ``A``     orbit-count triangle, a_i(n+1) = i*a_i(n) + (n-2i+2)a_{i-1}(n)
+- ``A``     orbit-count triangle, a_i(n+1) = i*a_i(n) + (n-2i+2)a_{i-1}(n),
+            a_0(1) = 1, row 0 the zero polynomial
 - ``Sxq``   descent polynomials refined by the cycle count q of the second kind
 - ``Sxyq``  trivariate rows via the binomial sum over Sxq rows
 - ``D``     leaf polynomials of increasing 1-2 trees via D(n+1) = x*S(n)
 
-S, What, W, Sxq, P+ and P- share one first-order step,
+S, What, W, R, A, Sxq, P+ and P- share one first-order step,
 
-    F_{n+1} = (a + (n + c)x) F_n + x(d + e x) F_n',
+    F_{n+1} = (a0 + n a1) F_n + b F_n',
 
-driven by the ``FIRST_ORDER`` table of ``(seeds, a, c, d, e)``; the seeds
-are rows 0, 1, ... and the step applies from the last seed on.  P+ and P-
-add a coupling term: P+_{n+1} gains P-_n and P-_{n+1} gains x P+_n.
-R, T and A are integer triangles with their own recurrences.
+driven by the ``FIRST_ORDER`` table of ``(seeds, a0, a1, b)`` with
+polynomial coefficients; the seeds are rows 0, 1, ... and the step applies
+from the last seed on.  An integer triangle becomes a row of the table by
+summing its recurrence against x^k: a term c(k) F(n-1,k-j) with c linear in
+k contributes x^j (c(j) F_{n-1} + c'x F_{n-1}'), e.g. R's (n-k)R(n-1,k-2)
+gives x^2((n-2)R_{n-1} - x R_{n-1}').  P+ and P- add a coupling term:
+P+_{n+1} gains P-_n and P-_{n+1} gains x P+_n.  Only T, whose ceil(k/2)
+has no derivative form, keeps an integer triangle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb
+from math import comb, factorial
 
 from .poly import ONE, Poly, Q, X, Y, ZERO
 
-#: family -> (seed rows, a, c, d, e) of the shared first-order step
+_DESCENT = X * (1 - 2 * X)
+_PEAK = 2 * X * (1 - X)
+
+#: family -> (seed rows, a0, a1, b) of F_{n+1} = (a0 + n a1)F_n + b F_n'
 FIRST_ORDER = {
-    "S": ((ONE,), 1, 0, 1, -2),  # (1 + nx)S_n + x(1 - 2x)S_n'
-    "What": ((ONE, ONE), 1, 0, 2, -2),  # (1 + nx)W^_n + 2x(1 - x)W^_n'
-    "W": ((ONE, ONE), 2, -1, 2, -2),  # (2 + (n - 1)x)W_n + 2x(1 - x)W_n'
-    "Sxq": ((ONE,), Q, 0, 1, -2),  # (q + nx)S_n(x,q) + x(1 - 2x) d/dx S_n(x,q)
+    "S": ((ONE,), ONE, X, _DESCENT),  # (1 + nx)S_n + x(1 - 2x)S_n'
+    "What": ((ONE, ONE), ONE, X, _PEAK),  # (1 + nx)W^_n + 2x(1 - x)W^_n'
+    "W": ((ONE, ONE), 2 - X, X, _PEAK),  # (2 + (n - 1)x)W_n + 2x(1 - x)W_n'
+    "R": ((ONE, ONE), X * (2 - X), X * X, X * (1 - X * X)),  # (2x + (n - 1)x^2)R_n + x(1 - x^2)R_n'
+    "A": ((ZERO, ONE), ZERO, X, _DESCENT),  # nx A_n + x(1 - 2x)A_n'
+    "Sxq": ((ONE,), Q, X, _DESCENT),  # (q + nx)S_n(x,q) + x(1 - 2x) d/dx S_n(x,q)
     # the coupled recurrences hold for n >= 2; rows 0 and 1 are literals
-    "P+": ((ZERO, ONE, ONE), 1, -2, 1, -2),  # (1 + (n - 2)x)P+_n + x(1 - 2x)P+_n' + P-_n
-    "P-": ((ZERO, ONE, ONE), 1, -1, 1, -2),  # (1 + (n - 1)x)P-_n + x(1 - 2x)P-_n' + x P+_n
+    "P+": ((ZERO, ONE, ONE), 1 - 2 * X, X, _DESCENT),  # (1 + (n - 2)x)P+_n + x(1 - 2x)P+_n' + P-_n
+    "P-": ((ZERO, ONE, ONE), 1 - X, X, _DESCENT),  # (1 + (n - 1)x)P-_n + x(1 - 2x)P-_n' + x P+_n
 }
 
 
 def _step(family: str, prev: Poly, n: int) -> Poly:
     """F_{n+1} from F_n by the family's first-order step, without coupling."""
-    _, a, c, d, e = FIRST_ORDER[family]
-    return (a + (n + c) * X) * prev + X * (d + e * X) * prev.derivative("x")
+    _, a0, a1, b = FIRST_ORDER[family]
+    return (a0 + n * a1) * prev + b * prev.derivative("x")
 
 
 def _first_order(family: str, n_max: int) -> list[Poly]:
@@ -80,16 +90,6 @@ def _at(row: list[int], k: int) -> int:
     return row[k] if 0 <= k < len(row) else 0
 
 
-def _family_R(n_max: int) -> list[Poly]:
-    rows = [[1], [1]]  # R_0 := 1, R(1,0) = 1
-    while len(rows) <= n_max:
-        n = len(rows)
-        prev = rows[-1]
-        rows.append([_at(prev, k) * k + 2 * _at(prev, k - 1) + (n - k) * _at(prev, k - 2)
-                     for k in range(n)])
-    return [Poly.from_x_coeffs(r) for r in rows[: n_max + 1]]
-
-
 def _family_T(n_max: int) -> list[Poly]:
     rows = [[1]]
     while len(rows) <= n_max:
@@ -97,20 +97,6 @@ def _family_T(n_max: int) -> list[Poly]:
         prev = rows[-1]
         rows.append([-(-k // 2) * _at(prev, k) + _at(prev, k - 1)
                      + (n - k + 1) * _at(prev, k - 2) for k in range(n + 1)])
-    return [Poly.from_x_coeffs(r) for r in rows[: n_max + 1]]
-
-
-def _family_A(n_max: int) -> list[Poly]:
-    # rows indexed from n = 1; row 0 is the zero polynomial
-    rows = [[], [1]]
-    while len(rows) <= n_max:
-        n = len(rows) - 1
-        prev = rows[-1]
-        row = [i * _at(prev, i) + (n - 2 * i + 2) * _at(prev, i - 1)
-               for i in range((n + 1) // 2 + 1)]
-        if n == 1:
-            row[0] = 0  # a_0(n) = 0 for n > 1; the recurrence seeds a_1(2) = 1
-        rows.append(row)
     return [Poly.from_x_coeffs(r) for r in rows[: n_max + 1]]
 
 
@@ -133,12 +119,12 @@ _ROWS = {
     "S": partial(_first_order, "S"),
     "What": partial(_first_order, "What"),
     "W": partial(_first_order, "W"),
-    "R": _family_R,
+    "R": partial(_first_order, "R"),
     "T": _family_T,
     "P+": lambda n_max: _family_P_pair(n_max)[0],
     "P-": lambda n_max: _family_P_pair(n_max)[1],
     "P": _family_P,
-    "A": _family_A,
+    "A": partial(_first_order, "A"),
     "Sxq": partial(_first_order, "Sxq"),
     "Sxyq": _family_Sxyq,
     "D": _family_D,
@@ -178,17 +164,12 @@ def p_coeff(n: int, k: int) -> int:
     total = 0
     for i in range(1, n + 1):
         total += (
-            _factorial(i)
+            factorial(i)
             * stirling2(n, i)
             * (-2) ** (n - i)
             * (binom(i, n - 2 * k) - binom(i, n - 2 * k + 1))
         )
     return (-1) ** k * total
-
-
-@lru_cache(maxsize=None)
-def _factorial(i: int) -> int:
-    return 1 if i <= 1 else i * _factorial(i - 1)
 
 
 def s_from_stirling(n: int) -> Poly:

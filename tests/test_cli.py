@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import simsun
 from simsun import bijections, bulk, cli
 
 
@@ -159,6 +160,22 @@ def test_phi_block_over_limit_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(bijections, "_replay", lambda history, tree, rename: [])
     code, out, _ = run(capsys, "bijection", "phi", "--perm", ",".join(map(str, range(1, 19))))
     assert code == 0 and out.startswith("source:")
+
+
+def test_too_large_is_one_exception():
+    # both bounds are refused before any level or block is built
+    with pytest.raises(simsun.TooLarge):
+        bulk.simsun_word_distributions(13)
+    with pytest.raises(simsun.TooLarge):
+        bijections.phi_forward(tuple(range(1, 31)))
+
+
+def test_bijection_rejects_csv(capsys):
+    for argv in (["phi", "--n", "3"], ["psi", "--perm", "3412"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bijection", *argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_bijection_exhaustive(capsys):

@@ -77,6 +77,36 @@ def test_orbit_family():
             assert 2 * e[0] <= n
 
 
+def _integer_rows(n_max, first, step):
+    """Rows first..n_max of an integer triangle, row n from row n - 1 by
+    entry k = step(n, k, prev), as x-coefficient lists."""
+    rows = {first[0]: first[1]}
+    for n in range(first[0] + 1, n_max + 1):
+        prev = rows[n - 1]
+
+        def at(k):
+            return prev[k] if 0 <= k < len(prev) else 0
+
+        row = [step(n, k, at) for k in range(len(prev) + 2)]
+        while row and row[-1] == 0:
+            row.pop()
+        rows[n] = row
+    return rows
+
+
+def test_table_rows_match_integer_recurrences():
+    # R(n,k) = kR(n-1,k) + 2R(n-1,k-1) + (n-k)R(n-1,k-2), R(1,0) = 1
+    r = _integer_rows(40, (1, [1]), lambda n, k, at: k * at(k) + 2 * at(k - 1)
+                      + (n - k) * at(k - 2))
+    # a_i(n+1) = i a_i(n) + (n-2i+2) a_{i-1}(n), a_0(1) = 1
+    a = _integer_rows(40, (1, [1]), lambda n, i, at: i * at(i)
+                      + (n - 1 - 2 * i + 2) * at(i - 1))
+    for family, rows in (("R", r), ("A", a)):
+        polys = triangles.family_polys(family, 40)
+        for n in range(1, 41):
+            assert polys[n] == Poly.from_x_coeffs(rows[n]), (family, n)
+
+
 def test_leaf_family_shifts_descent_rows():
     d = triangles.family_polys("D", 7)
     s = triangles.family_polys("S", 6)
