@@ -72,17 +72,6 @@ def _replay(history: list[Label], tree: Tree, rename: dict[str, str]) -> list:
     return level
 
 
-def insertion_history(word: Word) -> list[Label]:
-    """Place labels for rebuilding a first-kind word from (1,) upward."""
-    return _history(word, FIRST)
-
-
-def replay_history(history: list[Label]) -> Word:
-    """Inverse of insertion_history."""
-    (word,) = _replay(history, FIRST, {})
-    return word
-
-
 def _check_first(word: Word) -> None:
     if len(word) < 1:
         raise ValueError("defined for n >= 1")

@@ -1,6 +1,6 @@
-"""Simsun permutations of both kinds: recognizers, labelled insertion
-trees with their generators and labelings, and statistic-distribution
-polynomials.
+"""Simsun permutations of both kinds: recognizers and labelled insertion
+trees with their generators and labelings; and, as an independent oracle,
+the cycle counts of the cycle-up-down permutations.
 
 Three trees share one shape: first-kind words (descent and free gaps),
 all permutations (interior-peak and free gaps) and second-kind cycle forms
@@ -15,17 +15,6 @@ from typing import Callable, Iterator, NamedTuple
 from . import perms
 from .perms import Cycles, Word
 from .poly import Poly
-
-#: statistic name -> (carrier, variable)
-STATS = {
-    "des": ("word", "x"),
-    "lpk": ("word", "x"),
-    "pk": ("word", "x"),
-    "uprun": ("word", "x"),
-    "exc": ("cycle", "x"),
-    "cyc": ("cycle", "q"),
-    "fix": ("cycle", "y"),
-}
 
 
 # -- recognizers -------------------------------------------------------------
@@ -48,21 +37,18 @@ def is_simsun_second(word: Word) -> bool:
     k = 0 is included: the permutation itself must be free of double
     excedances, otherwise exc = cpk can fail.
     """
-    n = len(word)
     mapping = list(word)
-    for cut in range(n, 0, -1):
-        inv = [0] * (cut + 1)
-        for i in range(1, cut + 1):
-            inv[mapping[i - 1]] = i
+    inv = [0] * (len(word) + 1)
+    for i, v in enumerate(mapping, start=1):
+        inv[v] = i
+    for cut in range(len(word), 0, -1):
         for x in range(1, cut + 1):
             if inv[x] < x < mapping[x - 1]:
                 return False
         # bypass the letter `cut` for the next round
-        if cut >= 2:
-            pred = inv[cut]
-            if pred != cut:
-                mapping[pred - 1] = mapping[cut - 1]
-            mapping = mapping[: cut - 1]
+        pred, succ = inv[cut], mapping[cut - 1]
+        mapping[pred - 1], inv[succ] = succ, pred
+        mapping.pop()
     return True
 
 
@@ -255,59 +241,15 @@ def format_labeled_cycles(cycles: Cycles) -> str:
     return "".join("(%s)" % _render([(v, labels.get(v)) for v in cyc], sep) for cyc in cycles)
 
 
-# -- enumeration of classes and distributions ---------------------------------
+# -- cycle-up-down permutations ---------------------------------------------
 
 
-def class_members(name: str, n: int) -> Iterator[Word]:
-    """Members of a named class as words (windows for SNAKE)."""
-    if name == "RS":
-        yield from gen_simsun_first(n)
-    elif name == "RS+":
-        yield from (w for w in gen_simsun_first(n) if len(w) >= 2 and w[0] > w[1])
-    elif name == "RS-":
-        yield from (w for w in gen_simsun_first(n) if len(w) >= 2 and w[0] < w[1])
-    elif name == "SS":
-        yield from (perms.from_cycles(c) for c in gen_simsun_second(n))
-    elif name == "ALL":
-        yield from perms.permutations(n)
-    elif name == "SNAKE":
-        yield from perms.snakes(n)
-    elif name == "CUD":
-        yield from (w for w in perms.permutations(n) if perms.is_cycle_up_down(w))
-    elif name == "ALT":
-        yield from perms.alternating_permutations(n)
-    else:
-        raise ValueError(f"unknown class {name!r}")
-
-
-def distribution(name: str, stats: tuple[str, ...], n: int) -> Poly:
-    """Exact joint distribution polynomial of the given statistics.
-
-    Word statistics map to x; cyc maps to q and fix to y.  An empty stats
-    tuple yields the class cardinality as a constant.
-    """
-    for st in stats:
-        if st not in STATS:
-            raise ValueError(f"unknown statistic {st!r}")
-    if name == "SNAKE" and stats:
-        raise ValueError("snakes support only cardinality (empty stats)")
-    word_stats = [st for st in stats if STATS[st][0] == "word"]
-    cycle_stats = [st for st in stats if STATS[st][0] == "cycle"]
-    xstats = [st for st in stats if STATS[st][1] == "x"]
-    if len(xstats) > 1:
-        raise ValueError(f"statistics {xstats} would share the variable x")
+def distribution(n: int) -> Poly:
+    """Sum of q^cyc(w) over the cycle-up-down permutations w of [n], by a
+    filter over all n! permutations: no insertion tree is involved."""
     counts: dict[tuple[int, int, int], int] = {}
-    for w in class_members(name, n):
-        e = [0, 0, 0]
-        if word_stats:
-            rec = perms.word_stats(w)
-            for st in word_stats:
-                e[0] += getattr(rec, st)
-        if cycle_stats:
-            rec = perms.cycle_stats(w)
-            for st in cycle_stats:
-                var = STATS[st][1]
-                e["xqy".index(var)] += getattr(rec, st)
-        key = tuple(e)
-        counts[key] = counts.get(key, 0) + 1
+    for w in perms.permutations(n):
+        if perms.is_cycle_up_down(w):
+            key = (0, perms.cycle_stats(w).cyc, 0)
+            counts[key] = counts.get(key, 0) + 1
     return Poly(counts)

@@ -19,12 +19,12 @@ from . import TooLarge, bijections, classes, perms, series, triangles, verify
 from .poly import Poly
 
 ENUM_CLASSES = {
-    # cli name -> (internal class, listing bound)
-    "simsun1": ("RS", 10),
-    "simsun2": ("SS", 10),
-    "snakes": ("SNAKE", 8),
-    "alternating": ("ALT", 10),
-    "cud": ("CUD", 9),
+    # cli name -> (members of size n, listing bound)
+    "simsun1": (classes.gen_simsun_first, 10),
+    "simsun2": (classes.gen_simsun_second, 10),
+    "snakes": (perms.snakes, 8),
+    "alternating": (perms.alternating_permutations, 10),
+    "cud": (lambda n: (w for w in perms.permutations(n) if perms.is_cycle_up_down(w)), 9),
 }
 
 ROOT_SUITES = tuple(i for i in verify.REGISTRY if i.startswith("roots-"))
@@ -97,6 +97,10 @@ def _verdicts(args, key: str, reports: list) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+def _cycle_text(cycles) -> str:
+    return "".join(f"({','.join(map(str, cyc))})" for cyc in cycles)
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -130,46 +134,23 @@ def cmd_triangle(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.cls not in ENUM_CLASSES:
         raise UsageError(f"unknown class {args.cls!r}")
-    internal, bound = ENUM_CLASSES[args.cls]
+    members, bound = ENUM_CLASSES[args.cls]
     if not 0 <= args.n <= bound:
         raise UsageError(f"n={args.n} out of range for {args.cls} (max {bound})")
     rows = []
-    if args.cls == "simsun2":
-        for c in sorted(classes.gen_simsun_second(args.n)):
-            rec = perms.cycle_stats(perms.from_cycles(c))
-            rows.append(
-                {
-                    "perm": "".join(f"({','.join(map(str, cyc))})" for cyc in c),
-                    "exc": rec.exc,
-                    "fix": rec.fix,
-                    "cyc": rec.cyc,
-                }
-            )
-    elif args.cls == "snakes":
-        for w in perms.snakes(args.n):
-            rows.append({"perm": ",".join(map(str, w))})
-    elif args.cls == "cud":
-        for w in classes.class_members("CUD", args.n):
-            c = perms.to_cycles(w)
-            rows.append(
-                {
-                    "perm": "".join(f"({','.join(map(str, cyc))})" for cyc in c),
-                    "cyc": len(c),
-                }
-            )
-    else:
-        members = sorted(classes.class_members(internal, args.n))
-        for w in members:
-            rec = perms.word_stats(w)
-            rows.append(
-                {
-                    "perm": ",".join(map(str, w)),
-                    "des": rec.des,
-                    "lpk": rec.lpk,
-                    "pk": rec.pk,
-                    "uprun": rec.uprun,
-                }
-            )
+    for obj in sorted(members(args.n)):
+        if args.cls == "snakes":
+            rows.append({"perm": ",".join(map(str, obj))})
+        elif args.cls == "simsun2":
+            rec = perms.cycle_stats(perms.from_cycles(obj))
+            rows.append({"perm": _cycle_text(obj), "exc": rec.exc, "fix": rec.fix, "cyc": rec.cyc})
+        elif args.cls == "cud":
+            cycles = perms.to_cycles(obj)
+            rows.append({"perm": _cycle_text(cycles), "cyc": len(cycles)})
+        else:
+            rec = perms.word_stats(obj)
+            rows.append({"perm": ",".join(map(str, obj)), "des": rec.des, "lpk": rec.lpk,
+                         "pk": rec.pk, "uprun": rec.uprun})
     if args.format == "json":
         _emit_json(
             "enumerate", {"class": args.cls, "n": args.n}, rows + [{"count": len(rows)}]

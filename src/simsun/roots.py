@@ -37,13 +37,6 @@ def degree(p: Dense) -> int:
     return len(p) - 1
 
 
-def evaluate(p: Dense, t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
-
-
 def derivative(p: Dense) -> Dense:
     return [i * c for i, c in enumerate(p)][1:]
 

@@ -46,10 +46,6 @@ class Series:
         self.coeffs = coeffs
 
     @staticmethod
-    def zero(order: int) -> "Series":
-        return Series([], order)
-
-    @staticmethod
     def one(order: int) -> "Series":
         return Series([ONE], order)
 

@@ -102,11 +102,14 @@ def _family_T(n_max: int) -> list[Poly]:
 
 def _family_Sxyq(n_max: int) -> list[Poly]:
     sxq = _first_order("Sxq", n_max)
+    powers = [ONE]  # (q(y - 1))^i
+    for _ in range(n_max):
+        powers.append(powers[-1] * (Y * Q - Q))
     rows = []
     for n in range(n_max + 1):
         row = ZERO
         for i in range(n + 1):
-            row = row + comb(n, i) * (Y * Q - Q) ** i * sxq[n - i]
+            row = row + comb(n, i) * powers[i] * sxq[n - i]
         rows.append(row)
     return rows
 

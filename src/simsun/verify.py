@@ -7,9 +7,22 @@ statistic scan, series vs. triangle, ...) and a label locating them.  ``run``
 is the one comparator: it compares each pair with ``!=`` (zero tolerance),
 stops at the first mismatch and reports its ``where`` as the detail.  A check
 that yields no comparison at its bound checked nothing: it is not ok, with
-detail ``no cases checked``.  Checkers look up their providers
-(``triangles.family_polys``, the ``bulk`` sweeps, ``series.build``, ...) on
-the module each time they run, so a provider replaced there is the one used.
+detail ``no cases checked``.
+
+Most identities say that two computations give the same row for each n, so
+their checkers are tables built by ``_rows``: each table row is a pair
+``(label, first n, left side, right side)``, and row n of both sides is
+compared for every n from the first n to the bound, n outer and pairs inner,
+labelled ``n={n}`` or ``n={n} ({label})``.  A side is given the bound,
+computes its rows once and returns a function from n to row n, evaluated
+only when compared: rows of triangle families (``_family``), a marginal of a
+``bulk`` sweep (``_swept``), EGF coefficients (``_egf``), a closed form
+(``_closed``) or a per-n oracle (``_each``).  The remaining checkers compare
+single coefficients, whole objects or rows at several indices.
+
+Checkers and sides look up their providers (``triangles.family_polys``, the
+``bulk`` sweeps, ``series.build``, ...) on the module each time they run, so
+a provider replaced there is the one used.
 """
 
 from __future__ import annotations
@@ -24,6 +37,9 @@ from .poly import ONE, Poly, X, ZERO, mobius_compose
 
 #: one comparison of a checker: (where, lhs, rhs)
 Comparisons = Iterator[tuple[str, object, object]]
+
+#: a side of a row identity: bound -> (n -> row n)
+Side = Callable[[int], Callable[[int], object]]
 
 
 @dataclass
@@ -43,43 +59,103 @@ class Entry:
     summary: str
 
 
+# -- row identities --------------------------------------------------------------
+
+
+def _rows(*pairs: tuple[str | None, int, Side, Side]) -> Callable[[int], Comparisons]:
+    """Checker comparing row n of each pair's two sides, n outer, pairs inner."""
+
+    def check(n_max: int) -> Comparisons:
+        built = [(label, first, left(n_max), right(n_max)) for label, first, left, right in pairs]
+        for n in range(n_max + 1):
+            for label, first, lhs, rhs in built:
+                if n >= first:
+                    yield (f"n={n} ({label})" if label else f"n={n}"), lhs(n), rhs(n)
+
+    return check
+
+
+def _pair(left: Side, right: Side, first: int = 0) -> Callable[[int], Comparisons]:
+    return _rows((None, first, left, right))
+
+
+def _family(*names: str, shift: int = 0, fn=None) -> Side:
+    """Row n + shift of each named family, combined by ``fn(n, *rows)``
+    when given (without ``fn``, the row of the one family)."""
+
+    def side(n_max: int):
+        tables = [triangles.family_polys(name, n_max + shift) for name in names]
+        combine = fn or (lambda n, row: row)
+        return lambda n: combine(n, *(rows[n + shift] for rows in tables))
+
+    return side
+
+
+def _swept(sweep: str, pick, keep=None) -> Side:
+    """Level-n marginal of a ``bulk`` sweep: each key passing ``keep``
+    adds its count to the monomial ``pick(key)``."""
+
+    def side(n_max: int):
+        dist = getattr(bulk, sweep)(n_max)
+
+        def row(n: int) -> Poly:
+            terms: dict[tuple[int, int, int], int] = {}
+            for key, c in dist[n].items():
+                if keep is None or keep(key):
+                    e = pick(key)
+                    terms[e] = terms.get(e, 0) + c
+            return Poly(terms)
+
+        return row
+
+    return side
+
+
+def _egf(name: str) -> Side:
+    return lambda order: series.build(name, order).egf_coeff
+
+
+def _closed(form: str) -> Side:
+    return lambda n_max: triangles.closed_forms(form, n_max).__getitem__
+
+
+def _each(fn: Callable[[int], object]) -> Side:
+    return lambda n_max: fn
+
+
+def _x(i: int):
+    """Sweep key -> monomial x^key[i]."""
+    return lambda key: (key[i], 0, 0)
+
+
+def _q(i: int):
+    """Sweep key -> monomial q^key[i]."""
+    return lambda key: (0, key[i], 0)
+
+
+# sweep keys: words (des, pk, uprun, first step down, alternating),
+# cycles (exc, fix, cyc), all permutations (lpk, pk, altruns)
+_WORDS = "simsun_word_distributions"
+_CYCLES = "simsun_cycle_distributions"
+_ALL = "all_perm_word_distributions"
+
+
+def _scaled(weight: Callable[[int, int], int]) -> Side:
+    """Row n of S with coefficient k multiplied by ``weight(n, k)``."""
+    return _family("S", fn=lambda n, s: Poly.from_x_coeffs(
+        [weight(n, k) * c for k, c in enumerate(s.x_coeffs())]))
+
+
+def _squared_parts(n: int, s: Poly, p: Poly) -> Poly:
+    x2 = X * X
+    return X * s.subs(x=x2) + x2 * p.subs(x=x2)
+
+
 # -- helpers -------------------------------------------------------------------
-
-
-def _marginal(counter, pick) -> Poly:
-    terms: dict[tuple[int, int, int], int] = {}
-    for key, c in counter.items():
-        e = pick(key)
-        terms[e] = terms.get(e, 0) + c
-    return Poly(terms)
 
 
 def _coeff(p: Poly, k: int) -> int:
     return p.terms.get((k, 0, 0), 0)
-
-
-def _sweep(sweep: str, family: str, pick) -> Callable[[int], Comparisons]:
-    """Level-n marginal of a ``bulk`` sweep against row n of a family."""
-
-    def check(n_max: int) -> Comparisons:
-        dist = getattr(bulk, sweep)(n_max)
-        rows = triangles.family_polys(family, n_max)
-        for n in range(n_max + 1):
-            yield f"n={n}", _marginal(dist[n], pick), rows[n]
-
-    return check
-
-
-def _egf(name: str, family: str) -> Callable[[int], Comparisons]:
-    """EGF coefficients of a named series against the rows of a family."""
-
-    def check(order: int) -> Comparisons:
-        f = series.build(name, order)
-        rows = triangles.family_polys(family, order)
-        for n in range(order + 1):
-            yield f"n={n}", f.egf_coeff(n), rows[n]
-
-    return check
 
 
 def _bijection(verifier: str) -> Callable[[int], Comparisons]:
@@ -112,14 +188,6 @@ def _s_what_convolution(n_max: int) -> Comparisons:
         yield f"n={n}", rhs / 2**n, s[n]
 
 
-def _w_doubling(n_max: int) -> Comparisons:
-    s = triangles.family_polys("S", n_max)
-    w = triangles.family_polys("W", n_max + 1)
-    for n in range(n_max + 1):
-        rhs = Poly.from_x_coeffs([2 ** (n - k) * c for k, c in enumerate(s[n].x_coeffs())])
-        yield f"n={n}", w[n + 1], rhs
-
-
 def _run_mobius(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     w = triangles.family_polys("W", n_max)
@@ -128,18 +196,6 @@ def _run_mobius(n_max: int) -> Comparisons:
         via_w = X * mobius_compose(w[n], n - 2, 2) / 2 ** (n - 2)
         yield f"n={n} (interior-peak form)", r[n], via_w
         yield f"n={n} (descent form)", r[n], 2 * X * mobius_compose(s[n - 1], n - 2, 1)
-
-
-def _p_split_from_s(n_max: int) -> Comparisons:
-    s = triangles.family_polys("S", n_max)
-    plus = triangles.family_polys("P+", n_max + 1)
-    minus = triangles.family_polys("P-", n_max + 1)
-    for n in range(1, n_max + 1):
-        sc = s[n].x_coeffs()
-        yield (f"n={n} (first-step-down)", plus[n + 1],
-               Poly.from_x_coeffs([(n - 2 * k) * c for k, c in enumerate(sc)]))
-        yield (f"n={n} (first-step-up)", minus[n + 1],
-               Poly.from_x_coeffs([(1 + k) * c for k, c in enumerate(sc)]))
 
 
 def _p_recurrence_cleared(n_max: int) -> Comparisons:
@@ -169,28 +225,6 @@ def _t_split(n_max: int) -> Comparisons:
                    _coeff(t[n], 2 * k) + _coeff(t[n], 2 * k + 1))
             yield (f"n={n}, k={k} (peak side)", _coeff(p[n], k),
                    _coeff(t[n], 2 * k + 1) + _coeff(t[n], 2 * k + 2))
-
-
-def _t_even_odd(n_max: int) -> Comparisons:
-    s = triangles.family_polys("S", n_max)
-    p = triangles.family_polys("P", n_max)
-    t = triangles.family_polys("T", n_max)
-    x2 = X * X
-    for n in range(1, n_max + 1):
-        yield f"n={n}", (ONE + X) * t[n], X * s[n].subs(x=x2) + x2 * p[n].subs(x=x2)
-
-
-def _closed_forms(n_max: int) -> Comparisons:
-    p = triangles.family_polys("P", n_max + 1)
-    plus = triangles.family_polys("P+", n_max + 1)
-    minus = triangles.family_polys("P-", n_max + 1)
-    t = triangles.family_polys("T", n_max + 1)
-    sides = {"P-from-S": p, "T-from-S": t, "P+-from-S": plus, "P--from-S": minus}
-    forms = {form: triangles.closed_forms(form, n_max) for form in sides}
-    for n in range(n_max + 1):
-        for form, side in sides.items():
-            if forms[form][n] is not None:
-                yield f"{form}, n={n}", forms[form][n], side[n + 1]
 
 
 def _corner_alternating(n_max: int) -> Comparisons:
@@ -223,41 +257,7 @@ def _euler_convolution(n_max: int) -> Comparisons:
         yield f"n={n}", perms.euler_number(n + 1) * 2**n, rhs
 
 
-def _stirling_reconstruction(n_max: int) -> Comparisons:
-    s = triangles.family_polys("S", n_max)
-    for n in range(1, n_max + 1):
-        yield f"n={n}", triangles.s_from_stirling(n), s[n]
-
-
-def _sxq_at_q1(n_max: int) -> Comparisons:
-    s = triangles.family_polys("S", n_max)
-    sxq = triangles.family_polys("Sxq", n_max)
-    for n in range(n_max + 1):
-        yield f"n={n}", sxq[n].subs(q=1), s[n]
-
-
-def _sxq_at_minus1(n_max: int) -> Comparisons:
-    sxq = triangles.family_polys("Sxq", n_max)
-    closed = triangles.closed_forms("Sxq-at-minus1", n_max)
-    for n in range(1, n_max + 1):
-        yield f"n={n}", sxq[n].subs(q=-1), closed[n]
-
-
 # -- enumeration vs. recurrence -------------------------------------------------
-
-
-def _enum_peaks(n_max: int) -> Comparisons:
-    dist = bulk.simsun_word_distributions(n_max)
-    p = triangles.family_polys("P", n_max)
-    plus = triangles.family_polys("P+", n_max)
-    minus = triangles.family_polys("P-", n_max)
-    for n in range(n_max + 1):
-        yield f"n={n}", _marginal(dist[n], lambda k: (k[1], 0, 0)), p[n]
-        if n >= 2:
-            down = _marginal({k: c for k, c in dist[n].items() if k[3]}, lambda k: (k[1], 0, 0))
-            up = _marginal({k: c for k, c in dist[n].items() if not k[3]}, lambda k: (k[1], 0, 0))
-            yield f"n={n} (first-step-down)", down, plus[n]
-            yield f"n={n} (first-step-up)", up, minus[n]
 
 
 def _cardinalities(n_max: int) -> Comparisons:
@@ -294,21 +294,6 @@ def _descent_left_peak(n_max: int) -> Comparisons:
             yield f"n={n}: lpk vs pk + [first step down]", lpk, pk_first_down
 
 
-def _descent_excedance(n_max: int) -> Comparisons:
-    words = bulk.simsun_word_distributions(n_max)
-    cycles = bulk.simsun_cycle_distributions(n_max)
-    for n in range(n_max + 1):
-        des = _marginal(words[n], lambda k: (k[0], 0, 0))
-        yield f"n={n}", des, _marginal(cycles[n], lambda k: (k[0], 0, 0))
-
-
-def _cud_cycles(n_max: int) -> Comparisons:
-    cycles = bulk.simsun_cycle_distributions(n_max)
-    for n in range(n_max + 1):
-        lhs = _marginal(cycles[n], lambda k: (0, k[2], 0))
-        yield f"n={n}", lhs, classes.distribution("CUD", ("cyc",), n)
-
-
 # -- generating-function checks -------------------------------------------------
 
 
@@ -325,19 +310,6 @@ def _series_pde(order: int) -> Comparisons:
     rhs = s * Poly.var("q") + sx * (X * (ONE - 2 * X))
     for n in range(order + 1):
         yield f"z^{n}", lhs.coeffs[n], rhs.coeffs[n]
-
-
-def _series_springer(order: int) -> Comparisons:
-    f = series.build("springer", order)
-    for n in range(order + 1):
-        yield f"n={n}", f.egf_coeff(n), Poly.const(sum(1 for _ in perms.snakes(n)))
-
-
-def _series_cycle_count_egf(order: int) -> Comparisons:
-    f = series.build("one-minus-sin-negq", order)
-    dist = bulk.simsun_cycle_distributions(order)
-    for n in range(order + 1):
-        yield f"n={n}", f.egf_coeff(n), _marginal(dist[n], lambda k: (0, k[2], 0))
 
 
 # -- root location ---------------------------------------------------------------
@@ -385,14 +357,16 @@ REGISTRY: dict[str, Entry] = {
         "descent rows equal the binomial convolution of doubled left-peak rows",
     ),
     "w-doubling": Entry(
-        _w_doubling, 14,
+        _pair(_family("W", shift=1), _scaled(lambda n, k: 2 ** (n - k))), 14,
         "interior-peak counts over all permutations are 2^(n-k) times descent counts",
     ),
     "run-mobius": Entry(
         _run_mobius, 14, "alternating-run rows from both Mobius-type substitutions"
     ),
     "p-split-from-s": Entry(
-        _p_split_from_s, 14, "coefficients of the split peak polynomials from the descent triangle"
+        _rows(("first-step-down", 1, _family("P+", shift=1), _scaled(lambda n, k: n - 2 * k)),
+              ("first-step-up", 1, _family("P-", shift=1), _scaled(lambda n, k: 1 + k))), 14,
+        "coefficients of the split peak polynomials from the descent triangle",
     ),
     "p-recurrence-cleared": Entry(
         _p_recurrence_cleared, 14, "peak-row recurrence in cleared-denominator form"
@@ -404,10 +378,16 @@ REGISTRY: dict[str, Entry] = {
         _t_split, 14, "descent and peak counts as sums of adjacent up-down-run counts"
     ),
     "t-even-odd": Entry(
-        _t_even_odd, 14, "(1+x) times the up-down-run row splits into descent and peak parts"
+        _pair(_family("T", fn=lambda n, t: (ONE + X) * t), _family("S", "P", fn=_squared_parts),
+              first=1), 14,
+        "(1+x) times the up-down-run row splits into descent and peak parts",
     ),
     "closed-forms": Entry(
-        _closed_forms, 14, "every registered closed form matches its recurrence triangle"
+        _rows(("P-from-S", 0, _closed("P-from-S"), _family("P", shift=1)),
+              ("T-from-S", 0, _closed("T-from-S"), _family("T", shift=1)),
+              ("P+-from-S", 1, _closed("P+-from-S"), _family("P+", shift=1)),
+              ("P--from-S", 1, _closed("P--from-S"), _family("P-", shift=1))), 14,
+        "every registered closed form matches its recurrence triangle",
     ),
     "corner-alternating": Entry(
         _corner_alternating, 12, "top up-down-run counts equal alternating-permutation counts"
@@ -420,43 +400,49 @@ REGISTRY: dict[str, Entry] = {
     ),
     "trivariate-binomial": Entry(
         # key (exc, fix, cyc) -> monomial x^exc q^cyc y^fix
-        _sweep("simsun_cycle_distributions", "Sxyq", lambda k: (k[0], k[2], k[1])), 9,
+        _pair(_swept(_CYCLES, lambda k: (k[0], k[2], k[1])), _family("Sxyq")), 9,
         "binomial-sum trivariate rows match the (exc, fix, cyc) enumeration",
     ),
     "stirling-reconstruction": Entry(
-        _stirling_reconstruction, 15, "descent rows rebuilt from the Stirling-number expansion"
+        _pair(_each(lambda n: triangles.s_from_stirling(n)), _family("S"), first=1), 15,
+        "descent rows rebuilt from the Stirling-number expansion",
     ),
     "sxq-at-q1": Entry(
-        _sxq_at_q1, 12, "bivariate rows specialize to descent rows at q=1"
+        _pair(_family("Sxq", fn=lambda n, r: r.subs(q=1)), _family("S")), 12,
+        "bivariate rows specialize to descent rows at q=1",
     ),
     "sxq-at-minus1": Entry(
-        _sxq_at_minus1, 20, "bivariate rows at q=-1 match the product closed form"
+        _pair(_family("Sxq", fn=lambda n, r: r.subs(q=-1)), _closed("Sxq-at-minus1"), first=1),
+        20, "bivariate rows at q=-1 match the product closed form",
     ),
     "enum-descents": Entry(
-        _sweep("simsun_word_distributions", "S", lambda k: (k[0], 0, 0)), 12,
+        _pair(_swept(_WORDS, _x(0)), _family("S")), 12,
         "descent triangle vs. direct scans of generated first-kind members",
     ),
     "enum-upruns": Entry(
-        _sweep("simsun_word_distributions", "T", lambda k: (k[2], 0, 0)), 12,
+        _pair(_swept(_WORDS, _x(2)), _family("T")), 12,
         "up-down-run triangle vs. direct scans of generated first-kind members",
     ),
     "enum-peaks": Entry(
-        _enum_peaks, 12, "peak triangles (joint and split) vs. direct scans"
+        _rows((None, 0, _swept(_WORDS, _x(1)), _family("P")),
+              ("first-step-down", 2, _swept(_WORDS, _x(1), lambda k: k[3]), _family("P+")),
+              ("first-step-up", 2, _swept(_WORDS, _x(1), lambda k: not k[3]), _family("P-"))),
+        12, "peak triangles (joint and split) vs. direct scans",
     ),
     "enum-exc-cyc": Entry(
-        _sweep("simsun_cycle_distributions", "Sxq", lambda k: (k[0], k[2], 0)), 11,
+        _pair(_swept(_CYCLES, lambda k: (k[0], k[2], 0)), _family("Sxq")), 11,
         "bivariate triangle vs. (exc, cyc) scans of second-kind members",
     ),
     "enum-interior-peaks": Entry(
-        _sweep("all_perm_word_distributions", "W", lambda k: (k[1], 0, 0)), 10,
+        _pair(_swept(_ALL, _x(1)), _family("W")), 10,
         "interior-peak triangle vs. scans over all permutations",
     ),
     "enum-left-peaks": Entry(
-        _sweep("all_perm_word_distributions", "What", lambda k: (k[0], 0, 0)), 10,
+        _pair(_swept(_ALL, _x(0)), _family("What")), 10,
         "left-peak triangle vs. scans over all permutations",
     ),
     "enum-runs": Entry(
-        _sweep("all_perm_word_distributions", "R", lambda k: (k[2], 0, 0)), 10,
+        _pair(_swept(_ALL, _x(2)), _family("R")), 10,
         "alternating-run triangle vs. scans over all permutations",
     ),
     "cardinalities": Entry(
@@ -470,7 +456,7 @@ REGISTRY: dict[str, Entry] = {
         _descent_left_peak, 10, "des = lpk on the first kind; lpk = pk + [first step down]"
     ),
     "descent-excedance": Entry(
-        _descent_excedance, 10,
+        _pair(_swept(_WORDS, _x(0)), _swept(_CYCLES, _x(0))), 10,
         "descents over the first kind equidistribute with excedances over the second",
     ),
     "phi-partition": Entry(
@@ -481,14 +467,15 @@ REGISTRY: dict[str, Entry] = {
         _bijection("verify_psi"), 9, "descent-to-excedance bijection onto the second kind"
     ),
     "cud-cycles": Entry(
-        _cud_cycles, 9,
+        _pair(_swept(_CYCLES, _q(2)), _each(lambda n: classes.distribution(n))), 9,
         "cycle counts over the second kind equidistribute with cycle-up-down permutations",
     ),
     "series-descent-egf": Entry(
-        _egf("Sxz", "S"), 12, "closed-form descent EGF matches the triangle"
+        _pair(_egf("Sxz"), _family("S")), 12, "closed-form descent EGF matches the triangle"
     ),
     "series-left-peak-egf": Entry(
-        _egf("What", "What"), 12, "closed-form left-peak EGF matches the triangle"
+        _pair(_egf("What"), _family("What")), 12,
+        "closed-form left-peak EGF matches the triangle",
     ),
     "series-square": Entry(
         _series_square, 12, "descent EGF equals the squared rescaled left-peak EGF"
@@ -497,17 +484,20 @@ REGISTRY: dict[str, Entry] = {
         _series_pde, 10, "bivariate EGF satisfies its first-order PDE termwise"
     ),
     "series-exc-cyc-egf": Entry(
-        _egf("Sxqz", "Sxq"), 10, "q-th power of the descent EGF matches the bivariate triangle"
+        _pair(_egf("Sxqz"), _family("Sxq")), 10,
+        "q-th power of the descent EGF matches the bivariate triangle",
     ),
     "series-springer": Entry(
-        _series_springer, 8, "1/(cos z - sin z) coefficients count snakes"
+        _pair(_egf("springer"), _each(lambda n: Poly.const(sum(1 for _ in perms.snakes(n))))),
+        8, "1/(cos z - sin z) coefficients count snakes",
     ),
     "series-cycle-count-egf": Entry(
-        _series_cycle_count_egf, 9,
+        _pair(_egf("one-minus-sin-negq"), _swept(_CYCLES, _q(2))), 9,
         "(1 - sin z)^(-q) coefficients match cycle counts over the second kind",
     ),
     "series-trivariate": Entry(
-        _egf("trivariate", "Sxyq"), 9, "trivariate EGF matches the binomial-sum rows"
+        _pair(_egf("trivariate"), _family("Sxyq")), 9,
+        "trivariate EGF matches the binomial-sum rows",
     ),
     "roots-nonpositive": Entry(
         _roots_nonpositive, 25, "descent and peak polynomials have simple nonpositive real roots"

@@ -47,9 +47,9 @@ def test_non_members_rejected():
 def test_insertion_history_replay():
     for n in range(1, 7):
         for w in classes.gen_simsun_first(n):
-            history = bijections.insertion_history(w)
+            history = bijections._history(w, classes.FIRST)
             assert len(history) == n - 1
-            assert bijections.replay_history(history) == w
+            assert bijections._replay(history, classes.FIRST, {}) == [w]
     # every tree: replaying the history reaches the object, and only objects
     # with the same history; just the peak tree branches, at END and p_r
     trees = (

@@ -1,9 +1,8 @@
-"""Recognizers, insertion generators, labelings and distributions."""
+"""Recognizers, insertion generators and labelings."""
 
 import pytest
 
 from simsun import classes, perms
-from simsun.poly import Poly, Q, X
 
 EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385]
 
@@ -22,6 +21,18 @@ def test_second_kind_recognizer():
     assert classes.is_simsun_second(perms.from_cycles(((1, 3, 2),)))
     assert not classes.is_simsun_second(perms.from_cycles(((1, 2, 3),)))
     assert classes.is_simsun_second(())
+
+    def restricted(cycles, k):
+        # the cycle form with the letters above k deleted, as a word
+        kept = tuple(c for c in (tuple(v for v in cyc if v <= k) for cyc in cycles) if c)
+        return perms.from_cycles(kept)
+
+    for n in range(8):
+        for w in perms.permutations(n):
+            cycles = perms.to_cycles(w)
+            expected = all(not perms.cycle_stats(restricted(cycles, k)).has_double_exc
+                           for k in range(n + 1))
+            assert classes.is_simsun_second(w) == expected, w
 
 
 def test_generator_counts():
@@ -101,36 +112,3 @@ def test_format_uses_commas_for_wide_words():
     word = (1, 2, 3, 4, 5, 6, 7, 8, 10, 9)
     rendered = classes.format_labeled_word(word)
     assert "10" in rendered and "8,10" in rendered
-
-
-def test_distributions():
-    assert classes.distribution("RS", ("des",), 4) == Poly.from_x_coeffs([1, 11, 4])
-    assert classes.distribution("RS", ("uprun",), 4) == Poly.from_x_coeffs(
-        [0, 1, 3, 8, 4]
-    )
-    assert classes.distribution("RS-", ("pk",), 5) == Poly.from_x_coeffs([1, 22, 12])
-    assert classes.distribution("RS+", ("pk",), 5) == Poly.from_x_coeffs([4, 22])
-    assert classes.distribution("SS", ("exc", "cyc"), 3) == (
-        Q**3 + 3 * X * Q**2 + X * Q
-    )
-    assert classes.distribution("RS", (), 4) == Poly.const(16)
-    assert classes.distribution("SNAKE", (), 3) == Poly.const(11)
-    assert classes.distribution("ALT", (), 5) == Poly.const(16)
-
-
-def test_distribution_errors():
-    with pytest.raises(ValueError):
-        classes.distribution("RS", ("nope",), 3)
-    with pytest.raises(ValueError):
-        classes.distribution("SNAKE", ("des",), 3)
-    with pytest.raises(ValueError):
-        classes.distribution("RS", ("des", "pk"), 3)  # both map to x
-    with pytest.raises(ValueError):
-        list(classes.class_members("nope", 3))
-
-
-def test_cud_equidistribution_small():
-    for n in range(7):
-        assert classes.distribution("CUD", ("cyc",), n) == classes.distribution(
-            "SS", ("cyc",), n
-        )

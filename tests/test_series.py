@@ -19,7 +19,7 @@ small_series = st.lists(rational, min_size=0, max_size=ORDER + 1).map(
 
 
 def test_constructors_and_equality():
-    assert Series.zero(4) == Series([], 4)
+    assert Series([], 4) == Series([0, 0], 4)
     assert Series.one(4).coeffs[0] == ONE
     assert Series.z(4).coeffs[1] == ONE
     with pytest.raises(ValueError):
@@ -39,14 +39,14 @@ def test_arithmetic():
 def test_exp_log_roundtrip():
     f = 1 + Series.z(6) + Series.z(6).pow_int(3) * Fraction(1, 2)
     assert f.log().exp() == f
-    assert Series.zero(6).exp() == Series.one(6)
-    assert Series.one(6).log() == Series.zero(6)
+    assert Series([], 6).exp() == Series.one(6)
+    assert Series.one(6).log() == Series([], 6)
     with pytest.raises(ValueError):
         Series.one(6).exp()
     with pytest.raises(ValueError):
-        Series.zero(6).log()
+        Series([], 6).log()
     with pytest.raises(ValueError):
-        Series.zero(6).inverse()
+        Series([], 6).inverse()
 
 
 def test_calculus_and_scaling():

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from simsun import bulk, triangles, verify
+from simsun import bulk, series, triangles, verify
 
 
 def test_unknown_identity():
@@ -85,3 +85,55 @@ def test_zero_cases_is_not_a_pass():
     assert not report.ok
     assert report.detail == "no cases checked"
     assert verify.run("p-low-coeffs", 0).detail == "no cases checked"
+
+
+def _bump_closed_form(original):
+    def bumped(form, n_max):
+        rows = original(form, n_max)
+        return rows[:3] + [rows[3] + 1] + rows[4:] if form == "P-from-S" else rows
+
+    return bumped
+
+
+def _bump_series(original):
+    def bumped(name, order):
+        f = original(name, order)
+        coeffs = list(f.coeffs)
+        coeffs[4] = coeffs[4] + 1
+        return series.Series(coeffs, f.order)
+
+    return bumped
+
+
+def _bump_stirling(original):
+    return lambda n: original(n) + (1 if n == 4 else 0)
+
+
+def _flip_first_step(original):
+    def flipped(n_max):
+        # moves one first-step-down count to first-step-up: the joint peak
+        # marginal is unchanged, only the split rows see it
+        dist = {n: Counter(level) for n, level in original(n_max).items()}
+        key = next(k for k in dist[n_max] if k[3])
+        dist[n_max][key[:3] + (0,) + key[4:]] += dist[n_max].pop(key)
+        return dist
+
+    return flipped
+
+
+@pytest.mark.parametrize(
+    "module, provider, fault, identity, detail",
+    [
+        (triangles, "closed_forms", _bump_closed_form, "closed-forms", "n=3 (P-from-S)"),
+        (series, "build", _bump_series, "series-descent-egf", "n=4"),
+        (triangles, "s_from_stirling", _bump_stirling, "stirling-reconstruction", "n=4"),
+        (bulk, "simsun_word_distributions", _flip_first_step, "enum-peaks",
+         "n=5 (first-step-down)"),
+    ],
+    ids=["closed", "egf", "each", "swept-keep"],
+)
+def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identity, detail):
+    monkeypatch.setattr(module, provider, fault(getattr(module, provider)))
+    report = verify.run(identity, 5)
+    assert not report.ok
+    assert report.detail == detail
