@@ -19,8 +19,10 @@ __version__ = "0.1.0"
 
 class TooLarge(Exception):
     """A bound the machine cannot afford, refused before any work is done:
-    a sweep level over ``bulk.ROW_BUDGET`` rows or a φ block over
-    ``bijections.PHI_BLOCK_LIMIT`` images."""
+    a sweep level, an alternating-permutation or snake array, or a stream of
+    all n! permutations over ``bulk.ROW_BUDGET`` rows; a φ block over
+    ``bijections.PHI_BLOCK_LIMIT`` images; or a ψ input over
+    ``bijections.PSI_LENGTH_LIMIT`` letters."""
 
 
 __all__ = [

@@ -41,6 +41,10 @@ class VerifyReport:
 #: most images in one φ block: 2^18, under the 353,792 rows of RS_10
 PHI_BLOCK_LIMIT = 2**18
 
+#: longest input of ψ and its inverse, whose history and replay list the
+#: places of every intermediate object and so take time quadratic in length
+PSI_LENGTH_LIMIT = 4000
+
 
 #: renamings of φ and ψ from the first-kind tree to PEAK and to SECOND
 PHI = {"x": "p", "y": "q"}
@@ -98,16 +102,25 @@ def phi_inverse(word: Word) -> Word:
     return source
 
 
+def _check_psi_length(n: int) -> None:
+    if n > PSI_LENGTH_LIMIT:
+        raise TooLarge(f"psi input of {n:,} letters (limit {PSI_LENGTH_LIMIT:,})")
+
+
 def psi_forward(word: Word) -> Cycles:
-    """Second-kind simsun image with des(word) excedances."""
+    """Second-kind simsun image with des(word) excedances, for at most
+    PSI_LENGTH_LIMIT letters."""
+    _check_psi_length(len(word))
     _check_first(word)
     (image,) = _replay(_history(word, FIRST), SECOND, PSI)
     return image
 
 
 def psi_inverse(cycles: Cycles) -> Word:
-    """Inverse of the descent-to-excedance bijection, for any cycle form."""
+    """Inverse of the descent-to-excedance bijection, for any cycle form of
+    at most PSI_LENGTH_LIMIT letters."""
     word = perms.from_cycles(cycles)
+    _check_psi_length(len(word))
     if not word:
         raise ValueError("defined for n >= 1")
     if not classes.is_simsun_second(word):

@@ -13,6 +13,10 @@ Each sweep caches its largest result: a smaller bound gets a prefix of it,
 a larger bound recomputes.  A bound whose top level would hold more than
 ``ROW_BUDGET`` rows (E_{n+1} or n!) raises ``TooLarge`` before any
 level is built.
+
+``ROW_BUDGET``, ``check_budget``, ``_CHUNK`` and ``orbit_minima`` also serve
+the array oracles of ``perms`` and ``classes``, which read them here at call
+time.
 """
 
 from __future__ import annotations
@@ -51,10 +55,14 @@ def all_perm_word_distributions(n_max: int) -> dict[int, Counter]:
     return _sweep("all", n_max, math.factorial, _insert_all, _all_word_stats, (0, 0, 0))
 
 
+def check_budget(rows: int, what: str) -> None:
+    """Refuse, before any allocation, an array of more than ROW_BUDGET rows."""
+    if rows > ROW_BUDGET:
+        raise TooLarge(f"{what} needs {rows:,} rows (budget {ROW_BUDGET:,})")
+
+
 def _sweep(name, n_max, rows, insert, scan, empty_key) -> dict[int, Counter]:
-    if rows(n_max) > ROW_BUDGET:
-        raise TooLarge(
-            f"sweep level {n_max} needs {rows(n_max):,} rows (budget {ROW_BUDGET:,})")
+    check_budget(rows(n_max), f"sweep level {n_max}")
     cached = _cache.get(name)
     if cached is None or max(cached) < n_max:
         cached = {0: Counter({empty_key: 1})}
@@ -89,6 +97,17 @@ def _zigzag_rows(m: int) -> int:
     for _ in range(m + 1):
         row = list(itertools.accumulate(reversed(row), initial=0))
     return row[-1]
+
+
+def _snake_rows(n: int) -> int:
+    """S_n, the number of type-B snakes of [n], as the middle entry of row n
+    of Arnold's triangle: each row is the running sum of the previous row
+    reversed, with its middle entry taken twice."""
+    row = [1]
+    for m in range(1, n + 1):
+        back = row[::-1]
+        row = list(itertools.accumulate(back[:m] + back[m - 1:], initial=0))
+    return row[n]
 
 
 def _insert_simsun(level: np.ndarray) -> np.ndarray:
@@ -144,13 +163,25 @@ def _word_stats(a: np.ndarray) -> list[np.ndarray]:
     return [(~asc).sum(axis=1), pk, uprun, first_down, alt]
 
 
+def orbit_minima(a: np.ndarray) -> np.ndarray:
+    """Least letter of the cycle through each position of each map (one-line
+    rows), by iterated min over the forward steps a(i), a(a(i)), ..."""
+    rows, m = a.shape
+    flat = a.ravel()
+    # letter v of row r sits at flat index r * m + v - 1
+    offsets = np.arange(rows, dtype=np.intp)[:, None] * m - 1
+    index = np.empty(a.shape, dtype=np.intp)
+    low, cur = a.copy(), a.copy()
+    for _ in range(m - 1):
+        np.add(cur, offsets, out=index)
+        flat.take(index, out=cur)
+        np.minimum(low, cur, out=low)
+    return low
+
+
 def _cycle_stats(a: np.ndarray) -> list[np.ndarray]:
     values = np.arange(1, a.shape[1] + 1, dtype=np.int8)
-    # orbit minimum by iterated min over forward steps a(i), a(a(i)), ...
-    low = cur = a
-    for _ in range(a.shape[1] - 1):
-        cur = np.take_along_axis(a, cur.astype(np.intp) - 1, axis=1)
-        low = np.minimum(low, cur)
+    low = orbit_minima(a)
     return [(a > values).sum(axis=1), (a == values).sum(axis=1), (low == values).sum(axis=1)]
 
 

@@ -2,6 +2,9 @@
 trees with their generators and labelings; and, as an independent oracle,
 the cycle counts of the cycle-up-down permutations.
 
+The recognizers are row-mask kernels over arrays of whole words (one word
+per row); the scalar forms are one-row calls of the same kernels.
+
 Three trees share one shape: first-kind words (descent and free gaps),
 all permutations (interior-peak and free gaps) and second-kind cycle forms
 (excedance and plain letters).  Labels are always recomputed from the
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
+import numpy as np
+
 from . import perms
 from .perms import Cycles, Word
 from .poly import Poly
@@ -20,36 +25,55 @@ from .poly import Poly
 # -- recognizers -------------------------------------------------------------
 
 
+def simsun_first_mask(a: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` (words of [m]) with no double descent in any
+    restriction to [k]: the letter k is removed from every row at once,
+    from k = m down."""
+    rows, m = a.shape
+    ok = np.ones(rows, dtype=bool)
+    for k in range(m, 2, -1):
+        down = a[:, :-1] > a[:, 1:]
+        ok &= ~(down[:, :-1] & down[:, 1:]).any(axis=1)
+        a = a[a != k].reshape(rows, k - 1)
+    return ok
+
+
+def simsun_second_mask(a: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` (maps of [m], one-line) with no double excedance after
+    removing the k largest letters, all k >= 0.
+
+    k = 0 is included: the permutation itself must be free of double
+    excedances, otherwise exc = cpk can fail.  Removing the letter ``cut``
+    bypasses it: its predecessor now maps to its successor.  With at most
+    two letters left no double excedance fits.
+    """
+    rows, m = a.shape
+    values = np.arange(1, m + 1, dtype=a.dtype)
+    succ = a.copy()
+    pred = perms.inverse_rows(a)
+    ok = np.ones(rows, dtype=bool)
+    every = np.arange(rows)
+    for cut in range(m, 2, -1):
+        x = values[:cut]
+        ok &= ~((pred[:, :cut] < x) & (x < succ[:, :cut])).any(axis=1)
+        before, after = pred[:, cut - 1].copy(), succ[:, cut - 1].copy()
+        succ[every, before - 1] = after
+        pred[every, after - 1] = before
+    return ok
+
+
+def _one_row(mask: Callable[[np.ndarray], np.ndarray], word: Word) -> bool:
+    return bool(mask(perms.word_array([word], len(word)))[0])
+
+
 def is_simsun_first(word: Word) -> bool:
     """No double descent in any restriction to [k]."""
-    w = list(word)
-    for k in range(len(word), 2, -1):
-        for i in range(len(w) - 2):
-            if w[i] > w[i + 1] > w[i + 2]:
-                return False
-        w.remove(k)
-    return True
+    return _one_row(simsun_first_mask, word)
 
 
 def is_simsun_second(word: Word) -> bool:
-    """No double excedance after removing the k largest letters, all k >= 0.
-
-    k = 0 is included: the permutation itself must be free of double
-    excedances, otherwise exc = cpk can fail.
-    """
-    mapping = list(word)
-    inv = [0] * (len(word) + 1)
-    for i, v in enumerate(mapping, start=1):
-        inv[v] = i
-    for cut in range(len(word), 0, -1):
-        for x in range(1, cut + 1):
-            if inv[x] < x < mapping[x - 1]:
-                return False
-        # bypass the letter `cut` for the next round
-        pred, succ = inv[cut], mapping[cut - 1]
-        mapping[pred - 1], inv[succ] = succ, pred
-        mapping.pop()
-    return True
+    """No double excedance after removing the k largest letters, all k >= 0."""
+    return _one_row(simsun_second_mask, word)
 
 
 # -- labelled insertion trees ------------------------------------------------
@@ -246,10 +270,9 @@ def format_labeled_cycles(cycles: Cycles) -> str:
 
 def distribution(n: int) -> Poly:
     """Sum of q^cyc(w) over the cycle-up-down permutations w of [n], by a
-    filter over all n! permutations: no insertion tree is involved."""
-    counts: dict[tuple[int, int, int], int] = {}
-    for w in perms.permutations(n):
-        if perms.is_cycle_up_down(w):
-            key = (0, perms.cycle_stats(w).cyc, 0)
-            counts[key] = counts.get(key, 0) + 1
-    return Poly(counts)
+    filter over chunks of all n! permutations: no insertion tree is involved."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for chunk in perms.permutation_chunks(n):
+        keep, cyc = perms.cycle_up_down(chunk)
+        counts += np.bincount(cyc[keep], minlength=n + 1)
+    return Poly({(0, c, 0): k for c, k in enumerate(counts.tolist()) if k})

@@ -3,8 +3,10 @@
 Subcommands: triangle, enumerate, verify, bijection, roots, series.
 Everything is deterministic; output formats are text, csv and json, except
 that ``bijection`` prints text or json only.  Exit codes: 0 success, 1
-identity violation, 2 usage error or ``TooLarge`` (a sweep level over the
-row budget of ``bulk``, or a phi block over ``bijections.PHI_BLOCK_LIMIT``).
+identity violation, 2 usage error or ``TooLarge`` (a sweep level, zigzag
+array or permutation stream over the row budget of ``bulk``, a phi block
+over ``bijections.PHI_BLOCK_LIMIT`` or a psi input over
+``bijections.PSI_LENGTH_LIMIT``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ ENUM_CLASSES = {
     "simsun2": (classes.gen_simsun_second, 10),
     "snakes": (perms.snakes, 8),
     "alternating": (perms.alternating_permutations, 10),
-    "cud": (lambda n: (w for w in perms.permutations(n) if perms.is_cycle_up_down(w)), 9),
+    "cud": (lambda n: (w for chunk in perms.permutation_chunks(n)
+                       for w in map(tuple, chunk[perms.cycle_up_down(chunk)[0]].tolist())), 9),
 }
 
 ROOT_SUITES = tuple(i for i in verify.REGISTRY if i.startswith("roots-"))

@@ -7,14 +7,21 @@ ordered by increasing smallest entry.  Signed permutations are windows
 ``(p(1), ..., p(n))`` whose absolute values form [n]; the full map on
 +-[n] is determined by p(-i) = -p(i).
 
-All functions are pure and all values immutable.
+All functions are pure, and words and cycle forms are immutable tuples.
+The class oracles (alternating permutations, snakes, the cycle-up-down
+filter) are numpy kernels over arrays whose rows are whole words, built or
+streamed in chunks of ``bulk._CHUNK`` rows under ``bulk.ROW_BUDGET``.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-from typing import Callable, Iterator, NamedTuple, Sequence
+import math
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
+
+from . import bulk
 
 Word = tuple[int, ...]
 Cycles = tuple[tuple[int, ...], ...]
@@ -203,71 +210,149 @@ def is_up_down_cycle(cycle: tuple[int, ...]) -> bool:
     return True
 
 
-def is_cycle_up_down(word: Word) -> bool:
-    """Every cycle, read from its minimum, has the pattern of
-    ``is_up_down_cycle``; stops at the first violation."""
-    seen = [False] * (len(word) + 1)
-    for start in range(1, len(word) + 1):
-        if seen[start]:
-            continue
-        # start is the minimum of its cycle: smaller letters are all seen
-        up, a, b = True, start, word[start - 1]
-        while b != start:
-            if (a < b) != up:
-                return False
-            seen[b] = True
-            up, a, b = not up, b, word[b - 1]
-    return True
+def cycle_up_down(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row mask of the cycle-up-down maps of ``a`` (one-line rows) and the
+    column of their cycle counts.
 
-
-def _zigzags(n: int, candidates: Callable[[Word], Word]) -> Iterator[Word]:
-    """Words p(1) > p(2) < p(3) > ... of length n, depth first in lex order.
-
-    ``candidates(free)`` lists in increasing order the letters that the
-    unused absolute values ``free`` (a sorted tuple) offer; a letter may
-    open the word when it is positive.
+    Read from its minimum, a cycle b(1) < b(2) > b(3) < ... alternates: the
+    first step is up, so every letter that is neither its cycle's minimum
+    nor followed by it must be a peak or a valley between its neighbours.
     """
-    stack: list[tuple[Word, tuple[int, ...]]] = [((), tuple(range(1, n + 1)))]
-    while stack:
-        prefix, free = stack.pop()
-        i = len(prefix)
-        if i == n:
-            yield prefix
-            continue
-        letters = candidates(free)
-        lo, hi = 0, len(letters)
-        if not i:
-            lo = bisect.bisect_right(letters, 0)
-        elif i % 2:  # p(i) > p(i+1)
-            hi = bisect.bisect_left(letters, prefix[-1])
-        else:
-            lo = bisect.bisect_right(letters, prefix[-1])
-        if i + 1 == n:
-            for v in letters[lo:hi]:
-                yield prefix + (v,)
-            continue
-        # the least letter leaves nothing below it for the next step down,
-        # the greatest nothing above it for the next step up
+    values = np.arange(1, a.shape[1] + 1, dtype=a.dtype)
+    is_min = bulk.orbit_minima(a) == values
+    turns = (inverse_rows(a) < values) != (values < a)
+    ok = is_min | turns
+    every = np.arange(len(a))
+    for j in range(a.shape[1]):
+        ok[:, j] |= is_min[every, a[:, j] - 1]  # followed by its cycle's minimum
+    return ok.all(axis=1), is_min.sum(axis=1)
+
+
+def inverse_rows(a: np.ndarray) -> np.ndarray:
+    """Inverse of each map of ``a`` (one-line rows), one column at a time
+    so that no index array is wider than a column."""
+    inv = np.empty_like(a)
+    every = np.arange(len(a))
+    for j in range(a.shape[1]):
+        inv[every, a[:, j] - 1] = j + 1
+    return inv
+
+
+def _letter_dtype(n: int) -> type:
+    """Narrowest integer type holding the letters -n..n of an array oracle."""
+    return np.int8 if n < 128 else np.int32
+
+
+def word_array(words: Iterable[Sequence[int]], n: int) -> np.ndarray:
+    """Words of length n as the rows of one array, their letters streamed
+    by ``np.fromiter``."""
+    if not n:
+        return np.zeros((sum(1 for _ in words), 0), dtype=np.int8)
+    letters = itertools.chain.from_iterable(words)
+    return np.fromiter(letters, dtype=_letter_dtype(n)).reshape(-1, n)
+
+
+def word_chunks(words: Iterable[Sequence[int]], n: int) -> Iterator[np.ndarray]:
+    """Words of length n, in order, as arrays of at most ``bulk._CHUNK`` rows."""
+    stream = iter(words)
+    while len(chunk := word_array(itertools.islice(stream, bulk._CHUNK), n)):
+        yield chunk
+
+
+def permutation_chunks(n: int) -> Iterator[np.ndarray]:
+    """All permutations of [n] in lexicographic order, as arrays of at most
+    ``bulk._CHUNK`` rows; n! over ``bulk.ROW_BUDGET`` is refused up front."""
+    bulk.check_budget(math.factorial(n), f"the permutations of [{n}]")
+    return word_chunks(itertools.permutations(range(1, n + 1)), n)
+
+
+def zigzag_chunks(n: int, signed: bool) -> Iterator[np.ndarray]:
+    """Words p(1) > p(2) < p(3) > ... of length n in lexicographic order, as
+    arrays of at most ``bulk._CHUNK`` rows: the alternating permutations of
+    [n], or with ``signed`` the type-B snakes, whose letters take either sign
+    and whose first letter is positive.
+
+    A top level of more than ``bulk.ROW_BUDGET`` rows (E_n or S_n, from the
+    boustrophedon triangles in ``bulk``) is refused before anything is built.
+    """
+    rows = bulk._snake_rows(n) if signed else bulk._zigzag_rows(n - 1)
+    bulk.check_budget(rows, f"the {'snakes' if signed else 'alternating permutations'} of [{n}]")
+    dtype = _letter_dtype(n)
+    letters = np.arange(1, n + 1, dtype=dtype)
+    if signed:
+        letters = np.concatenate([-letters[::-1], letters])
+    # bit v of a prefix's mask is set when v or -v is used; 32 bits hold
+    # n <= 30, far beyond any row budget (E_30 and S_30 exceed 10^29)
+    bits = np.left_shift(1, np.abs(letters), dtype=np.int32)
+    root = np.zeros((1, 0), dtype=dtype), np.zeros(1, dtype=np.int32)
+    return _grow_zigzags(*root, letters, bits, n)
+
+
+def _grow_zigzags(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,
+                  bits: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Expand the prefixes level by level, depth first over blocks, so the
+    words of length n come out in lexicographic order.  A block has at most
+    ``bulk._CHUNK`` candidate cells, so no level holds more than that many
+    rows at once."""
+    if prefixes.shape[1] == n:
+        yield prefixes
+        return
+    children, used = _extend_zigzags(prefixes, used, letters, bits, n)
+    step = max(1, bulk._CHUNK // len(letters))
+    for start in range(0, len(children), step):
+        stop = start + step
+        yield from _grow_zigzags(children[start:stop], used[start:stop], letters, bits, n)
+
+
+def _extend_zigzags(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,
+                    bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every allowed next letter after every prefix, from a rows × letters
+    mask read in row-major order: the letters ascend, so the children of a
+    prefix follow in lexicographic order."""
+    rows, i = prefixes.shape
+    offered = (used[:, None] & bits) == 0
+    if not i:
+        allowed = offered & (letters > 0)
+    elif i % 2:  # p(i) > p(i+1)
+        allowed = offered & (letters < prefixes[:, -1:])
+    else:
+        allowed = offered & (letters > prefixes[:, -1:])
+    if i + 1 < n:
+        # the least offered letter leaves nothing below it for the next step
+        # down, the greatest nothing above it for the next step up
         if i % 2:
-            hi = min(hi, len(letters) - 1)
+            end = len(letters) - 1 - offered[:, ::-1].argmax(axis=1)
         else:
-            lo = max(lo, 1)
-        for v in reversed(letters[lo:hi]):
-            j = free.index(abs(v))
-            stack.append((prefix + (v,), free[:j] + free[j + 1:]))
+            end = offered.argmax(axis=1)
+        allowed[np.arange(rows), end] = False
+    per_prefix = allowed.sum(axis=1)
+    letter = np.flatnonzero(allowed) % len(letters)
+    children = np.empty((len(letter), i + 1), dtype=prefixes.dtype)
+    children[:, :i] = np.repeat(prefixes, per_prefix, axis=0)
+    children[:, i] = letters[letter]
+    return children, np.repeat(used, per_prefix) | bits[letter]
+
+
+def _words(chunks: Iterable[np.ndarray]) -> Iterator[Word]:
+    for chunk in chunks:
+        yield from map(tuple, chunk.tolist())
 
 
 def snakes(n: int) -> Iterator[Word]:
-    """Type-B snakes of [n] in lexicographic window order (pruned search):
-    each next letter is an unused value with either sign."""
-    return _zigzags(n, lambda free: tuple(-v for v in reversed(free)) + free)
+    """Type-B snakes of [n] in lexicographic window order."""
+    return _words(zigzag_chunks(n, signed=True))
 
 
 def alternating_permutations(n: int) -> Iterator[Word]:
-    """Alternating (down-up) permutations of [n], pruned search, lex order."""
-    return _zigzags(n, lambda free: free)
+    """Alternating (down-up) permutations of [n] in lexicographic order."""
+    return _words(zigzag_chunks(n, signed=False))
 
 
 def euler_number(n: int) -> int:
-    """E_n, computed by enumerating alternating permutations of [n]."""
-    return sum(1 for _ in alternating_permutations(n))
+    """E_n, the number of rows of the alternating permutations of [n]."""
+    return sum(map(len, zigzag_chunks(n, signed=False)))
+
+
+def springer_number(n: int) -> int:
+    """S_n, the number of rows of the type-B snakes of [n]."""
+    return sum(map(len, zigzag_chunks(n, signed=True)))

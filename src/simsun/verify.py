@@ -14,11 +14,12 @@ their checkers are tables built by ``_rows``: each table row is a pair
 ``(label, first n, left side, right side)``, and row n of both sides is
 compared for every n from the first n to the bound, n outer and pairs inner,
 labelled ``n={n}`` or ``n={n} ({label})``.  A side is given the bound,
-computes its rows once and returns a function from n to row n, evaluated
-only when compared: rows of triangle families (``_family``), a marginal of a
-``bulk`` sweep (``_swept``), EGF coefficients (``_egf``), a closed form
-(``_closed``) or a per-n oracle (``_each``).  The remaining checkers compare
-single coefficients, whole objects or rows at several indices.
+computes its rows once and returns a function from n to row n: rows of
+triangle families (``_family``), a marginal of a ``bulk`` sweep
+(``_swept``), EGF coefficients (``_egf``), a closed form (``_closed``), a
+per-n oracle evaluated when compared (``_each``) or a per-n listing oracle
+run at every n, largest first (``_listed``).  The remaining checkers
+compare single coefficients, whole objects or rows at several indices.
 
 Checkers and sides look up their providers (``triangles.family_polys``, the
 ``bulk`` sweeps, ``series.build``, ...) on the module each time they run, so
@@ -121,6 +122,18 @@ def _closed(form: str) -> Side:
 
 def _each(fn: Callable[[int], object]) -> Side:
     return lambda n_max: fn
+
+
+def _listed(fn: Callable[[int], object]) -> Side:
+    """Per-n oracle that lists objects under ``bulk.ROW_BUDGET``, run at
+    every n, largest first: a bound over the budget is refused before any
+    smaller n is listed."""
+
+    def side(n_max: int):
+        rows = [fn(n) for n in range(n_max, -1, -1)]
+        return lambda n: rows[n_max - n]
+
+    return side
 
 
 def _x(i: int):
@@ -252,9 +265,10 @@ def _orbit_descents(n_max: int) -> Comparisons:
 
 def _euler_convolution(n_max: int) -> Comparisons:
     springer = [w.eval(x=2) for w in triangles.family_polys("What", n_max)]
+    euler = _listed(lambda n: perms.euler_number(n + 1))(n_max)
     for n in range(n_max + 1):
         rhs = sum(comb(n, k) * springer[k] * springer[n - k] for k in range(n + 1))
-        yield f"n={n}", perms.euler_number(n + 1) * 2**n, rhs
+        yield f"n={n}", euler(n) * 2**n, rhs
 
 
 # -- enumeration vs. recurrence -------------------------------------------------
@@ -271,24 +285,27 @@ def _cardinalities(n_max: int) -> Comparisons:
 
 def _filter_matches_generator(n_max: int) -> Comparisons:
     for n in range(n_max + 1):
-        gen1 = set(classes.gen_simsun_first(n))
-        filt1 = {w for w in perms.permutations(n) if classes.is_simsun_first(w)}
-        yield f"n={n} (first kind)", gen1, filt1
-        gen2 = set(classes.gen_simsun_second(n))
-        filt2 = {perms.to_cycles(w) for w in perms.permutations(n)
-                 if classes.is_simsun_second(w)}
-        yield f"n={n} (second kind)", gen2, filt2
+        # both filters read one stream of all n! permutations
+        filt1, filt2 = set(), set()
+        for chunk in perms.permutation_chunks(n):
+            filt1.update(map(tuple, chunk[classes.simsun_first_mask(chunk)].tolist()))
+            members = chunk[classes.simsun_second_mask(chunk)].tolist()
+            filt2.update(perms.to_cycles(tuple(w)) for w in members)
+        yield f"n={n} (first kind)", set(classes.gen_simsun_first(n)), filt1
+        yield f"n={n} (second kind)", set(classes.gen_simsun_second(n)), filt2
 
 
 def _descent_left_peak(n_max: int) -> Comparisons:
-    # whole stat columns are compared once per n: no label is built per member
+    # whole statistic columns of the generated members, read chunk by chunk
+    # by the words sweep's scanner, are compared once per n
     for n in range(n_max + 1):
         des, lpk, pk_first_down = [], [], []
-        for w in classes.gen_simsun_first(n):
-            rec = perms.word_stats(w)
-            des.append(rec.des)
-            lpk.append(rec.lpk)
-            pk_first_down.append(rec.pk + (n >= 2 and w[0] > w[1]))
+        for chunk in perms.word_chunks(classes.gen_simsun_first(n), n):
+            d, pk, _, first_down, _ = bulk._word_stats(chunk)
+            des += d.tolist()
+            lpk += (pk + first_down).tolist()
+            if n >= 2:
+                pk_first_down += (pk + (chunk[:, 0] > chunk[:, 1])).tolist()
         yield f"n={n}: des vs lpk", des, lpk
         if n >= 2:
             yield f"n={n}: lpk vs pk + [first step down]", lpk, pk_first_down
@@ -467,7 +484,7 @@ REGISTRY: dict[str, Entry] = {
         _bijection("verify_psi"), 9, "descent-to-excedance bijection onto the second kind"
     ),
     "cud-cycles": Entry(
-        _pair(_swept(_CYCLES, _q(2)), _each(lambda n: classes.distribution(n))), 9,
+        _pair(_swept(_CYCLES, _q(2)), _listed(lambda n: classes.distribution(n))), 9,
         "cycle counts over the second kind equidistribute with cycle-up-down permutations",
     ),
     "series-descent-egf": Entry(
@@ -488,7 +505,7 @@ REGISTRY: dict[str, Entry] = {
         "q-th power of the descent EGF matches the bivariate triangle",
     ),
     "series-springer": Entry(
-        _pair(_egf("springer"), _each(lambda n: Poly.const(sum(1 for _ in perms.snakes(n))))),
+        _pair(_egf("springer"), _listed(lambda n: Poly.const(perms.springer_number(n)))),
         8, "1/(cos z - sin z) coefficients count snakes",
     ),
     "series-cycle-count-egf": Entry(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from simsun import classes, perms
+from simsun import bulk, classes, perms
 
 EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385]
 
@@ -33,6 +33,36 @@ def test_second_kind_recognizer():
             expected = all(not perms.cycle_stats(restricted(cycles, k)).has_double_exc
                            for k in range(n + 1))
             assert classes.is_simsun_second(w) == expected, w
+
+
+def test_recognizers_on_long_words():
+    # letters past 127 need a dtype wider than int8
+    identity = tuple(range(1, 301))
+    assert classes.is_simsun_first(identity) and classes.is_simsun_second(identity)
+    # the double descent 129 > 128 > 127
+    word = identity[:126] + (129, 128, 127) + identity[129:]
+    assert not classes.is_simsun_first(word)
+    assert classes.is_simsun_second(word)
+    # the cycle 127 -> 128 -> 129 -> 127 has the double excedance at 128
+    word = identity[:126] + (128, 129, 127) + identity[129:]
+    assert classes.is_simsun_first(word)
+    assert not classes.is_simsun_second(word)
+
+
+def _filtered(n):
+    first, second = [], []
+    for chunk in perms.permutation_chunks(n):
+        first += chunk[classes.simsun_first_mask(chunk)].tolist()
+        second += chunk[classes.simsun_second_mask(chunk)].tolist()
+    return first, second, classes.distribution(n)
+
+
+def test_filters_fold_over_chunks(monkeypatch):
+    # at n = 7 all 5,040 permutations fit one default chunk; chunks of 7
+    # rows split them into many, the last one partial
+    whole = [_filtered(n) for n in range(8)]
+    monkeypatch.setattr(bulk, "_CHUNK", 7)
+    assert [_filtered(n) for n in range(8)] == whole
 
 
 def test_generator_counts():

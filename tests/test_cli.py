@@ -5,7 +5,7 @@ import json
 import pytest
 
 import simsun
-from simsun import bijections, bulk, cli
+from simsun import bijections, bulk, cli, perms
 
 
 def run(capsys, *argv):
@@ -99,6 +99,31 @@ def test_sweep_over_row_budget_exits_2(capsys, monkeypatch):
     assert sum(bulk.simsun_word_distributions(5)[5].values()) == 61
 
 
+def test_listing_over_row_budget_exits_2(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a zigzag level was built before the budget check")
+
+    monkeypatch.setattr(perms, "_extend_zigzags", refuse)
+    # E_14 = 199,360,981 rows: the largest n is asked for first and refused
+    code, out, err = run(capsys, "verify", "euler-convolution", "--n-max", "13")
+    assert code == 2 and out == "" and "199,360,981 rows" in err
+    monkeypatch.setattr(bulk, "ROW_BUDGET", 1000)
+    # E_9 = 7,936 and S_6 = 2,763 rows
+    for identity, n_max in (("euler-convolution", "8"), ("series-springer", "6")):
+        code, out, err = run(capsys, "verify", identity, "--n-max", n_max)
+        assert code == 2 and out == "" and err.startswith("error:")
+    # 6! = 720 permutations are streamed, 7! = 5,040 are refused up front
+    word_array = perms.word_array
+
+    def narrow_only(words, n):
+        assert n < 7, "the permutations of [7] were streamed"
+        return word_array(words, n)
+
+    monkeypatch.setattr(perms, "word_array", narrow_only)
+    code, out, err = run(capsys, "verify", "filter-matches-generator", "--n-max", "7")
+    assert code == 2 and out == "" and "5,040 rows" in err
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run(
         capsys, "verify", "t-split", "--n-max", "6", "--format", "json"
@@ -143,6 +168,20 @@ def test_bijection_psi_long_input(capsys):
     code, out, _ = run(capsys, "bijection", "psi", "--perm", cycles)
     assert code == 0
     assert out.splitlines()[1].endswith("1099^{y1100}1100")
+
+
+def test_psi_input_over_limit_exits_2(capsys, monkeypatch):
+    def refuse(obj, tree):
+        raise AssertionError("the history was read before the length check")
+
+    monkeypatch.setattr(bijections, "PSI_LENGTH_LIMIT", 10)
+    with monkeypatch.context() as patch:
+        patch.setattr(bijections, "_history", refuse)
+        for perm in (",".join(map(str, range(1, 12))), "".join(f"({i})" for i in range(1, 12))):
+            code, out, err = run(capsys, "bijection", "psi", "--perm", perm)
+            assert code == 2 and out == "" and "11 letters" in err
+    code, out, _ = run(capsys, "bijection", "psi", "--perm", ",".join(map(str, range(1, 11))))
+    assert code == 0 and out.startswith("source:")
 
 
 def test_phi_block_over_limit_exits_2(capsys, monkeypatch):

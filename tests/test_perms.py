@@ -2,11 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simsun import perms
+from simsun import bulk, perms
 
 # zigzag numbers E_0..E_11, frozen from pruned alternating-permutation search
 EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792]
@@ -163,17 +164,32 @@ def test_alternating_matches_filter():
         assert listed == brute
 
 
+def test_zigzags_fold_over_chunks(monkeypatch):
+    whole = [(list(perms.alternating_permutations(n)), list(perms.snakes(n))) for n in range(8)]
+    monkeypatch.setattr(bulk, "_CHUNK", 7)
+    assert [(list(perms.alternating_permutations(n)), list(perms.snakes(n)))
+            for n in range(8)] == whole
+
+
 def test_cycle_up_down():
-    assert perms.is_cycle_up_down((1, 2, 3))  # three singletons
+    # three singletons; (1,3,2); (1,2,3); (1,4,3)(2); (1,3,4)(2)
+    words = np.array([(1, 2, 3, 4), (3, 1, 2, 4), (2, 3, 1, 4), (4, 2, 1, 3), (3, 2, 4, 1)],
+                     dtype=np.int8)
+    keep, cyc = perms.cycle_up_down(words)
+    assert keep.tolist() == [True, True, False, True, False]
+    assert cyc.tolist() == [4, 2, 2, 2, 2]
     assert perms.is_up_down_cycle((1, 4, 3))
     assert not perms.is_up_down_cycle((1, 3, 4))
 
 
 def test_cycle_up_down_matches_cycle_forms():
     for n in range(8):
-        for w in perms.permutations(n):
-            expected = all(perms.is_up_down_cycle(c) for c in perms.to_cycles(w))
-            assert perms.is_cycle_up_down(w) == expected, w
+        for chunk in perms.permutation_chunks(n):
+            keep, cyc = perms.cycle_up_down(chunk)
+            for w, k, c in zip(map(tuple, chunk.tolist()), keep.tolist(), cyc.tolist()):
+                cycles = perms.to_cycles(w)
+                assert k == all(perms.is_up_down_cycle(x) for x in cycles), w
+                assert c == len(cycles), w
 
 
 def test_euler_numbers():

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from simsun import bulk, series, triangles, verify
+from simsun import bulk, classes, perms, series, triangles, verify
 
 
 def test_unknown_identity():
@@ -105,8 +105,22 @@ def _bump_series(original):
     return bumped
 
 
-def _bump_stirling(original):
-    return lambda n: original(n) + (1 if n == 4 else 0)
+def _bump_at(m):
+    def fault(original):
+        return lambda n: original(n) + (1 if n == m else 0)
+
+    return fault
+
+
+def _flip_first_member(original):
+    def flipped(a):
+        # the identity word of [4], row 0, drops out of the first-kind filter
+        keep = original(a)
+        if a.shape[1] == 4:
+            keep[0] = not keep[0]
+        return keep
+
+    return flipped
 
 
 def _flip_first_step(original):
@@ -126,11 +140,17 @@ def _flip_first_step(original):
     [
         (triangles, "closed_forms", _bump_closed_form, "closed-forms", "n=3 (P-from-S)"),
         (series, "build", _bump_series, "series-descent-egf", "n=4"),
-        (triangles, "s_from_stirling", _bump_stirling, "stirling-reconstruction", "n=4"),
+        (triangles, "s_from_stirling", _bump_at(4), "stirling-reconstruction", "n=4"),
         (bulk, "simsun_word_distributions", _flip_first_step, "enum-peaks",
          "n=5 (first-step-down)"),
+        (perms, "euler_number", _bump_at(5), "cardinalities", "n=4 (first kind)"),
+        (perms, "euler_number", _bump_at(5), "euler-convolution", "n=4"),
+        (classes, "simsun_first_mask", _flip_first_member, "filter-matches-generator",
+         "n=4 (first kind)"),
+        (classes, "distribution", _bump_at(3), "cud-cycles", "n=3"),
     ],
-    ids=["closed", "egf", "each", "swept-keep"],
+    ids=["closed", "egf", "each", "swept-keep", "euler-cardinalities", "euler-convolution",
+         "first-kind-filter", "listed"],
 )
 def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identity, detail):
     monkeypatch.setattr(module, provider, fault(getattr(module, provider)))
