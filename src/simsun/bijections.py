@@ -2,28 +2,24 @@
 and permutations one letter longer with k interior peaks, and the bijection
 ψ onto second-kind simsun permutations transporting descents to excedances.
 
-Both maps rename place labels between the labelled trees of ``classes``
-and are applied in two ways:
-
-- a single object goes history → replay: strip the largest entry step by
-  step, recording the label of the place it held, then insert again at the
-  places carrying the renamed labels;
-- the exhaustive checks walk two trees at once: a depth-first walk of one
-  tree carries each node's images in the other, and a child's images are
-  its parent's with the next entry inserted at the places carrying the
-  renamed label, so each image's places are listed once.
-
-The φ block doubles at the two END places and at the two gaps of a peak.
+Both maps rename place labels between the labelled trees of ``classes``.
+One key join on (row, kind, rank) grows images at the places with a wanted
+label, with multiplicity for φ: at the two END places and the two gaps of a
+peak.  Single objects (one-row levels) go history → replay: the labels are
+read by stripping the largest entry, then the images grown from the root at
+the renamed labels.  The exhaustive checks walk the source tree level by
+level carrying row-aligned images, a child's joined on its own label.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from . import TooLarge, classes, perms
-from .classes import END, FIRST, PEAK, SECOND, Label, Tree
+import numpy as np
+
+from . import TooLarge, bulk, classes, perms
+from .classes import FIRST, PEAK, SECOND, Tree
 from .perms import Cycles, Word
 
 
@@ -55,25 +51,93 @@ def _flip(rename: dict[str, str]) -> dict[str, str]:
     return {b: a for a, b in rename.items()}
 
 
-def _history(obj: tuple, tree: Tree) -> list[Label]:
-    """Labels of the places that rebuild obj from the root of the tree."""
-    history = []
-    while obj != tree.root:
-        obj, place = tree.strip(obj)
-        history.append(dict(tree.places(obj))[place])
-    history.reverse()
-    return history
+def _spec(name: str) -> tuple:
+    """(tree, other tree, kind codes, roots, their images, the root of each
+    image) of a map: the code in ``other`` of each kind of ``tree`` renamed,
+    -1 for a kind ``other`` lacks.  The first step of a φ source, 2 into
+    (1,), is END either way, so the inverse of φ starts at size 2."""
+    tree, other, rename, *start = {
+        "phi": (FIRST, PEAK, PHI, [[1]], [[1, 2], [2, 1]], [0, 0]),
+        "phi-1": (PEAK, FIRST, _flip(PHI), [[1, 2], [2, 1]], [[1], [1]], [0, 1]),
+        "psi": (FIRST, SECOND, PSI, [[1]], [[-1]], [0]),
+        "psi-1": (SECOND, FIRST, _flip(PSI), [[-1]], [[1]], [0]),
+    }[name]
+    names = ("END",) + other.kinds
+    renamed = [rename.get(kind, kind) for kind in ("END",) + tree.kinds]
+    return (tree, other, np.array([names.index(k) if k in names else -1 for k in renamed]), *start)
 
 
-def _replay(history: list[Label], tree: Tree, rename: dict[str, str]) -> list:
-    """Every object grown from the root by inserting, at each step, at all
-    places whose label is the next history label with its kind renamed."""
-    level = [tree.root]
-    for kind, idx in history:
-        label = (rename.get(kind, kind), idx)
-        level = [tree.insert(obj, place) for obj in level
-                 for place, lab in tree.places(obj) if lab == label]
-    return level
+def _join(rows: np.ndarray, kinds: np.ndarray, ranks: np.ndarray, other: Tree,
+          images: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each wanted label i, (rows[i], kinds[i], ranks[i]), every image of
+    that row grown at each of its places with that label: a key join with
+    multiplicity.  The new images and the i of each, by i, then by image,
+    then by place with END at place 0 last."""
+    irow, iplace, ikind, irank = classes.places(other, images)
+    base = images.shape[1] + 2  # above every rank and place
+    want = np.where(kinds >= 0, (rows * 3 + kinds) * base + ranks, -1)
+    have = (owner[irow] * 3 + ikind) * base + irank
+    last = np.where((iplace == 0) & (ikind == 0), base, iplace)
+    order = np.argsort((have * len(images) + irow) * base + last)
+    lo = np.searchsorted(have[order], want, "left")
+    hits = np.searchsorted(have[order], want, "right") - lo
+    index = np.repeat(np.arange(len(want)), hits)
+    pick = order[np.arange(len(index)) - np.repeat(np.cumsum(hits) - hits - lo, hits)]
+    # grow only the places picked, once each
+    used = np.zeros(len(irow), dtype=bool)
+    used[pick] = True
+    children = classes.insert(other, images, irow[used], iplace[used])
+    return children[np.cumsum(used)[pick] - 1], index
+
+
+def _carry(name: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk the source tree of a map to size n from its roots, carrying
+    row-aligned images: image j belongs to row owner[j], and a child's
+    images are its parent's joined on its own place label renamed.
+    Returns (level, images, owner) at size n."""
+    tree, other, codes, level, images, owner = _spec(name)
+    level, images, owner = np.array(level, np.int8), np.array(images, np.int8), np.array(owner)
+    while level.shape[1] < n:
+        row, place, kind, rank = classes.places(tree, level)
+        images, owner = _join(row, codes[kind], rank, other, images, owner)
+        level = classes.insert(tree, level, row, place)
+    return level, images, owner
+
+
+def _strip(tree: Tree, level: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The parents of every row of ``level``, its largest entry removed, and
+    the kind and rank of the place that entry held."""
+    rows, m = level.shape
+    at = np.argmax(np.abs(level) == m, axis=1)
+    parents = level[np.arange(m) != at[:, None]].reshape(rows, m - 1)
+    # a negative largest entry is a singleton cycle: place 0
+    place = np.where(level[np.arange(rows), at] < 0, 0, at)
+    row, where, kind, rank = classes.places(tree, parents)
+    i = np.searchsorted(where * rows + row, place * rows + np.arange(rows))
+    return parents, kind[i], rank[i]
+
+
+def _map(name: str, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """History → replay of every row of ``level``: the row is stripped down
+    to a root, recording the labels, and that root's images grown, step by
+    step, at the places whose label is the recorded one renamed.  Returns
+    the images, by row, and the row of each."""
+    tree, other, codes, roots, images, owner = _spec(name)
+    history, rows = [], np.arange(len(level))
+    while level.shape[1] > len(roots[0]):
+        level, kind, rank = _strip(tree, level)
+        history.append((codes[kind], rank))
+    root = (level[:, None] == np.array(roots)).all(axis=2).argmax(axis=1)
+    wanted, image = np.nonzero(root[:, None] == np.array(owner))
+    images = np.array(images, dtype=perms._letter_dtype(len(history) + 2))[image]
+    for kind, rank in reversed(history):
+        images, wanted = _join(rows, kind, rank, other, images, wanted)
+    return images, wanted
+
+
+def _images(name: str, obj: tuple) -> list:
+    tree, other = _spec(name)[:2]
+    return classes.objects(other, _map(name, classes.one_row(tree, obj))[0])
 
 
 def _check_first(word: Word) -> None:
@@ -90,15 +154,14 @@ def phi_forward(word: Word) -> list[Word]:
     free = len(word) - len(perms.descent_set(word))
     if 2**free > PHI_BLOCK_LIMIT:
         raise TooLarge(f"phi block too large: 2^{free} images (limit {PHI_BLOCK_LIMIT:,})")
-    return _replay([END] + _history(word, FIRST), PEAK, PHI)
+    return _images("phi", word)
 
 
 def phi_inverse(word: Word) -> Word:
     """The unique simsun source whose image block contains the word."""
     if len(word) < 2:
         raise ValueError("defined on permutations of length >= 2")
-    # the first step, 2 into (1,), is END either way
-    (source,) = _replay(_history(word, PEAK)[1:], FIRST, _flip(PHI))
+    (source,) = _images("phi-1", word)
     return source
 
 
@@ -112,7 +175,7 @@ def psi_forward(word: Word) -> Cycles:
     PSI_LENGTH_LIMIT letters."""
     _check_psi_length(len(word))
     _check_first(word)
-    (image,) = _replay(_history(word, FIRST), SECOND, PSI)
+    (image,) = _images("psi", word)
     return image
 
 
@@ -125,121 +188,88 @@ def psi_inverse(cycles: Cycles) -> Word:
         raise ValueError("defined for n >= 1")
     if not classes.is_simsun_second(word):
         raise ValueError(f"not simsun (second kind): {cycles}")
-    (source,) = _replay(_history(perms.to_cycles(word), SECOND), FIRST, _flip(PSI))
+    (source,) = _images("psi-1", perms.to_cycles(word))
     return source
 
 
-def _walk(tree: Tree, other: Tree, rename: dict[str, str], n: int,
-          roots: list[tuple[tuple, int, list]]) -> Iterator[tuple[tuple, list]]:
-    """(obj, images) for every object of size n grown from the roots, depth
-    first; a root is (obj, size, images).  A child's images are its
-    parent's, each with the next entry inserted at every place of ``other``
-    carrying the child's own place label renamed."""
-    stack = list(roots)
-    while stack:
-        obj, m, images = stack.pop()
-        if m == n:
-            yield obj, images
-            continue
-        grown: dict[Label, list] = {}
-        for image in images:
-            for place, label in other.places(image):
-                grown.setdefault(label, []).append(other.insert(image, place))
-        for place, (kind, idx) in tree.places(obj):
-            stack.append((tree.insert(obj, place), m + 1,
-                          grown.get((rename.get(kind, kind), idx), [])))
+def _obj(tree: Tree, level: np.ndarray, i: int) -> tuple:
+    return classes.objects(tree, level[i : i + 1])[0]
 
 
-def _phi_blocks(n: int) -> Iterator[tuple[Word, list[Word]]]:
-    """(word, φ block) for every first-kind simsun word of length n."""
-    return _walk(FIRST, PEAK, PHI, n, [((1,), 1, [(1, 2), (2, 1)])])
+def _verify(name: str, n: int, sizes, stat: str, scan, covered) -> VerifyReport:
+    """The claims of φ and ψ, read in order off the walk (words, images, the
+    word of each image): each word has ``sizes(des)`` images, the images are
+    distinct, ``scan`` reads ``stat`` of each image equal to des of its word,
+    ``covered`` passes the sorted images, and the inverse walk joins back."""
+    if n < 1:
+        raise ValueError("defined for n >= 1")
+    _, tree, _, roots, start, _ = _spec(name)
+    m = n + len(start[0]) - len(roots[0])
+    # the last step keeps some ten int64 values per image, not one int8 row:
+    # count m + 1 rows per image
+    bulk.check_budget(tree.count(m) * (m + 1), f"the place table of the {name} images of size {m}")
+    words, images, owner = _carry(name, n)
+    des = bulk._word_stats(words)[0]
+    block = np.bincount(owner, minlength=len(words))
+    order = perms.row_order(images)
+    images, sources = images[order], words[owner[order]]
+    wrong = np.flatnonzero(block != sizes(des))
+    same = np.flatnonzero((images[1:] == images[:-1]).all(axis=1))
+    bad = np.flatnonzero(scan(images) != des[owner[order]])
+    if len(wrong):
+        detail = f"{_obj(FIRST, words, wrong[0])} has {block[wrong[0]]} images"
+    elif len(same):
+        i = same[0]
+        detail = (f"{_obj(tree, images, i)} hit from {_obj(FIRST, sources, i)}"
+                  f" and {_obj(FIRST, sources, i + 1)}")
+    elif len(bad):
+        i = bad[0]
+        detail = f"{stat}({_obj(tree, images, i)}) != des({_obj(FIRST, sources, i)})"
+    else:
+        inverse = _carry(name + "-1", images.shape[1])
+        detail = covered(images) or _join_back(tree, images, sources, inverse)
+    counts = {k: c for k, c in enumerate(np.bincount(des).tolist()) if c}
+    return VerifyReport(name, n, not detail, detail, {} if detail else counts)
 
 
-def _phi_sources(n: int) -> Iterator[tuple[Word, list[Word]]]:
-    """(permutation of [n+1], its φ sources) from a walk of PEAK; the first
-    step, 2 into (1,), is END either way."""
-    return _walk(PEAK, FIRST, _flip(PHI), n + 1, [(t, 2, [(1,)]) for t in ((1, 2), (2, 1))])
-
-
-def _psi_images(n: int) -> Iterator[tuple[Word, list[Cycles]]]:
-    """(word, its ψ images) for every first-kind simsun word of length n."""
-    return _walk(FIRST, SECOND, PSI, n, [((1,), 1, [((1,),)])])
-
-
-def _psi_sources(n: int) -> Iterator[tuple[Cycles, list[Word]]]:
-    """(second-kind cycle form of size n, its ψ sources) from a walk of SECOND."""
-    return _walk(SECOND, FIRST, _flip(PSI), n, [(((1,),), 1, [(1,)])])
-
-
-def _claim(found: dict, sources: Iterator[tuple[tuple, list[Word]]]) -> str:
-    """Stream an inverse walk against the images ``found`` (image -> word),
-    popping each: every image needs one source, the word it came from, and
-    the walk must reach them all.  Empty, or the first failure."""
-    for image, words in sources:
-        if len(words) != 1:
-            return f"{image} has {len(words)} sources"
-        word = found.pop(image, None)
-        if word is None:
-            return f"{image} is no image, or is reached twice"
-        if word != words[0]:
-            return f"inverse({image}) = {words[0]} != {word}"
-    if found:
-        return f"the inverse walk misses {len(found)} images, {next(iter(found))} among them"
+def _join_back(tree: Tree, images: np.ndarray, sources: np.ndarray,
+               walk: tuple[np.ndarray, ...]) -> str:
+    """Join an inverse walk (targets, their sources, the target of each
+    source) back against the forward pairs (images[i], sources[i]), images
+    sorted: every target needs one source, the word its image came from,
+    and the walk must reach every image.  Empty, or the first failure."""
+    targets, back, owner = walk
+    hits = np.bincount(owner, minlength=len(targets))
+    bad = np.flatnonzero(hits != 1)
+    if len(bad):
+        return f"{_obj(tree, targets, bad[0])} has {hits[bad[0]]} sources"
+    # coverage holds, so the targets, grown at every place, are the images
+    order = perms.row_order(targets)
+    targets, back = targets[order], back[np.argsort(owner)][order]
+    bad = np.flatnonzero((back != sources).any(axis=1))
+    if len(bad):
+        i = bad[0]
+        return (f"inverse({_obj(tree, targets, i)}) = {_obj(FIRST, back, i)}"
+                f" != {_obj(FIRST, sources, i)}")
     return ""
 
 
 def verify_phi(n: int) -> VerifyReport:
     """Blocks are disjoint, sized 2^(n-k), members have pk = k, they cover
-    all permutations of [n+1], and the inverse maps every member home.
-
-    The walk of FIRST gives the blocks; a walk of PEAK from (1,2) and (2,1),
-    carrying each permutation's source, then claims every member."""
-    if n < 1:
-        raise ValueError("defined for n >= 1")
-    seen: dict[Word, Word] = {}
-    by_k: dict[int, int] = {}
-    for p, block in _phi_blocks(n):
-        k = perms.word_stats(p).des
-        if len(block) != 2 ** (n - k):
-            return VerifyReport("phi", n, False, f"block of {p} has size {len(block)}")
-        for t in block:
-            if t in seen:
-                return VerifyReport("phi", n, False, f"{t} hit from {seen[t]} and {p}")
-            if perms.word_stats(t).pk != k:
-                return VerifyReport("phi", n, False, f"pk({t}) != {k}")
-            seen[t] = p
-        by_k[k] = by_k.get(k, 0) + 1
-    if len(seen) != math.factorial(n + 1):
-        return VerifyReport("phi", n, False, f"blocks cover {len(seen)} permutations")
-    detail = _claim(seen, _phi_sources(n))
-    if detail:
-        return VerifyReport("phi", n, False, detail)
-    return VerifyReport("phi", n, True, counts=by_k)
+    all permutations of [n+1], and the inverse maps every member home."""
+    total = math.factorial(n + 1)
+    return _verify("phi", n, lambda des: 2 ** (n - des), "pk", lambda t: bulk._all_word_stats(t)[1],
+                   lambda t: "" if len(t) == total else f"blocks cover {len(t)} permutations")
 
 
 def verify_psi(n: int) -> VerifyReport:
-    """Statistic-transporting bijection onto the second kind.
+    """Statistic-transporting bijection onto the second kind."""
 
-    The walk of FIRST gives the images; a walk of SECOND, carrying each
-    cycle form's source, then claims every image."""
-    if n < 1:
-        raise ValueError("defined for n >= 1")
-    image: dict[Cycles, Word] = {}
-    by_k: dict[int, int] = {}
-    for p, images in _psi_images(n):
-        if len(images) != 1:
-            return VerifyReport("psi", n, False, f"{p} has {len(images)} images")
-        (c,) = images
-        k = perms.word_stats(p).des
-        if c in image:
-            return VerifyReport("psi", n, False, f"{c} hit from {image[c]} and {p}")
-        if perms.cycle_stats(perms.from_cycles(c)).exc != k:
-            return VerifyReport("psi", n, False, f"exc({c}) != des({p})")
-        image[c] = p
-        by_k[k] = by_k.get(k, 0) + 1
-    if image.keys() != set(classes.gen_simsun_second(n)):
-        return VerifyReport("psi", n, False, "image differs from the second kind")
-    detail = _claim(image, _psi_sources(n))
-    if detail:
-        return VerifyReport("psi", n, False, detail)
-    return VerifyReport("psi", n, True, counts=by_k)
+    def covered(images: np.ndarray) -> str:
+        second = classes.level(SECOND, n)
+        if second.shape == images.shape and (second[perms.row_order(second)] == images).all():
+            return ""
+        return "image differs from the second kind"
+
+    exc = lambda c: (classes.one_line(c) > np.arange(1, n + 1)).sum(axis=1)  # noqa: E731
+    return _verify("psi", n, lambda des: 1, "exc", exc, covered)

@@ -1,33 +1,30 @@
 """Vectorized brute-force oracles for the big enumeration sweeps.
 
-One engine, ``_sweep``, drives all three.  An insertion rule builds each
-level from the last by putting the next largest entry into every allowed
-place of every stored object: a gap of a word, from a mask of allowed
-gaps, or a splice into a cycle map.  A scanner reads statistic columns off
-the stored words or maps directly, independently of any recurrence, in
-chunks of ``_CHUNK`` rows.  Every statistic of a level of size m lies in
-0..m, so a chunk's columns fold into one base-(m + 1) int64 key, counted
-by ``np.bincount`` and turned back into tuples by ``np.unravel_index``.
+One engine, ``_sweep``, drives all three.  Each level is grown from the last
+by the unlabelled insert of a tree of ``classes`` (first-kind words, all
+permutations, second-kind signed cycle forms), which computes no label.  A
+scanner reads statistic columns off the stored words, or off the cycle
+forms as one-line maps, independently of any recurrence, in chunks of
+``_CHUNK`` rows.  Every statistic of a level of size m lies in 0..m, so a
+chunk's columns fold into one base-(m + 1) int64 key, counted by
+``np.bincount`` and turned back into tuples by ``np.unravel_index``.
 
 Each sweep caches its largest result: a smaller bound gets a prefix of it,
 a larger bound recomputes.  A bound whose top level would hold more than
-``ROW_BUDGET`` rows (E_{n+1} or n!) raises ``TooLarge`` before any
-level is built.
-
-``ROW_BUDGET``, ``check_budget``, ``_CHUNK`` and ``orbit_minima`` also serve
-the array oracles of ``perms`` and ``classes``, which read them here at call
-time.
+``ROW_BUDGET`` rows (E_{n+1} or n!) raises ``TooLarge`` before any level is
+built.  ``ROW_BUDGET``, ``check_budget``, ``_CHUNK`` and ``orbit_minima``
+also serve the array oracles of ``perms`` and ``classes``, which read them
+here at call time.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 
 import numpy as np
 
-from . import TooLarge
+from . import TooLarge, classes
 
 _CHUNK = 1 << 16
 # admits word level 12 (E_13 = 22,368,256 rows); refuses E_14 and 12! rows
@@ -39,20 +36,20 @@ _cache: dict[str, dict[int, Counter]] = {}
 def simsun_word_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (des, pk, uprun, starts_with_descent, alternating)
     over the first-kind simsun permutations, by direct word scans."""
-    return _sweep("words", n_max, _zigzag_rows, _insert_simsun, _word_stats, (0, 0, 0, 0, 1))
+    return _sweep("words", n_max, classes.FIRST, _word_stats, (0, 0, 0, 0, 1))
 
 
 def simsun_cycle_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (exc, fix, cyc) over second-kind simsun
-    permutations.  exc and fix come from direct scans of the stored maps;
-    cyc is counted by pointer chasing to each cycle minimum."""
-    return _sweep("cycles", n_max, _zigzag_rows, _splice_cycles, _cycle_stats, (0, 0, 0))
+    permutations.  The stored cycle forms are read as one-line maps: exc and
+    fix by direct scans, cyc by pointer chasing to each cycle minimum."""
+    return _sweep("cycles", n_max, classes.SECOND, _cycle_stats, (0, 0, 0))
 
 
 def all_perm_word_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (lpk, pk, altruns) over all permutations of [n],
     generated by unrestricted insertion."""
-    return _sweep("all", n_max, math.factorial, _insert_all, _all_word_stats, (0, 0, 0))
+    return _sweep("all", n_max, classes.PEAK, _all_word_stats, (0, 0, 0))
 
 
 def check_budget(rows: int, what: str) -> None:
@@ -61,15 +58,15 @@ def check_budget(rows: int, what: str) -> None:
         raise TooLarge(f"{what} needs {rows:,} rows (budget {ROW_BUDGET:,})")
 
 
-def _sweep(name, n_max, rows, insert, scan, empty_key) -> dict[int, Counter]:
-    check_budget(rows(n_max), f"sweep level {n_max}")
+def _sweep(name, n_max, tree, scan, empty_key) -> dict[int, Counter]:
+    check_budget(tree.count(n_max), f"sweep level {n_max}")
     cached = _cache.get(name)
     if cached is None or max(cached) < n_max:
         cached = {0: Counter({empty_key: 1})}
-        level = np.ones((1, 1), dtype=np.int8)
+        level = classes.level(tree, 1)
         for m in range(1, n_max + 1):
             if m > 1:
-                level = insert(level)
+                level = classes.grow(tree, level)
             cached[m] = _count(level, scan)
         _cache[name] = cached
     return {n: cached[n] for n in range(n_max + 1)}
@@ -110,50 +107,6 @@ def _snake_rows(n: int) -> int:
     return row[n]
 
 
-def _insert_simsun(level: np.ndarray) -> np.ndarray:
-    # gap g < m - 1 is allowed only when level[g] < level[g + 1]
-    allowed = np.ones((len(level), level.shape[1] + 1), dtype=bool)
-    allowed[:, :-2] = level[:, :-1] < level[:, 1:]
-    return _insert_gaps(level, allowed)
-
-
-def _insert_all(level: np.ndarray) -> np.ndarray:
-    return _insert_gaps(level, np.ones((len(level), level.shape[1] + 1), dtype=bool))
-
-
-def _insert_gaps(level: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Insert m + 1 into every allowed gap g (before letter g), grouped by g."""
-    m = level.shape[1]
-    ends = np.cumsum(allowed.sum(axis=0))
-    child = np.empty((int(ends[-1]), m + 1), dtype=np.int8)
-    for g in range(m + 1):
-        src = level[allowed[:, g]]
-        block = child[ends[g] - len(src) : ends[g]]
-        block[:, :g] = src[:, :g]
-        block[:, g] = m + 1
-        block[:, g + 1:] = src[:, g:]
-    return child
-
-
-def _splice_cycles(level: np.ndarray) -> np.ndarray:
-    rows, m = level.shape
-    values = np.arange(1, m + 1, dtype=np.int8)
-    inv = np.empty_like(level)
-    np.put_along_axis(inv, level.astype(np.intp) - 1, np.tile(values, (rows, 1)), axis=1)
-    # splice after letter i is allowed unless i is a cyclic peak value
-    allowed = ~((inv < values) & (level < values))
-    # one child per allowed splice, plus the new singleton cycle
-    child = np.empty((int(allowed.sum()) + rows, m + 1), dtype=np.int8)
-    row_idx, after = np.nonzero(allowed)
-    k = len(row_idx)
-    child[:k, :m] = level[row_idx]
-    child[np.arange(k), after] = m + 1
-    child[:k, m] = level[row_idx, after]
-    child[k:, :m] = level
-    child[k:, m] = m + 1
-    return child
-
-
 def _word_stats(a: np.ndarray) -> list[np.ndarray]:
     asc = a[:, :-1] < a[:, 1:]
     first_down = (~asc[:, :1]).sum(axis=1)
@@ -179,7 +132,9 @@ def orbit_minima(a: np.ndarray) -> np.ndarray:
     return low
 
 
-def _cycle_stats(a: np.ndarray) -> list[np.ndarray]:
+def _cycle_stats(level: np.ndarray) -> list[np.ndarray]:
+    # the signed cycle forms as maps: cyc is read off the maps' orbits
+    a = classes.one_line(level)
     values = np.arange(1, a.shape[1] + 1, dtype=np.int8)
     low = orbit_minima(a)
     return [(a > values).sum(axis=1), (a == values).sum(axis=1), (low == values).sum(axis=1)]

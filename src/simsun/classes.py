@@ -2,22 +2,22 @@
 trees with their generators and labelings; and, as an independent oracle,
 the cycle counts of the cycle-up-down permutations.
 
-The recognizers are row-mask kernels over arrays of whole words (one word
-per row); the scalar forms are one-row calls of the same kernels.
-
-Three trees share one shape: first-kind words (descent and free gaps),
-all permutations (interior-peak and free gaps) and second-kind cycle forms
-(excedance and plain letters).  Labels are always recomputed from the
-object, never patched incrementally.
+All of it runs on arrays whose rows are whole objects; a single object is
+a one-row call.  The recognizers are row-mask kernels.  The three trees,
+first-kind words (descent and free gaps), all permutations (interior-peak
+and free gaps) and second-kind cycle forms (excedance and plain letters),
+list the labelled places of a level and insert the next entry there; the
+``bulk`` sweeps grow the same trees with no label computed.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import perms
+from . import bulk, perms
 from .perms import Cycles, Word
 from .poly import Poly
 
@@ -62,160 +62,219 @@ def simsun_second_mask(a: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _one_row(mask: Callable[[np.ndarray], np.ndarray], word: Word) -> bool:
-    return bool(mask(perms.word_array([word], len(word)))[0])
-
-
 def is_simsun_first(word: Word) -> bool:
     """No double descent in any restriction to [k]."""
-    return _one_row(simsun_first_mask, word)
+    return bool(simsun_first_mask(one_row(FIRST, word))[0])
 
 
 def is_simsun_second(word: Word) -> bool:
     """No double excedance after removing the k largest letters, all k >= 0."""
-    return _one_row(simsun_second_mask, word)
+    return bool(simsun_second_mask(one_row(FIRST, word))[0])
 
 
-# -- labelled insertion trees ------------------------------------------------
+# -- labelled insertion trees as level arrays ----------------------------------
 #
-# Each tree grows its objects from a root of size 1 by inserting the next
-# largest entry.  ``places(obj)`` lists (place, label) for every allowed
-# insertion, END places included; ``insert(obj, place)`` puts the next entry
-# there; ``strip(obj)`` removes the largest entry and returns the parent and
-# the place it occupied.  Words number their gaps g = 0..n, gap g lying right
-# after p(g) with p(0) = 0; cycle forms name a place by the letter the entry
-# follows, 0 standing for a new singleton cycle.
+# A level holds the objects of one size m as rows of an integer array: words
+# for FIRST and PEAK; for SECOND standard cycle forms, flattened, with the
+# first letter of each cycle negated (the signs are the cycle-start mask).
+# The entry m + 1 goes into places c = 0..m: for a word the gap before its
+# (c+1)-th letter; for a cycle form right after its c-th letter, or, for
+# c = 0, a new singleton cycle put last.  A place's label is (kind, rank):
+# kind 0 is END (rank 0), kinds 1 and 2 are the tree's two letters, ranked
+# from 1.  A tree's ``marks`` read off a chunk of rows the kind-1 and kind-2
+# masks, the END columns and a function giving the two rank grids.
 
 Label = tuple[str, int]
-END: Label = ("END", 0)
 
 
 class Tree(NamedTuple):
-    root: tuple
-    places: Callable[[tuple], list[tuple[int, Label]]]
-    insert: Callable[[tuple, int], tuple]
-    strip: Callable[[tuple], tuple[tuple, int]]
+    kinds: tuple[str, str]
+    marks: Callable[[np.ndarray], tuple]
+    count: Callable[[int], int]  # objects of size n
+    cycles: bool = False
 
 
-def _word_places(word: Word) -> list[tuple[int, Label]]:
-    """First kind: descent gaps x_1..x_k, gaps in {0..n-1} that are neither
-    descents nor right before one y_1..y_{n-2k}, END at gap n.  The gap right
-    before a descent is the one place left out: it makes a double descent."""
-    n = len(word)
-    des = [False] + [word[i - 1] > word[i] for i in range(1, n)] + [False]
-    places, r, s = [], 0, 0
-    for g in range(n):
-        if des[g]:
-            r += 1
-            places.append((g, ("x", r)))
-        elif not des[g + 1]:
-            s += 1
-            places.append((g, ("y", s)))
-    places.append((n, END))
-    return places
+def _word_marks(a: np.ndarray) -> tuple:
+    """First kind: descent gaps x_1..x_k, gaps that are neither descents nor
+    right before one y_1..y_{m-2k}, END at gap m.  The gap right before a
+    descent is the one place left out: it makes a double descent."""
+    rows, m = a.shape
+    des = np.zeros((rows, m + 1), dtype=bool)
+    des[:, 1:m] = a[:, :-1] > a[:, 1:]
+    free = ~des
+    free[:, :m] &= ~des[:, 1:]
+    free[:, m] = False
+    return des, free, [m], lambda: (des.cumsum(axis=1), free.cumsum(axis=1))
 
 
-def _peak_places(word: Word) -> list[tuple[int, Label]]:
+def _peak_marks(a: np.ndarray) -> tuple:
     """All permutations: both gaps around the r-th interior peak p_r, the
-    other interior gaps q_1..q_{n-2k-1}, END at gap n and then at gap 0."""
-    n = len(word)
-    # peak[i]: p(i) is an interior peak, for i = 0..n
-    peak = [False, False] + [word[i - 2] < word[i - 1] > word[i] for i in range(2, n)] + [False]
-    places, r, s = [], 0, 0
-    for g in range(1, n):
-        if peak[g] or peak[g + 1]:
-            r += peak[g + 1]
-            places.append((g, ("p", r)))
-        else:
-            s += 1
-            places.append((g, ("q", s)))
-    return places + [(n, END), (0, END)]
+    other interior gaps q_1..q_{m-2k-1}, END at gaps m and 0."""
+    rows, m = a.shape
+    # before[:, g]: letter g + 1 (from 1) is an interior peak
+    before = np.zeros((rows, m + 1), dtype=bool)
+    before[:, 1 : m - 1] = (a[:, :-2] < a[:, 1:-1]) & (a[:, 1:-1] > a[:, 2:])
+    near = before | np.roll(before, 1, axis=1)
+    other = ~near
+    other[:, [0, m]] = False
+    # gap g is next to the peaks among letters 1..g+1
+    return near, other, [0, m], lambda: (before.cumsum(axis=1), other.cumsum(axis=1))
 
 
-def _cycle_places(cycles: Cycles) -> list[tuple[int, Label]]:
+def _successors(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Letters, cycle-start and cycle-end masks and successors at each
+    position of signed cycle forms: the k-th cycle end of the array, in
+    row-major order, is followed by the k-th cycle start."""
+    letters, start = np.abs(a), a < 0
+    last = np.ones_like(start)
+    last[:, :-1] = start[:, 1:]
+    succ = np.roll(letters, -1, axis=1)
+    succ[last] = letters[start]
+    return letters, start, last, succ
+
+
+def _cycle_marks(a: np.ndarray) -> tuple:
     """Second kind: u_r after the r-th excedance position (increasing), v_s
     after the s-th letter, left to right, that is neither an excedance
     position nor a cyclic peak value, END for a new singleton cycle."""
-    n = sum(map(len, cycles))
-    succ, pred = [0] * (n + 1), [0] * (n + 1)
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            succ[a], pred[b] = b, a
-    excedances = [i for i in range(1, n + 1) if succ[i] > i]
-    plain = [v for cyc in cycles for v in cyc if succ[v] <= v <= pred[v]]
-    return ([(i, ("u", r)) for r, i in enumerate(excedances, start=1)]
-            + [(v, ("v", s)) for s, v in enumerate(plain, start=1)] + [(0, END)])
+    rows, m = a.shape
+    letters, start, last, succ = _successors(a)
+    pred = np.roll(letters, 1, axis=1)
+    pred[start] = letters[last]
+    up = np.pad(succ > letters, ((0, 0), (1, 0)))
+    plain = np.pad((succ <= letters) & (letters <= pred), ((0, 0), (1, 0)))
 
+    def ranks() -> tuple[np.ndarray, np.ndarray]:
+        # u ranks count the excedance positions by letter value
+        by_value = np.zeros((rows, m), dtype=np.int64)
+        np.put_along_axis(by_value, letters - 1, up[:, 1:], axis=1)
+        rank = np.zeros((rows, m + 1), dtype=np.int64)
+        rank[:, 1:] = np.take_along_axis(by_value.cumsum(axis=1), letters - 1, axis=1)
+        return rank, plain.cumsum(axis=1)
 
-def _insert_word(word: Word, gap: int) -> Word:
-    return word[:gap] + (len(word) + 1,) + word[gap:]
-
-
-def _strip_word(word: Word) -> tuple[Word, int]:
-    gap = word.index(len(word))
-    return word[:gap] + word[gap + 1:], gap
-
-
-def _insert_cycle(cycles: Cycles, after: int) -> Cycles:
-    entry = sum(map(len, cycles)) + 1
-    if not after:
-        return cycles + ((entry,),)
-    out = []
-    for cyc in cycles:
-        if after in cyc:
-            i = cyc.index(after) + 1
-            cyc = cyc[:i] + (entry,) + cyc[i:]
-        out.append(cyc)
-    return tuple(out)
-
-
-def _strip_cycle(cycles: Cycles) -> tuple[Cycles, int]:
-    n = sum(map(len, cycles))
-    k = next(k for k, cyc in enumerate(cycles) if n in cyc)
-    i = cycles[k].index(n)
-    rest = cycles[k][:i] + cycles[k][i + 1:]
-    if not rest:
-        return cycles[:k] + cycles[k + 1:], 0
-    return cycles[:k] + (rest,) + cycles[k + 1:], cycles[k][i - 1]
+    return up, plain, [0], ranks
 
 
 #: first-kind simsun words, all permutations by interior peaks, and
-#: second-kind simsun permutations in standard cycle form
-FIRST = Tree((1,), _word_places, _insert_word, _strip_word)
-PEAK = Tree((1,), _peak_places, _insert_word, _strip_word)
-SECOND = Tree(((1,),), _cycle_places, _insert_cycle, _strip_cycle)
+#: second-kind simsun permutations as signed cycle forms
+FIRST = Tree(("x", "y"), _word_marks, lambda n: bulk._zigzag_rows(n))
+PEAK = Tree(("p", "q"), _peak_marks, math.factorial)
+SECOND = Tree(("u", "v"), _cycle_marks, lambda n: bulk._zigzag_rows(n), cycles=True)
 
 
-def _grow(tree: Tree, n: int) -> Iterator[tuple]:
-    """Objects of size n, depth first, inserting at every place."""
+def _chunks(rows: int) -> Iterator[slice]:
+    return (slice(i, i + bulk._CHUNK) for i in range(0, rows, bulk._CHUNK))
+
+
+def places(tree: Tree, level: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns (row, place, kind, rank) of every place of every row, sorted
+    by place and then by row; the marks are read a chunk at a time."""
+    kind = np.full((len(level), level.shape[1] + 1), -1, dtype=np.int8)
+    rank = np.zeros(kind.shape, dtype=np.int64)
+    for part in _chunks(len(level)):
+        one, two, ends, ranks = tree.marks(level[part])
+        chunk = kind[part]
+        chunk[:, ends], chunk[one], chunk[two] = 0, 1, 2
+        rank[part] = np.select([one, two], ranks())
+    place, row = np.nonzero(kind.T >= 0)
+    return row, place, kind[row, place], rank[row, place]
+
+
+def insert(tree: Tree, level: np.ndarray, row: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """The child level: the next entry put into ``level[row[i]]`` at
+    ``place[i]``, columns sorted by place and then by row as in ``places``."""
+    at = np.zeros((len(level), level.shape[1] + 1), dtype=bool)
+    at[row, place] = True
+    return _put(tree, level, at)
+
+
+def grow(tree: Tree, level: np.ndarray) -> np.ndarray:
+    """The next level: the next entry put into every row at every place,
+    with no rank computed; the places are read a chunk at a time."""
+    at = np.empty((len(level), level.shape[1] + 1), dtype=bool)
+    for part in _chunks(len(level)):
+        one, two, ends, _ = tree.marks(level[part])
+        at[part] = one | two
+        at[part, ends] = True
+    return _put(tree, level, at)
+
+
+def _put(tree: Tree, level: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Children of the rows at each place marked in ``at``, place by place."""
+    m = level.shape[1]
+    ends = np.cumsum(at.sum(axis=0))
+    child = np.empty((int(ends[-1]), m + 1), dtype=level.dtype)
+    for c in np.flatnonzero(np.diff(ends, prepend=0)).tolist():
+        src = level[at[:, c]]
+        block = child[ends[c] - len(src) : ends[c]]
+        g, entry = (m, -(m + 1)) if tree.cycles and not c else (c, m + 1)
+        block[:, :g] = src[:, :g]
+        block[:, g] = entry
+        block[:, g + 1:] = src[:, g:]
+    return child
+
+
+def level(tree: Tree, n: int) -> np.ndarray:
+    """All objects of size n, grown from the root; a level of more than
+    ``bulk.ROW_BUDGET`` rows is refused before any is built."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    stack = [(tree.root, 1) if n else ((), 0)]
-    while stack:
-        obj, m = stack.pop()
-        if m == n:
-            yield obj
-        else:
-            stack += [(tree.insert(obj, place), m + 1) for place, _ in tree.places(obj)]
+    bulk.check_budget(tree.count(n), f"the level of size {n}")
+    a = np.array([[-1 if tree.cycles else 1]] if n else [[]], dtype=np.int8)
+    for _ in range(n - 1):
+        a = grow(tree, a)
+    return a
 
 
-def _labels(tree: Tree, obj: tuple) -> dict[int, Label]:
-    return {place: label for place, label in tree.places(obj) if label != END}
+def one_line(level: np.ndarray) -> np.ndarray:
+    """The rows of a SECOND level as maps in one-line notation."""
+    out = np.empty_like(level)
+    for part in _chunks(len(level)):
+        letters, _, _, succ = _successors(level[part])
+        np.put_along_axis(out[part], letters - 1, succ, axis=1)
+    return out
+
+
+def objects(tree: Tree, level: np.ndarray) -> list[tuple]:
+    """The rows as tuples: words, or cycle forms in standard form."""
+    rows = level.tolist()
+    if not tree.cycles:
+        return list(map(tuple, rows))
+    cuts = [[i for i, v in enumerate(row) if v < 0] + [len(row)] for row in rows]
+    return [tuple(tuple(map(abs, row[a:b])) for a, b in zip(cut, cut[1:]))
+            for row, cut in zip(rows, cuts)]
+
+
+def one_row(tree: Tree, obj: tuple) -> np.ndarray:
+    """One object as a level of one row; cycle forms must be standard."""
+    if tree.cycles:
+        obj = [-v if not i else v for cyc in obj for i, v in enumerate(cyc)]
+    return perms.word_array([obj], len(obj))
 
 
 def gen_simsun_first(n: int) -> Iterator[Word]:
     """Members of RS_n: the entry m+1 goes into every gap of a member of
     RS_m except those right after p(i-1) for descents i."""
-    return _grow(FIRST, n)
+    yield from objects(FIRST, level(FIRST, n))
 
 
 def gen_simsun_second(n: int) -> Iterator[Cycles]:
     """Members of SS_n in standard cycle form: the entry m+1 follows any
     letter that is not a cyclic peak value, or is a new singleton cycle."""
-    return _grow(SECOND, n)
+    yield from objects(SECOND, level(SECOND, n))
 
 
 # -- labelings ----------------------------------------------------------------
+
+
+def _labels(tree: Tree, obj: tuple) -> dict[int, Label]:
+    """Place -> label of one object, END places left out; a cycle form's
+    place c >= 1 is named by its c-th letter."""
+    level = one_row(tree, obj)
+    _, place, kind, rank = places(tree, level)
+    key = np.abs(level[0])[place - 1] if tree.cycles else place
+    names = ("END",) + tree.kinds
+    return {p: (names[k], r) for p, k, r in zip(key.tolist(), kind.tolist(), rank.tolist()) if k}
 
 
 def label_first(word: Word) -> dict[int, Label]:
@@ -225,16 +284,12 @@ def label_first(word: Word) -> dict[int, Label]:
     return _labels(FIRST, word)
 
 
-def label_peak(word: Word) -> dict[int, Label]:
-    """Gap -> p/q label for an arbitrary permutation (gaps 0, n unlabelled)."""
-    return _labels(PEAK, word)
-
-
 def label_second(cycles: Cycles) -> dict[int, Label]:
     """Letter -> u/v label for a second-kind simsun permutation."""
-    if not is_simsun_second(perms.from_cycles(cycles)):
+    word = perms.from_cycles(cycles)
+    if not is_simsun_second(word):
         raise ValueError(f"not simsun (second kind): {cycles}")
-    return _labels(SECOND, cycles)
+    return _labels(SECOND, perms.to_cycles(word))
 
 
 def _render(letters: list[tuple[int, Label | None]], sep: str) -> str:

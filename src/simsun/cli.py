@@ -83,13 +83,13 @@ def parse_perm(text: str):
 def _verdicts(args, key: str, reports: list) -> int:
     """Print reports in ``args.format`` under ``key``, the argument that
     selected them ("identity" or "suite"); exit 1 when any failed."""
-    results = [{key: r.identity, "bound": r.bound, "ok": r.ok, "detail": r.detail}
-               for r in reports]
+    results = [{key: r.identity, "bound": r.bound, "ok": r.ok, "detail": r.detail,
+                "cases": r.cases} for r in reports]
     if args.format == "json":
         _emit_json(args.command, {key: getattr(args, key), "n_max": args.n_max}, results)
     elif args.format == "csv":
         out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=[key, "bound", "ok", "detail"])
+        writer = csv.DictWriter(out, fieldnames=[key, "bound", "ok", "detail", "cases"])
         writer.writeheader()
         writer.writerows(results)
         sys.stdout.write(out.getvalue())

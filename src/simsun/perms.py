@@ -87,25 +87,6 @@ def word_stats(word: Word) -> StatRecord:
     return StatRecord(des, pk + first_down, pk, turns + 1, turns + 1 + first_down)
 
 
-def lalt(word: Word) -> int:
-    """Length of the longest subsequence of shape a1 > a2 < a3 > ...;
-    it equals uprun (O(n^2), so ``word_stats`` leaves it out)."""
-    # even[i]/odd[i]: longest alternating subsequence ending at i whose next
-    # required comparison is > (even) or < (odd); first comparison must be >.
-    n = len(word)
-    if n == 0:
-        return 0
-    even = [1] * n
-    odd = [0] * n
-    for i in range(n):
-        for j in range(i):
-            if word[j] > word[i] and even[j] + 1 > odd[i]:
-                odd[i] = even[j] + 1
-            if word[j] < word[i] and odd[j] + 1 > even[i]:
-                even[i] = odd[j] + 1
-    return max(max(even), max(odd))
-
-
 def inverse(word: Word) -> Word:
     inv = [0] * len(word)
     for i, v in enumerate(word):
@@ -171,45 +152,6 @@ def permutations(n: int) -> Iterator[Word]:
     return iter(itertools.permutations(range(1, n + 1)))
 
 
-def signed_permutations(n: int) -> Iterator[Word]:
-    """All signed-permutation windows of [n] in lexicographic order."""
-    windows = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((-1, 1), repeat=n):
-            windows.append(tuple(s * v for s, v in zip(signs, perm)))
-    windows.sort()
-    return iter(windows)
-
-
-def is_alternating(word: Word) -> bool:
-    """Down-up shape p(1) > p(2) < p(3) > ..."""
-    for i in range(len(word) - 1):
-        if i % 2 == 0:
-            if word[i] < word[i + 1]:
-                return False
-        elif word[i] > word[i + 1]:
-            return False
-    return True
-
-
-def is_snake(window: Word) -> bool:
-    """Type-B snake: 0 < p(1) > p(2) < p(3) > ..."""
-    if len(window) >= 1 and window[0] < 0:
-        return False
-    return is_alternating(window)
-
-
-def is_up_down_cycle(cycle: tuple[int, ...]) -> bool:
-    """Cycle pattern b(1) < b(2) > b(3) < ..."""
-    for i in range(len(cycle) - 1):
-        if i % 2 == 0:
-            if cycle[i] > cycle[i + 1]:
-                return False
-        elif cycle[i] < cycle[i + 1]:
-            return False
-    return True
-
-
 def cycle_up_down(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row mask of the cycle-up-down maps of ``a`` (one-line rows) and the
     column of their cycle counts.
@@ -238,6 +180,19 @@ def inverse_rows(a: np.ndarray) -> np.ndarray:
     return inv
 
 
+def row_order(a: np.ndarray) -> np.ndarray:
+    """Indices that sort the rows of ``a`` (letters in -m..m) lexicographically:
+    by one base-(2m + 1) int64 key per row when it fits, else column by column."""
+    rows, m = a.shape
+    base = 2 * m + 1
+    if base**m >= 2**63:
+        return np.lexsort(a.T[::-1])
+    key = np.zeros(rows, dtype=np.int64)
+    for column in a.T:
+        key = key * base + (column + m)
+    return np.argsort(key, kind="stable")
+
+
 def _letter_dtype(n: int) -> type:
     """Narrowest integer type holding the letters -n..n of an array oracle."""
     return np.int8 if n < 128 else np.int32
@@ -252,18 +207,14 @@ def word_array(words: Iterable[Sequence[int]], n: int) -> np.ndarray:
     return np.fromiter(letters, dtype=_letter_dtype(n)).reshape(-1, n)
 
 
-def word_chunks(words: Iterable[Sequence[int]], n: int) -> Iterator[np.ndarray]:
-    """Words of length n, in order, as arrays of at most ``bulk._CHUNK`` rows."""
-    stream = iter(words)
-    while len(chunk := word_array(itertools.islice(stream, bulk._CHUNK), n)):
-        yield chunk
-
-
 def permutation_chunks(n: int) -> Iterator[np.ndarray]:
     """All permutations of [n] in lexicographic order, as arrays of at most
-    ``bulk._CHUNK`` rows; n! over ``bulk.ROW_BUDGET`` is refused up front."""
+    ``bulk._CHUNK`` rows; n! over ``bulk.ROW_BUDGET`` is refused before the
+    first chunk is built."""
     bulk.check_budget(math.factorial(n), f"the permutations of [{n}]")
-    return word_chunks(itertools.permutations(range(1, n + 1)), n)
+    stream = itertools.permutations(range(1, n + 1))
+    while len(chunk := word_array(itertools.islice(stream, bulk._CHUNK), n)):
+        yield chunk
 
 
 def zigzag_chunks(n: int, signed: bool) -> Iterator[np.ndarray]:

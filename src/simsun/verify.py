@@ -33,6 +33,8 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator
 
+import numpy as np
+
 from . import bijections, bulk, classes, perms, roots, series, triangles
 from .poly import ONE, Poly, X, ZERO, mobius_compose
 
@@ -51,6 +53,8 @@ class IdentityReport:
     bound: int
     ok: bool
     detail: str = ""
+    #: comparisons made, the failing one included
+    cases: int = 0
 
 
 @dataclass(frozen=True)
@@ -284,28 +288,35 @@ def _cardinalities(n_max: int) -> Comparisons:
 
 
 def _filter_matches_generator(n_max: int) -> Comparisons:
+    # the filters read one stream of all n! permutations; both sides are
+    # compared as sorted one-line rows
     for n in range(n_max + 1):
-        # both filters read one stream of all n! permutations
-        filt1, filt2 = set(), set()
+        filt1, filt2 = [], []
         for chunk in perms.permutation_chunks(n):
-            filt1.update(map(tuple, chunk[classes.simsun_first_mask(chunk)].tolist()))
-            members = chunk[classes.simsun_second_mask(chunk)].tolist()
-            filt2.update(perms.to_cycles(tuple(w)) for w in members)
-        yield f"n={n} (first kind)", set(classes.gen_simsun_first(n)), filt1
-        yield f"n={n} (second kind)", set(classes.gen_simsun_second(n)), filt2
+            filt1.append(chunk[classes.simsun_first_mask(chunk)])
+            filt2.append(chunk[classes.simsun_second_mask(chunk)])
+        gen1 = classes.level(classes.FIRST, n)
+        gen2 = classes.one_line(classes.level(classes.SECOND, n))
+        for kind, gen, filt in (("first", gen1, filt1), ("second", gen2, filt2)):
+            filt = np.concatenate(filt)
+            yield (f"n={n} ({kind} kind)", gen[perms.row_order(gen)].tolist(),
+                   filt[perms.row_order(filt)].tolist())
 
 
 def _descent_left_peak(n_max: int) -> Comparisons:
-    # whole statistic columns of the generated members, read chunk by chunk
-    # by the words sweep's scanner, are compared once per n
+    # statistic columns of the generated level, read chunk by chunk by the
+    # words sweep's scanner; lpk is read off its definition, the interior
+    # peaks of the 0-prepended word
     for n in range(n_max + 1):
+        words = classes.level(classes.FIRST, n)
         des, lpk, pk_first_down = [], [], []
-        for chunk in perms.word_chunks(classes.gen_simsun_first(n), n):
+        for start in range(0, len(words), bulk._CHUNK):
+            chunk = words[start : start + bulk._CHUNK]
             d, pk, _, first_down, _ = bulk._word_stats(chunk)
+            up = np.diff(chunk, axis=1, prepend=0) > 0
             des += d.tolist()
-            lpk += (pk + first_down).tolist()
-            if n >= 2:
-                pk_first_down += (pk + (chunk[:, 0] > chunk[:, 1])).tolist()
+            lpk += (up[:, :-1] & ~up[:, 1:]).sum(axis=1).tolist()
+            pk_first_down += (pk + first_down).tolist()
         yield f"n={n}: des vs lpk", des, lpk
         if n >= 2:
             yield f"n={n}: lpk vs pk + [first step down]", lpk, pk_first_down
@@ -532,10 +543,6 @@ REGISTRY: dict[str, Entry] = {
 }
 
 
-def identity_ids() -> tuple[str, ...]:
-    return tuple(REGISTRY)
-
-
 def run(identity: str, bound: int | None = None) -> IdentityReport:
     """Run one registry entry; bound defaults to the entry's own."""
     if identity not in REGISTRY:
@@ -546,10 +553,10 @@ def run(identity: str, bound: int | None = None) -> IdentityReport:
     for where, lhs, rhs in entry.check(used):
         cases += 1
         if lhs != rhs:
-            return IdentityReport(identity, used, False, where)
+            return IdentityReport(identity, used, False, where, cases)
     if cases == 0:
         return IdentityReport(identity, used, False, "no cases checked")
-    return IdentityReport(identity, used, True)
+    return IdentityReport(identity, used, True, cases=cases)
 
 
 def run_all(bound: int | None = None) -> list[IdentityReport]:

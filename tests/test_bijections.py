@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from simsun import bijections, classes, perms
@@ -45,27 +46,35 @@ def test_non_members_rejected():
 
 
 def test_insertion_history_replay():
-    for n in range(1, 7):
-        for w in classes.gen_simsun_first(n):
-            history = bijections._history(w, classes.FIRST)
-            assert len(history) == n - 1
-            assert bijections._replay(history, classes.FIRST, {}) == [w]
     # every tree: replaying the history reaches the object, and only objects
-    # with the same history; just the peak tree branches, at END and p_r
-    trees = (
-        (classes.FIRST, classes.gen_simsun_first, ()),
-        (classes.PEAK, perms.permutations, ("END", "p")),
-        (classes.SECOND, classes.gen_simsun_second, ()),
-    )
-    for tree, members, doubling in trees:
+    # with the same history; just the peak tree branches, at END and p_r.
+    # A whole level is one batch
+    for tree, doubling in ((classes.FIRST, ()), (classes.PEAK, (0, 1)), (classes.SECOND, ())):
         for n in range(1, 7):
-            for obj in members(n):
-                history = bijections._history(obj, tree)
-                assert len(history) == n - 1
-                level = bijections._replay(history, tree, {})
-                assert obj in level
-                assert all(bijections._history(o, tree) == history for o in level)
-                assert len(level) == 2 ** sum(kind in doubling for kind, _ in history)
+            level = classes.level(tree, n)
+            history = _history(tree, level)
+            assert len(history) == n - 1
+            rows = owner = np.arange(len(level))
+            replayed = np.repeat(classes.level(tree, 1), len(level), axis=0)
+            for kind, rank in history:
+                replayed, owner = bijections._join(rows, kind, rank, tree, replayed, owner)
+            found = [set() for _ in level]
+            for i, obj in zip(owner.tolist(), classes.objects(tree, replayed)):
+                found[i].add(obj)
+            for (kind, rank), again in zip(history, _history(tree, replayed)):
+                assert (again[0] == kind[owner]).all() and (again[1] == rank[owner]).all()
+            doubled = sum(np.isin(kind, doubling) for kind, _ in history)
+            assert (np.bincount(owner, minlength=len(level)) == 2**doubled).all()
+            assert all(obj in group for obj, group in zip(classes.objects(tree, level), found))
+
+
+def _history(tree, level):
+    """(kinds, ranks) of each step that rebuilds the rows from the root."""
+    history = []
+    while level.shape[1] > 1:
+        level, kind, rank = bijections._strip(tree, level)
+        history.append((kind, rank))
+    return history[::-1]
 
 
 def test_psi_round_trips():
@@ -96,30 +105,58 @@ def test_phi_block_sizes_small():
             assert all(perms.word_stats(t).pk == k for t in block)
 
 
+def _by_owner(owner, rows):
+    """(owner, row) pairs sorted by owner and then by row."""
+    order = np.lexsort(tuple(rows.T[::-1]) + (owner,))
+    return owner[order].tolist(), rows[order].tolist()
+
+
 def test_walks_agree_with_replay():
     # a consistency check, not a second oracle: the walks and history ->
-    # replay read the same trees, so this shows only that the exhaustive
-    # checks see the maps that single objects get
+    # replay read the same trees.  A single object is a batch of one row of
+    # history -> replay, so this shows that the exhaustive checks see the
+    # maps that single objects get; the single calls are compared up to 5
+    first, peak, second = classes.FIRST, classes.PEAK, classes.SECOND
     for n in range(1, 8):
-        blocks = dict(bijections._phi_blocks(n))
-        images = dict(bijections._psi_images(n))
-        words = list(classes.gen_simsun_first(n))
-        assert blocks.keys() == images.keys() == set(words)
-        for w in words:
-            assert blocks[w] == bijections.phi_forward(w)
-            assert images[w] == [bijections.psi_forward(w)]
+        words, blocks, owner = bijections._carry("phi", n)
+        same, images, psi_owner = bijections._carry("psi", n)
+        assert (same == words).all()
+        assert sorted(classes.objects(first, words)) == sorted(classes.gen_simsun_first(n))
+        replayed = bijections._map("phi", words)
+        assert _by_owner(owner, blocks) == _by_owner(replayed[1], replayed[0])
+        replayed = bijections._map("psi", words)
+        assert _by_owner(psi_owner, images) == _by_owner(replayed[1], replayed[0])
+        if n <= 5:
+            for i, w in enumerate(classes.objects(first, words)):
+                assert sorted(bijections.phi_forward(w)) == sorted(
+                    classes.objects(peak, blocks[owner == i]))
+                assert [bijections.psi_forward(w)] == classes.objects(
+                    second, images[psi_owner == i])
     for n in range(1, 7):
-        for t, sources in bijections._phi_sources(n):
-            assert sources == [bijections.phi_inverse(t)]
-        for c, sources in bijections._psi_sources(n):
-            assert sources == [bijections.psi_inverse(c)]
+        for name, tree, size, inverse in (("phi-1", peak, n + 1, bijections.phi_inverse),
+                                          ("psi-1", second, n, bijections.psi_inverse)):
+            targets, sources, owner = bijections._carry(name, size)
+            replayed = bijections._map(name, targets)
+            assert _by_owner(owner, sources) == _by_owner(replayed[1], replayed[0])
+            if n <= 4:
+                for i, t in enumerate(classes.objects(tree, targets)):
+                    assert [inverse(t)] == classes.objects(first, sources[owner == i])
 
 
 def _relabel(tree, old, new):
     """The tree with the place label ``old`` read as ``new``."""
-    def places(obj):
-        return [(g, new if lab == old else lab) for g, lab in tree.places(obj)]
-    return tree._replace(places=places)
+    names = ("END",) + tree.kinds
+
+    def marks(a):
+        one, two, ends, ranks = tree.marks(a)
+        first, second = ranks()
+        kind = np.where(one, 1, np.where(two, 2, -1))
+        rank = np.where(one, first, 0) + np.where(two, second, 0)
+        hit = (kind == names.index(old[0])) & (rank == old[1])
+        kind[hit], rank[hit] = names.index(new[0]), new[1]
+        return kind == 1, kind == 2, ends, lambda: (rank, rank)
+
+    return tree._replace(marks=marks)
 
 
 def _crossed(rename):

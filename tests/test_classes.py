@@ -1,10 +1,158 @@
 """Recognizers, insertion generators and labelings."""
 
+import numpy as np
 import pytest
 
-from simsun import bulk, classes, perms
+from simsun import bijections, bulk, classes, perms
 
 EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385]
+END = ("END", 0)
+
+
+# -- scalar references of the three trees: (place, label) of one object -------
+#
+# Words number their gaps g = 0..n, gap g lying right after p(g) with
+# p(0) = 0; cycle forms name a place by the letter the entry follows, 0
+# standing for a new singleton cycle.
+
+
+def _word_places(word):
+    """First kind: descent gaps x_1..x_k, gaps in {0..n-1} that are neither
+    descents nor right before one y_1..y_{n-2k}, END at gap n."""
+    n = len(word)
+    des = [False] + [word[i - 1] > word[i] for i in range(1, n)] + [False]
+    places, r, s = [], 0, 0
+    for g in range(n):
+        if des[g]:
+            r += 1
+            places.append((g, ("x", r)))
+        elif not des[g + 1]:
+            s += 1
+            places.append((g, ("y", s)))
+    places.append((n, END))
+    return places
+
+
+def _peak_places(word):
+    """All permutations: both gaps around the r-th interior peak p_r, the
+    other interior gaps q_1..q_{n-2k-1}, END at gap n and then at gap 0."""
+    n = len(word)
+    # peak[i]: p(i) is an interior peak, for i = 0..n
+    peak = [False, False] + [word[i - 2] < word[i - 1] > word[i] for i in range(2, n)] + [False]
+    places, r, s = [], 0, 0
+    for g in range(1, n):
+        if peak[g] or peak[g + 1]:
+            r += peak[g + 1]
+            places.append((g, ("p", r)))
+        else:
+            s += 1
+            places.append((g, ("q", s)))
+    return places + [(n, END), (0, END)]
+
+
+def _cycle_places(cycles):
+    """Second kind: u_r after the r-th excedance position (increasing), v_s
+    after the s-th letter, left to right, that is neither an excedance
+    position nor a cyclic peak value, END for a new singleton cycle."""
+    n = sum(map(len, cycles))
+    succ, pred = [0] * (n + 1), [0] * (n + 1)
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            succ[a], pred[b] = b, a
+    excedances = [i for i in range(1, n + 1) if succ[i] > i]
+    plain = [v for cyc in cycles for v in cyc if succ[v] <= v <= pred[v]]
+    return ([(i, ("u", r)) for r, i in enumerate(excedances, start=1)]
+            + [(v, ("v", s)) for s, v in enumerate(plain, start=1)] + [(0, END)])
+
+
+def label_peak(word):
+    """Gap -> p/q label for an arbitrary permutation (gaps 0, n unlabelled)."""
+    return {g: label for g, label in _peak_places(word) if label != END}
+
+
+TREES = [
+    (classes.FIRST, _word_places, lambda n: set(classes.gen_simsun_first(n))),
+    (classes.PEAK, _peak_places, lambda n: set(perms.permutations(n))),
+    (classes.SECOND, _cycle_places, lambda n: set(classes.gen_simsun_second(n))),
+]
+
+
+def _array_places(tree, level):
+    """(place, label) lists of every row, from the array columns; a cycle
+    form's place is renamed to the letter it follows."""
+    names = ("END",) + tree.kinds
+    found = [[] for _ in level]
+    for row, place, kind, rank in zip(*(c.tolist() for c in classes.places(tree, level))):
+        if tree.cycles and place:
+            place = abs(int(level[row, place - 1]))
+        found[row].append((place, (names[kind], rank)))
+    return found
+
+
+@pytest.mark.parametrize("tree, reference, members", TREES, ids=["FIRST", "PEAK", "SECOND"])
+def test_array_places_match_scalar_reference(tree, reference, members):
+    for n in range(1, 8):
+        level = classes.level(tree, n)
+        objects = classes.objects(tree, level)
+        assert len(objects) == len(set(objects)) and set(objects) == members(n)
+        for obj, found in zip(objects, _array_places(tree, level)):
+            assert sorted(found) == sorted(reference(obj)), obj
+
+
+def _as_maps(tree, level):
+    return sorted(map(tuple, (classes.one_line(level) if tree.cycles else level).tolist()))
+
+
+def test_levels_match_filters_and_the_sweeps(monkeypatch):
+    swept = {}
+    count = bulk._count
+
+    def record(level, scan):
+        swept[scan.__name__, level.shape[1]] = level.copy()
+        return count(level, scan)
+
+    monkeypatch.setattr(bulk, "_count", record)
+    monkeypatch.setattr(bulk, "_cache", {})
+    bulk.simsun_word_distributions(8)
+    bulk.simsun_cycle_distributions(8)
+    bulk.all_perm_word_distributions(8)
+    for tree, scan, mask in (
+        (classes.FIRST, "_word_stats", classes.simsun_first_mask),
+        (classes.SECOND, "_cycle_stats", classes.simsun_second_mask),
+        (classes.PEAK, "_all_word_stats", lambda chunk: np.ones(len(chunk), dtype=bool)),
+    ):
+        labelled = classes.level(tree, 1)
+        for n in range(1, 9):
+            if n > 1:
+                row, place, _, _ = classes.places(tree, labelled)
+                labelled = classes.insert(tree, labelled, row, place)
+            # the labelled insert at every place is the unlabelled growth
+            assert (labelled == classes.level(tree, n)).all()
+            assert _as_maps(tree, labelled) == _as_maps(tree, swept[scan, n])
+            # and the recognizers over all n! permutations find the same rows
+            filtered = [c[mask(c)] for c in perms.permutation_chunks(n)]
+            assert _as_maps(tree, labelled) == _as_maps(classes.PEAK, np.concatenate(filtered))
+
+
+def test_engine_folds_over_chunks(monkeypatch):
+    def run():
+        out = [classes.places(tree, classes.level(tree, n))
+               for tree, _, _ in TREES for n in range(1, 7)]
+        out += [bijections._carry(name, 6) for name in ("phi", "phi-1", "psi", "psi-1")]
+        out += [bijections._map(name, classes.level(tree, 6))
+                for name, tree in (("phi", classes.FIRST), ("psi-1", classes.SECOND))]
+        out += [classes.one_line(classes.level(classes.SECOND, 6))]
+        return out + [bijections.verify_phi(5).counts, bijections.verify_psi(6).counts]
+
+    whole = run()
+    monkeypatch.setattr(bulk, "_CHUNK", 7)
+    for got, expected in zip(run(), whole):
+        if isinstance(expected, dict):
+            assert got == expected
+        else:
+            assert all((g == e).all() for g, e in zip(got, expected))
+
+
 
 
 def test_first_kind_recognizer():
@@ -113,10 +261,10 @@ def test_label_first_counts_and_example():
 
 def test_label_peak_counts_and_example():
     word = (3, 4, 1, 2, 5)
-    labels = classes.label_peak(word)
+    labels = label_peak(word)
     assert labels == {1: ("p", 1), 2: ("p", 1), 3: ("q", 1), 4: ("q", 2)}
     for w in perms.permutations(5):
-        lab = classes.label_peak(w)
+        lab = label_peak(w)
         pk = perms.word_stats(w).pk
         kinds = [k for k, _ in lab.values()]
         assert kinds.count("p") == 2 * pk

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import simsun
-from simsun import bijections, bulk, cli, perms
+from simsun import bijections, bulk, classes, cli, perms
 
 
 def run(capsys, *argv):
@@ -93,7 +93,7 @@ def test_sweep_over_row_budget_exits_2(capsys, monkeypatch):
 
     with monkeypatch.context() as patch:
         # the bound is refused up front, before any level is built
-        patch.setattr(bulk, "_insert_gaps", refuse)
+        patch.setattr(classes, "grow", refuse)
         code, out, err = run(capsys, "verify", "enum-descents", "--n-max", "8")
     assert code == 2 and out == "" and err.startswith("error:")
     assert sum(bulk.simsun_word_distributions(5)[5].values()) == 61
@@ -132,7 +132,7 @@ def test_verify_json_schema(capsys):
     payload = json.loads(out)
     assert payload["command"] == "verify"
     (result,) = payload["results"]
-    assert result == {"identity": "t-split", "bound": 6, "ok": True, "detail": ""}
+    assert result == {"identity": "t-split", "bound": 6, "ok": True, "detail": "", "cases": 30}
 
 
 def test_bijection_perm(capsys):
@@ -171,12 +171,12 @@ def test_bijection_psi_long_input(capsys):
 
 
 def test_psi_input_over_limit_exits_2(capsys, monkeypatch):
-    def refuse(obj, tree):
+    def refuse(tree, level):
         raise AssertionError("the history was read before the length check")
 
     monkeypatch.setattr(bijections, "PSI_LENGTH_LIMIT", 10)
     with monkeypatch.context() as patch:
-        patch.setattr(bijections, "_history", refuse)
+        patch.setattr(bijections, "_strip", refuse)
         for perm in (",".join(map(str, range(1, 12))), "".join(f"({i})" for i in range(1, 12))):
             code, out, err = run(capsys, "bijection", "psi", "--perm", perm)
             assert code == 2 and out == "" and "11 letters" in err
@@ -185,10 +185,10 @@ def test_psi_input_over_limit_exits_2(capsys, monkeypatch):
 
 
 def test_phi_block_over_limit_exits_2(capsys, monkeypatch):
-    def refuse(history, tree, rename):
+    def refuse(name, level):
         raise AssertionError("the block was built before the limit check")
 
-    monkeypatch.setattr(bijections, "_replay", refuse)
+    monkeypatch.setattr(bijections, "_map", refuse)
     # n - des = 30: 2^30 images
     code, out, err = run(capsys, "bijection", "phi", "--perm", ",".join(map(str, range(1, 31))))
     assert code == 2 and out == "" and err.startswith("error:") and "2^30" in err
@@ -196,7 +196,7 @@ def test_phi_block_over_limit_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, "bijection", "phi", "--perm", ",".join(map(str, range(1, 20))))
     assert code == 2 and "2^19" in err
     # n - des = 18 is admitted
-    monkeypatch.setattr(bijections, "_replay", lambda history, tree, rename: [])
+    monkeypatch.setattr(bijections, "_map", lambda name, level: (level[:0], level[:0, 0]))
     code, out, _ = run(capsys, "bijection", "phi", "--perm", ",".join(map(str, range(1, 19))))
     assert code == 0 and out.startswith("source:")
 
@@ -237,7 +237,7 @@ def test_roots(capsys):
     assert code == 2
     code, out, _ = run(capsys, "roots", "roots-successive", "--n-max", "5", "--format", "csv")
     assert code == 0
-    assert out.splitlines() == ["suite,bound,ok,detail", "roots-successive,5,True,"]
+    assert out.splitlines() == ["suite,bound,ok,detail,cases", "roots-successive,5,True,,5"]
 
 
 def test_series(capsys):

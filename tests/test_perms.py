@@ -19,6 +19,57 @@ small_perms = st.integers(min_value=1, max_value=7).flatmap(
 ).map(tuple)
 
 
+def lalt(word):
+    """Length of the longest subsequence of shape a1 > a2 < a3 > ...;
+    it equals uprun (O(n^2), a reference for ``word_stats``)."""
+    # even[i]/odd[i]: longest alternating subsequence ending at i whose next
+    # required comparison is > (even) or < (odd); first comparison must be >.
+    n = len(word)
+    if n == 0:
+        return 0
+    even = [1] * n
+    odd = [0] * n
+    for i in range(n):
+        for j in range(i):
+            if word[j] > word[i] and even[j] + 1 > odd[i]:
+                odd[i] = even[j] + 1
+            if word[j] < word[i] and odd[j] + 1 > even[i]:
+                even[i] = odd[j] + 1
+    return max(max(even), max(odd))
+
+
+def signed_permutations(n):
+    """All signed-permutation windows of [n] in lexicographic order."""
+    windows = []
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((-1, 1), repeat=n):
+            windows.append(tuple(s * v for s, v in zip(signs, perm)))
+    return sorted(windows)
+
+
+def is_alternating(word):
+    """Down-up shape p(1) > p(2) < p(3) > ..."""
+    return all((word[i] > word[i + 1]) == (i % 2 == 0) for i in range(len(word) - 1))
+
+
+def is_snake(window):
+    """Type-B snake: 0 < p(1) > p(2) < p(3) > ..."""
+    if len(window) >= 1 and window[0] < 0:
+        return False
+    return is_alternating(window)
+
+
+def is_up_down_cycle(cycle):
+    """Cycle pattern b(1) < b(2) > b(3) < ..."""
+    for i in range(len(cycle) - 1):
+        if i % 2 == 0:
+            if cycle[i] > cycle[i + 1]:
+                return False
+        elif cycle[i] < cycle[i + 1]:
+            return False
+    return True
+
+
 def test_check_word_accepts_and_rejects():
     assert perms.check_word([2, 1, 3]) == (2, 1, 3)
     with pytest.raises(ValueError):
@@ -35,18 +86,18 @@ def test_descent_set():
 def test_word_stats_examples():
     w = (1, 2, 3, 4)
     rec = perms.word_stats(w)
-    assert (rec.des, rec.lpk, rec.pk, rec.altruns, rec.uprun, perms.lalt(w)) == (
+    assert (rec.des, rec.lpk, rec.pk, rec.altruns, rec.uprun, lalt(w)) == (
         0, 0, 0, 1, 1, 1,
     )
     w = (2, 1)
     rec = perms.word_stats(w)
-    assert (rec.des, rec.lpk, rec.pk, rec.altruns, rec.uprun, perms.lalt(w)) == (
+    assert (rec.des, rec.lpk, rec.pk, rec.altruns, rec.uprun, lalt(w)) == (
         1, 1, 0, 1, 2, 2,
     )
     rec = perms.word_stats((3, 4, 1, 2, 5))
     assert (rec.des, rec.lpk, rec.pk) == (1, 1, 1)
     rec = perms.word_stats(())
-    assert (rec.des, rec.lpk, rec.pk, rec.altruns, rec.uprun, perms.lalt(())) == (
+    assert (rec.des, rec.lpk, rec.pk, rec.altruns, rec.uprun, lalt(())) == (
         0, 0, 0, 0, 0, 0,
     )
     assert perms.word_stats((1,)).uprun == 1
@@ -74,7 +125,7 @@ def test_word_stats_match_definitions():
 
 @given(small_perms)
 def test_uprun_equals_longest_alternating_subsequence(w):
-    assert perms.word_stats(w).uprun == perms.lalt(w)
+    assert perms.word_stats(w).uprun == lalt(w)
 
 
 @given(small_perms)
@@ -133,17 +184,17 @@ def test_permutations_lexicographic():
 
 
 def test_signed_permutations():
-    got = list(perms.signed_permutations(2))
+    got = list(signed_permutations(2))
     assert len(got) == 8
     assert got == sorted(got)
     assert (1, -2) in got
 
 
 def test_alternating_and_snakes():
-    assert perms.is_alternating((3, 1, 4, 2))
-    assert not perms.is_alternating((1, 3, 2))
-    assert perms.is_snake((2, -1))
-    assert not perms.is_snake((-1, 2))
+    assert is_alternating((3, 1, 4, 2))
+    assert not is_alternating((1, 3, 2))
+    assert is_snake((2, -1))
+    assert not is_snake((-1, 2))
     for n in range(7):
         assert sum(1 for _ in perms.snakes(n)) == SPRINGER[n]
     for n in range(8):
@@ -153,14 +204,14 @@ def test_alternating_and_snakes():
 def test_snakes_match_filter():
     for n in range(5):
         listed = list(perms.snakes(n))
-        brute = [w for w in perms.signed_permutations(n) if perms.is_snake(w)]
+        brute = [w for w in signed_permutations(n) if is_snake(w)]
         assert listed == brute
 
 
 def test_alternating_matches_filter():
     for n in range(9):
         listed = list(perms.alternating_permutations(n))
-        brute = [w for w in perms.permutations(n) if perms.is_alternating(w)]
+        brute = [w for w in perms.permutations(n) if is_alternating(w)]
         assert listed == brute
 
 
@@ -178,8 +229,8 @@ def test_cycle_up_down():
     keep, cyc = perms.cycle_up_down(words)
     assert keep.tolist() == [True, True, False, True, False]
     assert cyc.tolist() == [4, 2, 2, 2, 2]
-    assert perms.is_up_down_cycle((1, 4, 3))
-    assert not perms.is_up_down_cycle((1, 3, 4))
+    assert is_up_down_cycle((1, 4, 3))
+    assert not is_up_down_cycle((1, 3, 4))
 
 
 def test_cycle_up_down_matches_cycle_forms():
@@ -188,7 +239,7 @@ def test_cycle_up_down_matches_cycle_forms():
             keep, cyc = perms.cycle_up_down(chunk)
             for w, k, c in zip(map(tuple, chunk.tolist()), keep.tolist(), cyc.tolist()):
                 cycles = perms.to_cycles(w)
-                assert k == all(perms.is_up_down_cycle(x) for x in cycles), w
+                assert k == all(is_up_down_cycle(x) for x in cycles), w
                 assert c == len(cycles), w
 
 

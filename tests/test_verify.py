@@ -13,7 +13,7 @@ def test_unknown_identity():
 
 
 def test_registry_listing():
-    ids = verify.identity_ids()
+    ids = tuple(verify.REGISTRY)
     assert "enum-descents" in ids
     assert "roots-nonpositive" in ids
     assert len(ids) == len(set(ids))
@@ -157,3 +157,21 @@ def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identi
     report = verify.run(identity, 5)
     assert not report.ok
     assert report.detail == detail
+
+
+@pytest.mark.parametrize("column", [1, 3], ids=["pk", "first-step-down"])
+def test_descent_left_peak_second_comparison_can_fail(monkeypatch, column):
+    # lpk is read off the 0-prepended word, so a wrong pk or first-step
+    # column of the scanner leaves des = lpk standing and breaks only
+    # lpk = pk + [first step down]
+    scan = bulk._word_stats
+
+    def bumped(a):
+        columns = scan(a)
+        columns[column] = columns[column] + 1
+        return columns
+
+    monkeypatch.setattr(bulk, "_word_stats", bumped)
+    report = verify.run("descent-left-peak", 5)
+    assert not report.ok
+    assert report.detail == "n=2: lpk vs pk + [first step down]"
