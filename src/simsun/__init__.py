@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 class TooLarge(Exception):
     """A bound the machine cannot afford, refused before any work is done:
     a sweep level, an alternating-permutation or snake array, or a stream of
-    all n! permutations over ``bulk.ROW_BUDGET`` rows; a φ block over
+    all n! permutations over ``perms.ROW_BUDGET`` rows; a φ block over
     ``bijections.PHI_BLOCK_LIMIT`` images; or a ψ input over
     ``bijections.PSI_LENGTH_LIMIT`` letters."""
 

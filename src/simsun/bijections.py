@@ -5,10 +5,12 @@ and permutations one letter longer with k interior peaks, and the bijection
 Both maps rename place labels between the labelled trees of ``classes``.
 One key join on (row, kind, rank) grows images at the places with a wanted
 label, with multiplicity for φ: at the two END places and the two gaps of a
-peak.  Single objects (one-row levels) go history → replay: the labels are
-read by stripping the largest entry, then the images grown from the root at
-the renamed labels.  The exhaustive checks walk the source tree level by
-level carrying row-aligned images, a child's joined on its own label.
+peak.  A walk starts from a root and its image, the empty objects, but
+for φ, whose images are one letter longer, the empty word and (1,).
+Single objects (one-row levels) go history → replay: the labels are read
+by stripping the largest entry, then the images grown from the root at the
+renamed labels.  The exhaustive checks walk the source tree level by level
+carrying row-aligned images, a child's joined on its own label.
 """
 
 from __future__ import annotations
@@ -52,19 +54,19 @@ def _flip(rename: dict[str, str]) -> dict[str, str]:
 
 
 def _spec(name: str) -> tuple:
-    """(tree, other tree, kind codes, roots, their images, the root of each
-    image) of a map: the code in ``other`` of each kind of ``tree`` renamed,
-    -1 for a kind ``other`` lacks.  The first step of a φ source, 2 into
-    (1,), is END either way, so the inverse of φ starts at size 2."""
-    tree, other, rename, *start = {
-        "phi": (FIRST, PEAK, PHI, [[1]], [[1, 2], [2, 1]], [0, 0]),
-        "phi-1": (PEAK, FIRST, _flip(PHI), [[1, 2], [2, 1]], [[1], [1]], [0, 1]),
-        "psi": (FIRST, SECOND, PSI, [[1]], [[-1]], [0]),
-        "psi-1": (SECOND, FIRST, _flip(PSI), [[-1]], [[1]], [0]),
+    """(tree, other tree, kind codes, root, its image) of a map: the code in
+    ``other`` of each kind of ``tree`` renamed, -1 for a kind ``other``
+    lacks; the root and its image are one-row levels."""
+    tree, other, rename, size, image_size = {
+        "phi": (FIRST, PEAK, PHI, 0, 1),
+        "phi-1": (PEAK, FIRST, _flip(PHI), 1, 0),
+        "psi": (FIRST, SECOND, PSI, 0, 0),
+        "psi-1": (SECOND, FIRST, _flip(PSI), 0, 0),
     }[name]
     names = ("END",) + other.kinds
     renamed = [rename.get(kind, kind) for kind in ("END",) + tree.kinds]
-    return (tree, other, np.array([names.index(k) if k in names else -1 for k in renamed]), *start)
+    codes = np.array([names.index(k) if k in names else -1 for k in renamed])
+    return tree, other, codes, classes.level(tree, size), classes.level(other, image_size)
 
 
 def _join(rows: np.ndarray, kinds: np.ndarray, ranks: np.ndarray, other: Tree,
@@ -91,12 +93,11 @@ def _join(rows: np.ndarray, kinds: np.ndarray, ranks: np.ndarray, other: Tree,
 
 
 def _carry(name: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk the source tree of a map to size n from its roots, carrying
-    row-aligned images: image j belongs to row owner[j], and a child's
-    images are its parent's joined on its own place label renamed.
-    Returns (level, images, owner) at size n."""
-    tree, other, codes, level, images, owner = _spec(name)
-    level, images, owner = np.array(level, np.int8), np.array(images, np.int8), np.array(owner)
+    """(level, images, owner) at size n of a walk of the source tree of a
+    map from its root: image j belongs to row owner[j], and a child's images
+    are its parent's joined on its own place label renamed."""
+    tree, other, codes, level, images = _spec(name)
+    owner = np.zeros(1, dtype=np.intp)
     while level.shape[1] < n:
         row, place, kind, rank = classes.places(tree, level)
         images, owner = _join(row, codes[kind], rank, other, images, owner)
@@ -104,32 +105,18 @@ def _carry(name: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return level, images, owner
 
 
-def _strip(tree: Tree, level: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The parents of every row of ``level``, its largest entry removed, and
-    the kind and rank of the place that entry held."""
-    rows, m = level.shape
-    at = np.argmax(np.abs(level) == m, axis=1)
-    parents = level[np.arange(m) != at[:, None]].reshape(rows, m - 1)
-    # a negative largest entry is a singleton cycle: place 0
-    place = np.where(level[np.arange(rows), at] < 0, 0, at)
-    row, where, kind, rank = classes.places(tree, parents)
-    i = np.searchsorted(where * rows + row, place * rows + np.arange(rows))
-    return parents, kind[i], rank[i]
-
-
 def _map(name: str, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """History → replay of every row of ``level``: the row is stripped down
-    to a root, recording the labels, and that root's images grown, step by
-    step, at the places whose label is the recorded one renamed.  Returns
-    the images, by row, and the row of each."""
-    tree, other, codes, roots, images, owner = _spec(name)
-    history, rows = [], np.arange(len(level))
-    while level.shape[1] > len(roots[0]):
-        level, kind, rank = _strip(tree, level)
+    """History → replay of every row of ``level``: the images, by row, and
+    the row of each.  The row is stripped down to the root, recording the
+    labels, and the root's image grown at the recorded labels renamed."""
+    tree, other, codes, root, image = _spec(name)
+    history = []
+    while level.shape[1] > root.shape[1]:
+        level, kind, rank = classes.strip(tree, level)
         history.append((codes[kind], rank))
-    root = (level[:, None] == np.array(roots)).all(axis=2).argmax(axis=1)
-    wanted, image = np.nonzero(root[:, None] == np.array(owner))
-    images = np.array(images, dtype=perms._letter_dtype(len(history) + 2))[image]
+    rows = wanted = np.arange(len(level))
+    dtype = perms._letter_dtype(image.shape[1] + len(history))
+    images = np.repeat(image.astype(dtype), len(level), axis=0)
     for kind, rank in reversed(history):
         images, wanted = _join(rows, kind, rank, other, images, wanted)
     return images, wanted
@@ -203,13 +190,14 @@ def _verify(name: str, n: int, sizes, stat: str, scan, covered) -> VerifyReport:
     ``covered`` passes the sorted images, and the inverse walk joins back."""
     if n < 1:
         raise ValueError("defined for n >= 1")
-    _, tree, _, roots, start, _ = _spec(name)
-    m = n + len(start[0]) - len(roots[0])
+    _, tree, _, root, image = _spec(name)
+    m = n + image.shape[1] - root.shape[1]
     # the last step keeps some ten int64 values per image, not one int8 row:
     # count m + 1 rows per image
-    bulk.check_budget(tree.count(m) * (m + 1), f"the place table of the {name} images of size {m}")
+    perms.check_budget(tree.count(m) * (m + 1), f"the place table of the {name} images of size {m}")
     words, images, owner = _carry(name, n)
-    des = bulk._word_stats(words)[0]
+    # des by the scalar reference, the image statistic by an array scan
+    des = np.array([perms.word_stats(w).des for w in classes.objects(FIRST, words)])
     block = np.bincount(owner, minlength=len(words))
     order = perms.row_order(images)
     images, sources = images[order], words[owner[order]]

@@ -5,30 +5,23 @@ by the unlabelled insert of a tree of ``classes`` (first-kind words, all
 permutations, second-kind signed cycle forms), which computes no label.  A
 scanner reads statistic columns off the stored words, or off the cycle
 forms as one-line maps, independently of any recurrence, in chunks of
-``_CHUNK`` rows.  Every statistic of a level of size m lies in 0..m, so a
-chunk's columns fold into one base-(m + 1) int64 key, counted by
+``perms._CHUNK`` rows.  Every statistic of a level of size m lies in 0..m,
+so a chunk's columns fold into one base-(m + 1) int64 key, counted by
 ``np.bincount`` and turned back into tuples by ``np.unravel_index``.
 
 Each sweep caches its largest result: a smaller bound gets a prefix of it,
 a larger bound recomputes.  A bound whose top level would hold more than
-``ROW_BUDGET`` rows (E_{n+1} or n!) raises ``TooLarge`` before any level is
-built.  ``ROW_BUDGET``, ``check_budget``, ``_CHUNK`` and ``orbit_minima``
-also serve the array oracles of ``perms`` and ``classes``, which read them
-here at call time.
+``perms.ROW_BUDGET`` rows (E_{n+1} or n!) raises ``TooLarge`` before any
+level is built.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 import numpy as np
 
-from . import TooLarge, classes
-
-_CHUNK = 1 << 16
-# admits word level 12 (E_13 = 22,368,256 rows); refuses E_14 and 12! rows
-ROW_BUDGET = 50_000_000
+from . import classes, perms
 
 _cache: dict[str, dict[int, Counter]] = {}
 
@@ -52,21 +45,14 @@ def all_perm_word_distributions(n_max: int) -> dict[int, Counter]:
     return _sweep("all", n_max, classes.PEAK, _all_word_stats, (0, 0, 0))
 
 
-def check_budget(rows: int, what: str) -> None:
-    """Refuse, before any allocation, an array of more than ROW_BUDGET rows."""
-    if rows > ROW_BUDGET:
-        raise TooLarge(f"{what} needs {rows:,} rows (budget {ROW_BUDGET:,})")
-
-
 def _sweep(name, n_max, tree, scan, empty_key) -> dict[int, Counter]:
-    check_budget(tree.count(n_max), f"sweep level {n_max}")
+    perms.check_budget(tree.count(n_max), f"sweep level {n_max}")
     cached = _cache.get(name)
     if cached is None or max(cached) < n_max:
         cached = {0: Counter({empty_key: 1})}
-        level = classes.level(tree, 1)
+        level = classes.level(tree, 0)
         for m in range(1, n_max + 1):
-            if m > 1:
-                level = classes.grow(tree, level)
+            level = classes.grow(tree, level)
             cached[m] = _count(level, scan)
         _cache[name] = cached
     return {n: cached[n] for n in range(n_max + 1)}
@@ -75,8 +61,8 @@ def _sweep(name, n_max, tree, scan, empty_key) -> dict[int, Counter]:
 def _count(level: np.ndarray, scan) -> Counter:
     rows, m = level.shape
     bins = 0
-    for start in range(0, rows, _CHUNK):
-        columns = scan(level[start : start + _CHUNK])
+    for part in perms.chunks(rows):
+        columns = scan(level[part])
         key = np.zeros(len(columns[0]), dtype=np.int64)
         for column in columns:
             key = key * (m + 1) + column
@@ -85,26 +71,6 @@ def _count(level: np.ndarray, scan) -> Counter:
     digits = np.unravel_index(found, (m + 1,) * len(columns))
     keys = zip(*(d.tolist() for d in digits))
     return Counter(dict(zip(keys, bins[found].tolist())))
-
-
-def _zigzag_rows(m: int) -> int:
-    """E_{m+1}, the number of simsun permutations of [m] of either kind,
-    from row m + 1 of the Seidel-Entringer triangle."""
-    row = [1]
-    for _ in range(m + 1):
-        row = list(itertools.accumulate(reversed(row), initial=0))
-    return row[-1]
-
-
-def _snake_rows(n: int) -> int:
-    """S_n, the number of type-B snakes of [n], as the middle entry of row n
-    of Arnold's triangle: each row is the running sum of the previous row
-    reversed, with its middle entry taken twice."""
-    row = [1]
-    for m in range(1, n + 1):
-        back = row[::-1]
-        row = list(itertools.accumulate(back[:m] + back[m - 1:], initial=0))
-    return row[n]
 
 
 def _word_stats(a: np.ndarray) -> list[np.ndarray]:
@@ -116,27 +82,11 @@ def _word_stats(a: np.ndarray) -> list[np.ndarray]:
     return [(~asc).sum(axis=1), pk, uprun, first_down, alt]
 
 
-def orbit_minima(a: np.ndarray) -> np.ndarray:
-    """Least letter of the cycle through each position of each map (one-line
-    rows), by iterated min over the forward steps a(i), a(a(i)), ..."""
-    rows, m = a.shape
-    flat = a.ravel()
-    # letter v of row r sits at flat index r * m + v - 1
-    offsets = np.arange(rows, dtype=np.intp)[:, None] * m - 1
-    index = np.empty(a.shape, dtype=np.intp)
-    low, cur = a.copy(), a.copy()
-    for _ in range(m - 1):
-        np.add(cur, offsets, out=index)
-        flat.take(index, out=cur)
-        np.minimum(low, cur, out=low)
-    return low
-
-
 def _cycle_stats(level: np.ndarray) -> list[np.ndarray]:
     # the signed cycle forms as maps: cyc is read off the maps' orbits
     a = classes.one_line(level)
     values = np.arange(1, a.shape[1] + 1, dtype=np.int8)
-    low = orbit_minima(a)
+    low = perms.orbit_minima(a)
     return [(a > values).sum(axis=1), (a == values).sum(axis=1), (low == values).sum(axis=1)]
 
 

@@ -6,8 +6,9 @@ All of it runs on arrays whose rows are whole objects; a single object is
 a one-row call.  The recognizers are row-mask kernels.  The three trees,
 first-kind words (descent and free gaps), all permutations (interior-peak
 and free gaps) and second-kind cycle forms (excedance and plain letters),
-list the labelled places of a level and insert the next entry there; the
-``bulk`` sweeps grow the same trees with no label computed.
+list the labelled places of a level, insert the next entry there and strip
+it again; every level is grown from the empty object.  The ``bulk`` sweeps
+grow the same trees with no label computed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import bulk, perms
+from . import perms
 from .perms import Cycles, Word
 from .poly import Poly
 
@@ -79,10 +80,11 @@ def is_simsun_second(word: Word) -> bool:
 # first letter of each cycle negated (the signs are the cycle-start mask).
 # The entry m + 1 goes into places c = 0..m: for a word the gap before its
 # (c+1)-th letter; for a cycle form right after its c-th letter, or, for
-# c = 0, a new singleton cycle put last.  A place's label is (kind, rank):
-# kind 0 is END (rank 0), kinds 1 and 2 are the tree's two letters, ranked
-# from 1.  A tree's ``marks`` read off a chunk of rows the kind-1 and kind-2
-# masks, the END columns and a function giving the two rank grids.
+# c = 0, a new singleton cycle put last (the one way it is negative).  A
+# place's label is (kind, rank): kind 0 is END (rank 0), kinds 1 and 2 are
+# the tree's two letters, ranked from 1.  A tree's ``marks`` read off a
+# chunk of rows the kind-1 and kind-2 masks, the END columns and a function
+# giving the two rank grids.
 
 Label = tuple[str, int]
 
@@ -114,7 +116,8 @@ def _peak_marks(a: np.ndarray) -> tuple:
     # before[:, g]: letter g + 1 (from 1) is an interior peak
     before = np.zeros((rows, m + 1), dtype=bool)
     before[:, 1 : m - 1] = (a[:, :-2] < a[:, 1:-1]) & (a[:, 1:-1] > a[:, 2:])
-    near = before | np.roll(before, 1, axis=1)
+    near = before.copy()
+    near[:, 1:] |= before[:, :-1]
     other = ~near
     other[:, [0, m]] = False
     # gap g is next to the peaks among letters 1..g+1
@@ -128,7 +131,8 @@ def _successors(a: np.ndarray) -> tuple[np.ndarray, ...]:
     letters, start = np.abs(a), a < 0
     last = np.ones_like(start)
     last[:, :-1] = start[:, 1:]
-    succ = np.roll(letters, -1, axis=1)
+    succ = np.empty_like(letters)
+    succ[:, :-1] = letters[:, 1:]
     succ[last] = letters[start]
     return letters, start, last, succ
 
@@ -139,17 +143,21 @@ def _cycle_marks(a: np.ndarray) -> tuple:
     position nor a cyclic peak value, END for a new singleton cycle."""
     rows, m = a.shape
     letters, start, last, succ = _successors(a)
-    pred = np.roll(letters, 1, axis=1)
+    pred = np.empty_like(letters)
+    pred[:, 1:] = letters[:, :-1]
     pred[start] = letters[last]
-    up = np.pad(succ > letters, ((0, 0), (1, 0)))
-    plain = np.pad((succ <= letters) & (letters <= pred), ((0, 0), (1, 0)))
+    up = np.zeros((rows, m + 1), dtype=bool)
+    plain = up.copy()
+    up[:, 1:] = succ > letters
+    plain[:, 1:] = (succ <= letters) & (letters <= pred)
 
     def ranks() -> tuple[np.ndarray, np.ndarray]:
         # u ranks count the excedance positions by letter value
+        every = np.arange(rows)[:, None]
         by_value = np.zeros((rows, m), dtype=np.int64)
-        np.put_along_axis(by_value, letters - 1, up[:, 1:], axis=1)
+        by_value[every, letters - 1] = up[:, 1:]
         rank = np.zeros((rows, m + 1), dtype=np.int64)
-        rank[:, 1:] = np.take_along_axis(by_value.cumsum(axis=1), letters - 1, axis=1)
+        rank[:, 1:] = by_value.cumsum(axis=1)[every, letters - 1]
         return rank, plain.cumsum(axis=1)
 
     return up, plain, [0], ranks
@@ -157,13 +165,9 @@ def _cycle_marks(a: np.ndarray) -> tuple:
 
 #: first-kind simsun words, all permutations by interior peaks, and
 #: second-kind simsun permutations as signed cycle forms
-FIRST = Tree(("x", "y"), _word_marks, lambda n: bulk._zigzag_rows(n))
+FIRST = Tree(("x", "y"), _word_marks, perms._zigzag_rows)
 PEAK = Tree(("p", "q"), _peak_marks, math.factorial)
-SECOND = Tree(("u", "v"), _cycle_marks, lambda n: bulk._zigzag_rows(n), cycles=True)
-
-
-def _chunks(rows: int) -> Iterator[slice]:
-    return (slice(i, i + bulk._CHUNK) for i in range(0, rows, bulk._CHUNK))
+SECOND = Tree(("u", "v"), _cycle_marks, perms._zigzag_rows, cycles=True)
 
 
 def places(tree: Tree, level: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -171,11 +175,12 @@ def places(tree: Tree, level: np.ndarray) -> tuple[np.ndarray, ...]:
     by place and then by row; the marks are read a chunk at a time."""
     kind = np.full((len(level), level.shape[1] + 1), -1, dtype=np.int8)
     rank = np.zeros(kind.shape, dtype=np.int64)
-    for part in _chunks(len(level)):
+    for part in perms.chunks(len(level)):
         one, two, ends, ranks = tree.marks(level[part])
         chunk = kind[part]
         chunk[:, ends], chunk[one], chunk[two] = 0, 1, 2
-        rank[part] = np.select([one, two], ranks())
+        first, second = ranks()
+        rank[part] = np.where(one, first, second * two)
     place, row = np.nonzero(kind.T >= 0)
     return row, place, kind[row, place], rank[row, place]
 
@@ -192,19 +197,33 @@ def grow(tree: Tree, level: np.ndarray) -> np.ndarray:
     """The next level: the next entry put into every row at every place,
     with no rank computed; the places are read a chunk at a time."""
     at = np.empty((len(level), level.shape[1] + 1), dtype=bool)
-    for part in _chunks(len(level)):
+    for part in perms.chunks(len(level)):
         one, two, ends, _ = tree.marks(level[part])
         at[part] = one | two
         at[part, ends] = True
     return _put(tree, level, at)
 
 
+def strip(tree: Tree, level: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The inverse of ``insert``: the parent of every row, its largest entry
+    removed, and the kind and rank of the place that entry held."""
+    rows, m = level.shape
+    every = np.arange(rows)
+    at = np.argmax(np.abs(level) == m, axis=1)
+    parents = level[np.arange(m) != at[:, None]].reshape(rows, m - 1)
+    place = np.where(level[every, at] < 0, 0, at)
+    row, where, kind, rank = places(tree, parents)
+    i = np.searchsorted(where * rows + row, place * rows + every)
+    return parents, kind[i], rank[i]
+
+
 def _put(tree: Tree, level: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Children of the rows at each place marked in ``at``, place by place."""
     m = level.shape[1]
-    ends = np.cumsum(at.sum(axis=0))
+    sizes = at.sum(axis=0)
+    ends = sizes.cumsum()
     child = np.empty((int(ends[-1]), m + 1), dtype=level.dtype)
-    for c in np.flatnonzero(np.diff(ends, prepend=0)).tolist():
+    for c in np.flatnonzero(sizes).tolist():
         src = level[at[:, c]]
         block = child[ends[c] - len(src) : ends[c]]
         g, entry = (m, -(m + 1)) if tree.cycles and not c else (c, m + 1)
@@ -215,13 +234,13 @@ def _put(tree: Tree, level: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def level(tree: Tree, n: int) -> np.ndarray:
-    """All objects of size n, grown from the root; a level of more than
-    ``bulk.ROW_BUDGET`` rows is refused before any is built."""
+    """All objects of size n, grown from the empty object; a level of more
+    than ``perms.ROW_BUDGET`` rows is refused before any is built."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    bulk.check_budget(tree.count(n), f"the level of size {n}")
-    a = np.array([[-1 if tree.cycles else 1]] if n else [[]], dtype=np.int8)
-    for _ in range(n - 1):
+    perms.check_budget(tree.count(n), f"the level of size {n}")
+    a = np.zeros((1, 0), dtype=np.int8)
+    for _ in range(n):
         a = grow(tree, a)
     return a
 
@@ -229,7 +248,7 @@ def level(tree: Tree, n: int) -> np.ndarray:
 def one_line(level: np.ndarray) -> np.ndarray:
     """The rows of a SECOND level as maps in one-line notation."""
     out = np.empty_like(level)
-    for part in _chunks(len(level)):
+    for part in perms.chunks(len(level)):
         letters, _, _, succ = _successors(level[part])
         np.put_along_axis(out[part], letters - 1, succ, axis=1)
     return out

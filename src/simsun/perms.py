@@ -10,7 +10,8 @@ ordered by increasing smallest entry.  Signed permutations are windows
 All functions are pure, and words and cycle forms are immutable tuples.
 The class oracles (alternating permutations, snakes, the cycle-up-down
 filter) are numpy kernels over arrays whose rows are whole words, built or
-streamed in chunks of ``bulk._CHUNK`` rows under ``bulk.ROW_BUDGET``.
+streamed in chunks of ``_CHUNK`` rows.  Every array oracle of the package
+reads ``_CHUNK`` and ``ROW_BUDGET`` here at call time.
 """
 
 from __future__ import annotations
@@ -21,10 +22,25 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import bulk
+from . import TooLarge
 
 Word = tuple[int, ...]
 Cycles = tuple[tuple[int, ...], ...]
+
+_CHUNK = 1 << 16
+# admits word level 12 (E_13 = 22,368,256 rows); refuses E_14 and 12! rows
+ROW_BUDGET = 50_000_000
+
+
+def check_budget(rows: int, what: str) -> None:
+    """Refuse, before any allocation, an array of more than ROW_BUDGET rows."""
+    if rows > ROW_BUDGET:
+        raise TooLarge(f"{what} needs {rows:,} rows (budget {ROW_BUDGET:,})")
+
+
+def chunks(rows: int) -> Iterator[slice]:
+    """Slices of at most ``_CHUNK`` rows covering ``rows`` rows."""
+    return (slice(i, i + _CHUNK) for i in range(0, rows, _CHUNK))
 
 
 class StatRecord(NamedTuple):
@@ -161,7 +177,7 @@ def cycle_up_down(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nor followed by it must be a peak or a valley between its neighbours.
     """
     values = np.arange(1, a.shape[1] + 1, dtype=a.dtype)
-    is_min = bulk.orbit_minima(a) == values
+    is_min = orbit_minima(a) == values
     turns = (inverse_rows(a) < values) != (values < a)
     ok = is_min | turns
     every = np.arange(len(a))
@@ -181,16 +197,24 @@ def inverse_rows(a: np.ndarray) -> np.ndarray:
 
 
 def row_order(a: np.ndarray) -> np.ndarray:
-    """Indices that sort the rows of ``a`` (letters in -m..m) lexicographically:
-    by one base-(2m + 1) int64 key per row when it fits, else column by column."""
+    """Indices that sort the rows of ``a`` lexicographically (empty rows tie)."""
+    return np.lexsort(a.T[::-1]) if a.shape[1] else np.arange(len(a))
+
+
+def orbit_minima(a: np.ndarray) -> np.ndarray:
+    """Least letter of the cycle through each position of each map (one-line
+    rows), by iterated min over the forward steps a(i), a(a(i)), ..."""
     rows, m = a.shape
-    base = 2 * m + 1
-    if base**m >= 2**63:
-        return np.lexsort(a.T[::-1])
-    key = np.zeros(rows, dtype=np.int64)
-    for column in a.T:
-        key = key * base + (column + m)
-    return np.argsort(key, kind="stable")
+    flat = a.ravel()
+    # letter v of row r sits at flat index r * m + v - 1
+    offsets = np.arange(rows, dtype=np.intp)[:, None] * m - 1
+    index = np.empty(a.shape, dtype=np.intp)
+    low, cur = a.copy(), a.copy()
+    for _ in range(m - 1):
+        np.add(cur, offsets, out=index)
+        flat.take(index, out=cur)
+        np.minimum(low, cur, out=low)
+    return low
 
 
 def _letter_dtype(n: int) -> type:
@@ -209,25 +233,25 @@ def word_array(words: Iterable[Sequence[int]], n: int) -> np.ndarray:
 
 def permutation_chunks(n: int) -> Iterator[np.ndarray]:
     """All permutations of [n] in lexicographic order, as arrays of at most
-    ``bulk._CHUNK`` rows; n! over ``bulk.ROW_BUDGET`` is refused before the
-    first chunk is built."""
-    bulk.check_budget(math.factorial(n), f"the permutations of [{n}]")
+    ``_CHUNK`` rows; n! over ``ROW_BUDGET`` is refused before the first
+    chunk is built."""
+    check_budget(math.factorial(n), f"the permutations of [{n}]")
     stream = itertools.permutations(range(1, n + 1))
-    while len(chunk := word_array(itertools.islice(stream, bulk._CHUNK), n)):
+    while len(chunk := word_array(itertools.islice(stream, _CHUNK), n)):
         yield chunk
 
 
 def zigzag_chunks(n: int, signed: bool) -> Iterator[np.ndarray]:
     """Words p(1) > p(2) < p(3) > ... of length n in lexicographic order, as
-    arrays of at most ``bulk._CHUNK`` rows: the alternating permutations of
+    arrays of at most ``_CHUNK`` rows: the alternating permutations of
     [n], or with ``signed`` the type-B snakes, whose letters take either sign
     and whose first letter is positive.
 
-    A top level of more than ``bulk.ROW_BUDGET`` rows (E_n or S_n, from the
-    boustrophedon triangles in ``bulk``) is refused before anything is built.
+    A top level of more than ``ROW_BUDGET`` rows (E_n or S_n, from the
+    boustrophedon triangles below) is refused before anything is built.
     """
-    rows = bulk._snake_rows(n) if signed else bulk._zigzag_rows(n - 1)
-    bulk.check_budget(rows, f"the {'snakes' if signed else 'alternating permutations'} of [{n}]")
+    rows = _snake_rows(n) if signed else _zigzag_rows(n - 1)
+    check_budget(rows, f"the {'snakes' if signed else 'alternating permutations'} of [{n}]")
     dtype = _letter_dtype(n)
     letters = np.arange(1, n + 1, dtype=dtype)
     if signed:
@@ -243,16 +267,36 @@ def _grow_zigzags(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,
                   bits: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """Expand the prefixes level by level, depth first over blocks, so the
     words of length n come out in lexicographic order.  A block has at most
-    ``bulk._CHUNK`` candidate cells, so no level holds more than that many
+    ``_CHUNK`` candidate cells, so no level holds more than that many
     rows at once."""
     if prefixes.shape[1] == n:
         yield prefixes
         return
     children, used = _extend_zigzags(prefixes, used, letters, bits, n)
-    step = max(1, bulk._CHUNK // len(letters))
+    step = max(1, _CHUNK // len(letters))
     for start in range(0, len(children), step):
         stop = start + step
         yield from _grow_zigzags(children[start:stop], used[start:stop], letters, bits, n)
+
+
+def _zigzag_rows(m: int) -> int:
+    """E_{m+1}, the number of alternating permutations of [m + 1] and of simsun
+    permutations of [m] of either kind: row m + 1 of Seidel-Entringer."""
+    row = [1]
+    for _ in range(m + 1):
+        row = list(itertools.accumulate(reversed(row), initial=0))
+    return row[-1]
+
+
+def _snake_rows(n: int) -> int:
+    """S_n, the number of type-B snakes of [n], as the middle entry of row n
+    of Arnold's triangle: each row is the running sum of the previous row
+    reversed, with its middle entry taken twice."""
+    row = [1]
+    for m in range(1, n + 1):
+        back = row[::-1]
+        row = list(itertools.accumulate(back[:m] + back[m - 1:], initial=0))
+    return row[n]
 
 
 def _extend_zigzags(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,

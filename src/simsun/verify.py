@@ -129,7 +129,7 @@ def _each(fn: Callable[[int], object]) -> Side:
 
 
 def _listed(fn: Callable[[int], object]) -> Side:
-    """Per-n oracle that lists objects under ``bulk.ROW_BUDGET``, run at
+    """Per-n oracle that lists objects under ``perms.ROW_BUDGET``, run at
     every n, largest first: a bound over the budget is refused before any
     smaller n is listed."""
 
@@ -310,8 +310,8 @@ def _descent_left_peak(n_max: int) -> Comparisons:
     for n in range(n_max + 1):
         words = classes.level(classes.FIRST, n)
         des, lpk, pk_first_down = [], [], []
-        for start in range(0, len(words), bulk._CHUNK):
-            chunk = words[start : start + bulk._CHUNK]
+        for part in perms.chunks(len(words)):
+            chunk = words[part]
             d, pk, _, first_down, _ = bulk._word_stats(chunk)
             up = np.diff(chunk, axis=1, prepend=0) > 0
             des += d.tolist()

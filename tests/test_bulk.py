@@ -81,7 +81,7 @@ def test_counts_fold_over_chunks(monkeypatch):
               "all_perm_word_distributions")
     monkeypatch.setattr(bulk, "_cache", {})
     whole = {name: getattr(bulk, name)(7) for name in sweeps}
-    monkeypatch.setattr(bulk, "_CHUNK", 7)
+    monkeypatch.setattr(perms, "_CHUNK", 7)
     monkeypatch.setattr(bulk, "_cache", {})
     for name in sweeps:
         assert getattr(bulk, name)(7) == whole[name]

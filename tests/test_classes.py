@@ -145,7 +145,7 @@ def test_engine_folds_over_chunks(monkeypatch):
         return out + [bijections.verify_phi(5).counts, bijections.verify_psi(6).counts]
 
     whole = run()
-    monkeypatch.setattr(bulk, "_CHUNK", 7)
+    monkeypatch.setattr(perms, "_CHUNK", 7)
     for got, expected in zip(run(), whole):
         if isinstance(expected, dict):
             assert got == expected
@@ -209,7 +209,7 @@ def test_filters_fold_over_chunks(monkeypatch):
     # at n = 7 all 5,040 permutations fit one default chunk; chunks of 7
     # rows split them into many, the last one partial
     whole = [_filtered(n) for n in range(8)]
-    monkeypatch.setattr(bulk, "_CHUNK", 7)
+    monkeypatch.setattr(perms, "_CHUNK", 7)
     assert [_filtered(n) for n in range(8)] == whole
 
 

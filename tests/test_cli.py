@@ -85,7 +85,7 @@ def test_verify_single(capsys):
 
 def test_sweep_over_row_budget_exits_2(capsys, monkeypatch):
     # a tiny budget stands in for a level too large for the machine
-    monkeypatch.setattr(bulk, "ROW_BUDGET", 1000)
+    monkeypatch.setattr(perms, "ROW_BUDGET", 1000)
     monkeypatch.setattr(bulk, "_cache", {})
 
     def refuse(*args):
@@ -107,7 +107,7 @@ def test_listing_over_row_budget_exits_2(capsys, monkeypatch):
     # E_14 = 199,360,981 rows: the largest n is asked for first and refused
     code, out, err = run(capsys, "verify", "euler-convolution", "--n-max", "13")
     assert code == 2 and out == "" and "199,360,981 rows" in err
-    monkeypatch.setattr(bulk, "ROW_BUDGET", 1000)
+    monkeypatch.setattr(perms, "ROW_BUDGET", 1000)
     # E_9 = 7,936 and S_6 = 2,763 rows
     for identity, n_max in (("euler-convolution", "8"), ("series-springer", "6")):
         code, out, err = run(capsys, "verify", identity, "--n-max", n_max)
@@ -176,7 +176,7 @@ def test_psi_input_over_limit_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(bijections, "PSI_LENGTH_LIMIT", 10)
     with monkeypatch.context() as patch:
-        patch.setattr(bijections, "_strip", refuse)
+        patch.setattr(classes, "strip", refuse)
         for perm in (",".join(map(str, range(1, 12))), "".join(f"({i})" for i in range(1, 12))):
             code, out, err = run(capsys, "bijection", "psi", "--perm", perm)
             assert code == 2 and out == "" and "11 letters" in err

@@ -1,13 +1,16 @@
 """Word-level and cycle-level statistics, cycle forms, and special classes."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simsun import bulk, perms
+from simsun import perms
 
 # zigzag numbers E_0..E_11, frozen from pruned alternating-permutation search
 EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792]
@@ -217,7 +220,7 @@ def test_alternating_matches_filter():
 
 def test_zigzags_fold_over_chunks(monkeypatch):
     whole = [(list(perms.alternating_permutations(n)), list(perms.snakes(n))) for n in range(8)]
-    monkeypatch.setattr(bulk, "_CHUNK", 7)
+    monkeypatch.setattr(perms, "_CHUNK", 7)
     assert [(list(perms.alternating_permutations(n)), list(perms.snakes(n)))
             for n in range(8)] == whole
 
@@ -245,3 +248,11 @@ def test_cycle_up_down_matches_cycle_forms():
 
 def test_euler_numbers():
     assert [perms.euler_number(n) for n in range(10)] == EULER[:10]
+
+
+def test_any_module_imports_first():
+    # imports run one way, perms <- classes <- bulk <- bijections, so any of
+    # them can be the first module of the package that a process imports
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for name in ("perms", "classes", "bulk", "bijections"):
+        subprocess.run([sys.executable, "-c", f"import simsun.{name}"], env=env, check=True)
