@@ -3,11 +3,14 @@
 Univariate polynomials are dense lists of Fractions (ascending degree).
 Every verdict rests on one small checker, ``_alternates``: increasing
 rationals at which no polynomial vanishes and, across each gap, exactly
-the named one changes sign, all by integer Horner evaluation.  An exact
-bisection, ``_search``, proposes the points and is not trusted: a wrong
-point only makes the checker refuse.  Weak inequalities in the
-interlacing definitions are honored through the exact gcd of common
-roots, never numeric closeness.
+the named one changes sign, all by integer Horner evaluation.  Two
+proposers find the points and neither is trusted, since a wrong point only
+makes the checker refuse: ``_seeded`` places them in the gaps of a
+certificate already made for a polynomial whose roots interlace these
+(the previous row of a family, or the other side of a relation), and an
+exact bisection, ``_search``, recursive via Rolle, is the fallback.
+Weak inequalities in the interlacing definitions are honored through the
+exact gcd of common roots, never numeric closeness.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .poly import Poly
 
 Dense = list[Fraction]
 
-# bisection steps in one bracket before the search rules out a repeated root
+# bisection steps in one bracket before the search rules out a repeated
+# root, or the seed gives up on a gap
 _PATIENCE = 64
 
 
@@ -119,6 +123,11 @@ def _halve(p: list[int], bracket: list) -> None:
         bracket[side != at_lo] = mid  # lo moves up when the sign is the same
 
 
+def _cauchy(p: list[int]) -> Fraction:
+    """A bound above the absolute value of every root of p."""
+    return 1 + Fraction(max(map(abs, p[:-1]), default=0), abs(p[-1]))
+
+
 def _search(p: list[int]) -> list[Fraction] | None:
     """Untrusted: deg p + 1 increasing points at which p alternates in sign.
 
@@ -134,18 +143,19 @@ def _search(p: list[int]) -> list[Fraction] | None:
     crit = _search(dp)
     if crit is None:
         return None
-    bound = 1 + Fraction(max(map(abs, p[:-1])), abs(p[-1]))
+    bound = _cauchy(p)
     points = [-bound]
     for k, (lo, hi) in enumerate(zip(crit, crit[1:])):
         want = (-1) ** (len(crit) - k - 1) * (1 if p[-1] > 0 else -1)
-        # |p'| <= slope on [lo, hi], so |p(mid) - p(root of p')| <= slope·(hi - lo)
-        slope = sum(abs(c) * max(-lo, hi) ** i for i, c in enumerate(dp))
-        bracket = [lo, hi, _sign(dp, lo)]
+        bracket, slope = [lo, hi, _sign(dp, lo)], None
         for steps in itertools.count(1):
             mid = (bracket[0] + bracket[1]) / 2
             value = _horner(p, mid)
             if value * want > 0:
                 break
+            if slope is None:
+                # |p'| <= slope on [lo, hi], so |p(mid) - p(root of p')| <= slope·(hi - lo)
+                slope = sum(abs(c) * max(-lo, hi) ** i for i, c in enumerate(dp))
             if abs(value) > slope * (bracket[1] - bracket[0]) * mid.denominator ** (len(p) - 1):
                 return None
             if steps == _PATIENCE and len(poly_gcd(dense(p), dense(dp))) > 1:
@@ -153,6 +163,58 @@ def _search(p: list[int]) -> list[Fraction] | None:
             _halve(dp, bracket)
         points.append(mid)
     return points + [bound]
+
+
+def _dyadic(p: list[int], mid: Fraction, lo: Fraction, hi: Fraction, want: int) -> Fraction:
+    """The shortest round(mid·2^j)/2^j strictly inside (lo, hi) at which p
+    has the sign ``want``; p has it at mid, so it exists.  Short points keep
+    the bits of a chain from piling up row after row."""
+    for j in itertools.count():
+        t = Fraction(round(mid * 2**j), 2**j)
+        if lo < t < hi and _sign(p, t) == want:
+            return t
+
+
+def _seeded(p: list[int], near: RzCertificate | None) -> list[Fraction] | None:
+    """Untrusted: points for p from ``near``, a certificate of some q.
+
+    If q is p, its points.  If deg p is deg q + 1 and q's roots interlace
+    p's, one point in each gap of q plus the outer points; with equal
+    degrees, the gaps of q with the outer point on one side, as p's roots
+    precede or follow q's (both are tried).  Each gap of q is halved around
+    q's root until p has the sign of its place at the midpoint, which is
+    then shortened by ``_dyadic``.  None when a gap takes ``_PATIENCE``
+    halvings more than it takes to come down from the width of the gap to
+    the least root of q (a shared root, or roots that do not interlace).
+    """
+    if near is None or not near.real_rooted:
+        return None
+    q, known = near.poly, near.points
+    if q == p:
+        return known
+    shift = degree(p) - degree(q)
+    if shift not in (0, 1):
+        return None
+    bound = Fraction(math.ceil(max(_cauchy(p), -known[0], known[-1])))
+    lead = 1 if p[-1] > 0 else -1
+    # every root of q exceeds 1/_cauchy(q reversed) in absolute value
+    patience = _PATIENCE + math.ceil(2 * bound * _cauchy(q[::-1])).bit_length()
+    for left, right in [(1, 1)] if shift else [(0, 1), (1, 0)]:
+        points = [-bound] * left
+        for lo, hi in zip(known, known[1:]):
+            want = lead * (-1) ** (degree(p) - len(points))
+            bracket = [lo, hi, _sign(q, lo)]
+            for _ in range(patience):
+                mid = (bracket[0] + bracket[1]) / 2
+                if _sign(p, mid) == want:
+                    points.append(_dyadic(p, mid, lo, hi, want))
+                    break
+                _halve(q, bracket)
+            else:
+                break
+        else:
+            return points + [bound] * right
+    return None
 
 
 def _merge(polys: list[list[int]], found: list) -> list[Fraction] | None:
@@ -183,34 +245,44 @@ def _merge(polys: list[list[int]], found: list) -> list[Fraction] | None:
 class RzCertificate:
     """Verdicts on the zeros of p and the certificate behind them.
 
-    ``points`` alternate in sign on the squarefree part of p with its roots
-    at 0 divided out, or are None when no certificate was found.
-    ``all_nonpositive`` means every root is real and at most 0.
+    ``poly`` is the integer polynomial checked: the squarefree part of p
+    with its roots at 0 divided out.  ``points`` alternate in sign on it, or
+    are None when no certificate was found.  ``all_nonpositive`` means every
+    root is real and at most 0.
     """
 
     real_rooted: bool
     all_nonpositive: bool
     all_simple: bool
     points: list[Fraction] | None
+    poly: list[int]
 
 
-def certify_rz(p: Poly | list) -> RzCertificate:
-    """Certify real-rootedness, nonpositivity and simplicity of the zeros."""
+def certify_rz(p: Poly | list, near: RzCertificate | None = None) -> RzCertificate:
+    """Certify real-rootedness, nonpositivity and simplicity of the zeros.
+
+    ``near`` is a certificate of a polynomial whose roots may interlace p's,
+    such as the previous row of a family; it only seeds the proposal.
+    """
     d = dense(p)
     if not d:
         raise ValueError("zero polynomial")
     zeros = next(i for i, c in enumerate(d) if c)
     rest = sf = d[zeros:]
-    points = _search(_integral(rest))
+    poly, turns = _integral(rest), [0] * degree(rest)
+    points = _seeded(poly, near)
+    if points is None or not _alternates([poly], turns, points):
+        points = _search(poly)
     if points is None:
         sf = squarefree(rest)
         if len(sf) < len(rest):
-            points = _search(_integral(sf))
-    polys, turns = [_integral(sf)], [0] * degree(sf)
-    real_rooted = points is not None and _alternates(polys, turns, points)
+            poly, turns = _integral(sf), [0] * degree(sf)
+            points = _search(poly)
+    real_rooted = points is not None and _alternates([poly], turns, points)
     # the other roots are negative iff the last point can move to 0
-    nonpositive = real_rooted and _alternates(polys, turns, points[:-1] + [Fraction(0)])
-    return RzCertificate(real_rooted, nonpositive, zeros <= 1 and len(sf) == len(rest), points)
+    nonpositive = real_rooted and _alternates([poly], turns, points[:-1] + [Fraction(0)])
+    return RzCertificate(real_rooted, nonpositive, zeros <= 1 and len(sf) == len(rest),
+                         points, poly)
 
 
 RELATIONS = ("interlace", "alternate-left", "precede")
@@ -218,12 +290,16 @@ RELATIONS = ("interlace", "alternate-left", "precede")
 
 @dataclass
 class RelationReport:
+    """``certs`` are the certificates of p and q, when they were made."""
+
     relation: str
     holds: bool
     detail: str = ""
+    certs: tuple[RzCertificate, ...] = ()
 
 
-def check_relation(p: Poly | list, q: Poly | list, relation: str) -> RelationReport:
+def check_relation(p: Poly | list, q: Poly | list, relation: str,
+                   near: RzCertificate | None = None) -> RelationReport:
     """Certify a root-ordering relation between two real-rooted polynomials.
 
     ``interlace``       deg q = deg p + 1 and q's roots bracket p's
@@ -232,7 +308,9 @@ def check_relation(p: Poly | list, q: Poly | list, relation: str) -> RelationRep
 
     A common root can always stand as an adjacent pair in the merged order,
     also with multiplicity, so the relation holds iff it holds strictly for
-    the cofactors of gcd(p, q).
+    the cofactors of gcd(p, q).  ``near`` seeds p's certificate as in
+    ``certify_rz``, and p's certificate seeds q's, since the relation says
+    that p's roots separate q's.
     """
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
@@ -249,9 +327,10 @@ def check_relation(p: Poly | list, q: Poly | list, relation: str) -> RelationRep
         raise ValueError("interlace requires deg q = deg p + 1")
     if relation == "alternate-left" and shift != 0:
         raise ValueError("alternate-left requires equal degrees")
-    certs = [certify_rz(dp), certify_rz(dq)]
+    first = certify_rz(dp, near=near)
+    certs = (first, certify_rz(dq, near=first))
     if not (certs[0].real_rooted and certs[1].real_rooted):
-        return RelationReport(relation, False, "not real-rooted")
+        return RelationReport(relation, False, "not real-rooted", certs)
     g = poly_gcd(dp, dq)
     polys = [_integral(_divmod(d, g)[0]) for d in (dp, dq)]
     # with a constant gcd the cofactors are p and q: a certificate of the
@@ -262,5 +341,5 @@ def check_relation(p: Poly | list, q: Poly | list, relation: str) -> RelationRep
     turns = [(k + shift) % 2 for k in range(len(polys[0]) + len(polys[1]) - 2)]
     points = _merge(polys, found)
     if points is None or not _alternates(polys, turns, points):
-        return RelationReport(relation, False, "roots out of order")
-    return RelationReport(relation, True)
+        return RelationReport(relation, False, "roots out of order", certs)
+    return RelationReport(relation, True, certs=certs)

@@ -344,16 +344,20 @@ def _series_pde(order: int) -> Comparisons:
 
 
 def _roots_nonpositive(n_max: int) -> Comparisons:
+    # each row's certificate seeds the next row's, whose roots it interlaces
     for family in ("S", "P", "P+", "P-"):
-        polys = triangles.family_polys(family, n_max)
+        polys, cert = triangles.family_polys(family, n_max), None
         for n in range(2, n_max + 1):
-            yield f"{family}, n={n}", _certified(roots.certify_rz(polys[n])), True
+            cert = roots.certify_rz(polys[n], near=cert)
+            yield f"{family}, n={n}", _certified(cert), True
 
 
 def _roots_successive(n_max: int) -> Comparisons:
-    s = triangles.family_polys("S", n_max + 1)
+    s, near = triangles.family_polys("S", n_max + 1), None
     for n in range(1, n_max + 1):
-        yield f"n={n}", roots.check_relation(s[n], s[n + 1], "precede").holds, True
+        report = roots.check_relation(s[n], s[n + 1], "precede", near=near)
+        near = report.certs[1] if report.certs else None
+        yield f"n={n}", report.holds, True
 
 
 def _roots_interlacing(n_max: int) -> Comparisons:
@@ -361,20 +365,26 @@ def _roots_interlacing(n_max: int) -> Comparisons:
     p = triangles.family_polys("P", n_max + 1)
     plus = triangles.family_polys("P+", n_max + 1)
     minus = triangles.family_polys("P-", n_max + 1)
+    p_cert = plus_cert = None
     for n in range(2, n_max + 1):
-        yield (f"n={n} (peak polynomial)",
-               roots.check_relation(p[n + 1], s[n], "alternate-left").holds, True)
-        yield (f"n={n} (first-step-down part)",
-               roots.check_relation(plus[n + 1], s[n], "precede").holds, True)
+        report = roots.check_relation(p[n + 1], s[n], "alternate-left", near=p_cert)
+        p_cert, s_cert = report.certs
+        yield f"n={n} (peak polynomial)", report.holds, True
+        report = roots.check_relation(plus[n + 1], s[n], "precede", near=plus_cert)
+        plus_cert = report.certs[0] if report.certs else None
+        yield f"n={n} (first-step-down part)", report.holds, True
         yield (f"n={n} (first-step-up part)",
-               roots.check_relation(s[n], minus[n + 1], "alternate-left").holds, True)
+               roots.check_relation(s[n], minus[n + 1], "alternate-left", near=s_cert).holds,
+               True)
 
 
 def _roots_positive_q(n_max: int) -> Comparisons:
     sxq = triangles.family_polys("Sxq", n_max)
     for q in (Fraction(1, 2), 1, 2, 3):
+        cert = None
         for n in range(2, n_max + 1):
-            yield f"q={q}, n={n}", _certified(roots.certify_rz(sxq[n].subs(q=q))), True
+            cert = roots.certify_rz(sxq[n].subs(q=q), near=cert)
+            yield f"q={q}, n={n}", _certified(cert), True
 
 
 # -- registry --------------------------------------------------------------------

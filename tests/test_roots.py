@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simsun import roots, triangles
+from simsun import roots, triangles, verify
 from simsun.poly import ONE, Poly, X
 
 F = Fraction
@@ -111,8 +111,8 @@ def test_relation_with_shared_root():
 
 
 def test_relation_reuses_whole_certificates(monkeypatch):
-    # with a constant gcd, a certificate of the whole polynomial (simple
-    # roots, none at 0) is the merge's brackets, so it is searched once
+    # p's certificate seeds q's, and with a constant gcd a certificate of the
+    # whole polynomial (simple roots, none at 0) is the merge's brackets
     searched = []
     search = roots._search
     monkeypatch.setattr(roots, "_search", lambda p: searched.append(tuple(p)) or search(p))
@@ -122,13 +122,79 @@ def test_relation_reuses_whole_certificates(monkeypatch):
         assert roots.check_relation(p, q, "alternate-left").holds
         return [searched.count(tuple(roots._integral(roots.dense(r)))) for r in (p, q)]
 
-    assert searches(from_roots([-4, -2]), from_roots([-3, -1])) == [1, 1]
-    # a root at 0 is divided out of the certificate, so the merge searches p
-    assert searches(from_roots([-2, 0]), from_roots([-1, 1])) == [1, 1]
+    assert searches(from_roots([-4, -2]), from_roots([-3, -1])) == [1, 0]
+    # a root at 0 is divided out of p's certificate, so the merge searches p
+    assert searches(from_roots([-2, 0]), from_roots([-1, 1])) == [1, 0]
     assert searched.count(tuple(roots._integral(roots.dense(from_roots([-2]))))) == 1
     # a common root: the merge searches the cofactors
-    assert searches(from_roots([-3, -1]), from_roots([-2, -1])) == [1, 1]
+    assert searches(from_roots([-3, -1]), from_roots([-2, -1])) == [1, 0]
     assert searched.count((3, 1)) == 1 and searched.count((2, 1)) == 1
+
+
+def _verdict(cert):
+    return cert.real_rooted, cert.all_nonpositive, cert.all_simple
+
+
+def test_chain_searches_the_first_row_only(monkeypatch):
+    searched = []
+    search = roots._search
+    monkeypatch.setattr(roots, "_search", lambda p: searched.append(tuple(p)) or search(p))
+    # past n = 45 the least root of S_n needs more than _PATIENCE halvings
+    # of the widest gap
+    s = triangles.family_polys("S", 60)
+    cert = roots.certify_rz(s[2])
+    first = len(searched)
+    assert first > 0
+    for n in range(3, 61):
+        cert = roots.certify_rz(s[n], near=cert)
+        assert _verdict(cert) == (True, True, True)
+        assert cert.poly == roots._integral(roots.dense(s[n]))
+    assert len(searched) == first
+
+
+@pytest.mark.parametrize("bad", [
+    lambda points: [t + 1 for t in points],
+    lambda points: points[::-1],
+    lambda points: points[:-1],
+])
+def test_refused_seeds_fall_back_to_the_search(monkeypatch, bad):
+    s = triangles.family_polys("S", 12)
+    cases = [(s[n], s[n - 1]) for n in range(3, 13)]
+    cases += [(from_roots([-2, -1, 0]), from_roots([-3, -1])),
+              (from_roots([-1, -1]), from_roots([-2])),
+              (from_roots([-1], quadratic=(1, 1)), from_roots([-2, -1]))]
+    expected = [_verdict(roots.certify_rz(p)) for p, _ in cases]
+    seeds = [roots.certify_rz(q) for _, q in cases]
+    seeded = roots._seeded
+    monkeypatch.setattr(roots, "_seeded",
+                        lambda p, near: None if (t := seeded(p, near)) is None else bad(t))
+    searched = []
+    search = roots._search
+    monkeypatch.setattr(roots, "_search", lambda p: searched.append(tuple(p)) or search(p))
+    for (p, _), near, verdict in zip(cases, seeds, expected):
+        searched.clear()
+        assert _verdict(roots.certify_rz(p, near=near)) == verdict
+        assert searched
+    for n in range(3, 12):
+        searched.clear()
+        assert roots.check_relation(s[n], s[n + 1], "precede").holds
+        assert searched
+
+
+def test_a_refused_row_breaks_no_later_row(monkeypatch):
+    family_polys = triangles.family_polys
+
+    def broken(family, n_max):
+        polys = family_polys(family, n_max)
+        if family == "S":
+            polys[9] = polys[7] * Poly.from_x_coeffs([1, 1, 1])  # a complex pair
+        return polys
+
+    monkeypatch.setattr(triangles, "family_polys", broken)
+    failed = [where for where, got, want in verify._roots_nonpositive(16) if got != want]
+    assert failed == ["S, n=9"]
+    report = verify.run("roots-nonpositive", 16)
+    assert not report.ok and report.detail == "S, n=9"
 
 
 def test_relation_degree_errors():
@@ -205,3 +271,33 @@ def test_relations_match_root_lists(xs, ts, relation, ordered, complex_in, scale
     q = from_roots(ts[2:] if complex_q else ts, 1, (1, 1) if complex_q else None)
     expected = weakly_ordered(xs, ts, relation) and not (complex_p or complex_q)
     assert roots.check_relation(p, q, relation).holds == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(root_lists, quadratics, scales, root_lists, quadratics, scales, st.sampled_from([-1, 0, 1, 2]))
+def test_a_seed_never_changes_a_certificate(rs, quadratic, scale, ts, q_quadratic, q_scale, gap):
+    # q has p's degree less gap, mostly the degrees a seed is tried at; its
+    # roots are drawn from p's too, so some are shared
+    p = from_roots(rs, scale, quadratic)
+    degree = max(len(rs) + 2 * (quadratic is not None) - gap, 0)
+    ts = (ts + rs + [F(-1)] * degree)[:degree]
+    complex_q = q_quadratic is not None and degree >= 2
+    near = roots.certify_rz(from_roots(ts[2:] if complex_q else ts, q_scale,
+                                       q_quadratic if complex_q else None))
+    assert _verdict(roots.certify_rz(p, near=near)) == _verdict(roots.certify_rz(p))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(root_lists, root_lists, root_lists, quadratics, st.sampled_from(roots.RELATIONS), scales)
+def test_a_seed_never_changes_a_relation(xs, ts, rs, quadratic, relation, scale):
+    # q has the degree the relation needs (any degree for precede), and an
+    # irreducible quadratic stands in for two of its roots; the seed shares
+    # roots with p and has p's degree or one less
+    degree = {"interlace": len(xs) + 1, "alternate-left": len(xs)}.get(relation, len(ts))
+    ts = (ts + [F(-1)] * degree)[:degree]
+    complex_q = quadratic is not None and degree >= 2
+    p = from_roots(xs, scale)
+    q = from_roots(ts[2:] if complex_q else ts, 1, quadratic if complex_q else None)
+    near = roots.certify_rz(from_roots((rs + xs)[: max(len(xs) - 1, 0) + len(rs) % 2]))
+    expected = roots.check_relation(p, q, relation).holds
+    assert roots.check_relation(p, q, relation, near=near).holds == expected
