@@ -259,5 +259,4 @@ def verify_psi(n: int) -> VerifyReport:
             return ""
         return "image differs from the second kind"
 
-    exc = lambda c: (classes.one_line(c) > np.arange(1, n + 1)).sum(axis=1)  # noqa: E731
-    return _verify("psi", n, lambda des: 1, "exc", exc, covered)
+    return _verify("psi", n, lambda des: 1, "exc", lambda c: bulk._cycle_stats(c)[0], covered)

@@ -3,8 +3,8 @@
 One engine, ``_sweep``, drives all three.  Each level is grown from the last
 by the unlabelled insert of a tree of ``classes`` (first-kind words, all
 permutations, second-kind signed cycle forms), which computes no label.  A
-scanner reads statistic columns off the stored words, or off the cycle
-forms as one-line maps, independently of any recurrence, in chunks of
+scanner reads statistic columns off the stored words or signed cycle
+forms, independently of any recurrence, in chunks of
 ``perms._CHUNK`` rows.  Every statistic of a level of size m lies in 0..m,
 so a chunk's columns fold into one base-(m + 1) int64 key, counted by
 ``np.bincount`` and turned back into tuples by ``np.unravel_index``.
@@ -34,8 +34,9 @@ def simsun_word_distributions(n_max: int) -> dict[int, Counter]:
 
 def simsun_cycle_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (exc, fix, cyc) over second-kind simsun
-    permutations.  The stored cycle forms are read as one-line maps: exc and
-    fix by direct scans, cyc by pointer chasing to each cycle minimum."""
+    permutations, read off the stored signed cycle forms: exc by comparing
+    each letter with its successor, fix as the one-letter cycles, cyc as the
+    cycle starts."""
     return _sweep("cycles", n_max, classes.SECOND, _cycle_stats, (0, 0, 0))
 
 
@@ -83,11 +84,10 @@ def _word_stats(a: np.ndarray) -> list[np.ndarray]:
 
 
 def _cycle_stats(level: np.ndarray) -> list[np.ndarray]:
-    # the signed cycle forms as maps: cyc is read off the maps' orbits
-    a = classes.one_line(level)
-    values = np.arange(1, a.shape[1] + 1, dtype=np.int8)
-    low = perms.orbit_minima(a)
-    return [(a > values).sum(axis=1), (a == values).sum(axis=1), (low == values).sum(axis=1)]
+    # off the signed cycle forms: an excedance is a letter whose successor
+    # in its cycle is larger, a fixed point a cycle that starts where it ends
+    letters, start, last, succ = classes._successors(level)
+    return [(succ > letters).sum(axis=1), (start & last).sum(axis=1), start.sum(axis=1)]
 
 
 def _all_word_stats(a: np.ndarray) -> list[np.ndarray]:

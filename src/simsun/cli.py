@@ -4,7 +4,7 @@ Subcommands: triangle, enumerate, verify, bijection, roots, series.
 Everything is deterministic; output formats are text, csv and json, except
 that ``bijection`` prints text or json only.  Exit codes: 0 success, 1
 identity violation, 2 usage error or ``TooLarge`` (a sweep level, zigzag
-array or permutation stream over the row budget of ``bulk``, a phi block
+array or permutation stream over ``perms.ROW_BUDGET`` rows, a phi block
 over ``bijections.PHI_BLOCK_LIMIT`` or a psi input over
 ``bijections.PSI_LENGTH_LIMIT``).
 """
@@ -265,7 +265,7 @@ def cmd_series(args) -> int:
     if not 0 <= args.order <= 24:
         raise UsageError(f"order={args.order} out of range (max 24)")
     f = series.build(args.name, args.order)
-    rows = [(n, f.egf_coeff(n)) for n in range(args.order + 1)]
+    rows = list(enumerate(f.coeffs))
     if args.format == "json":
         _emit_json(
             "series",

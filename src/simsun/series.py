@@ -1,7 +1,9 @@
-"""Truncated formal power series in z with exact polynomial coefficients.
+"""Truncated exponential power series in z with exact polynomial coefficients.
 
-A Series of order N stores coefficients c_0..c_N of f(z) = sum c_n z^n;
-arithmetic is exact mod z^(N+1).  EGF coefficient extraction is n! * c_n.
+A Series of order N stores the EGF coefficients a_0..a_N of
+f(z) = sum a_n z^n / n!; arithmetic is exact mod z^(N+1).  Products are
+binomial convolutions, so a series with integer coefficients stays integer
+under +, *, exp and log, and row n of a triangle is read as ``coeffs[n]``.
 
 The closed-form builders avoid the radicals appearing in the textbook
 generating functions by even/odd splitting: writing the denominators as
@@ -12,7 +14,7 @@ even powers, so every z-coefficient stays polynomial in x (and q, y).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .poly import ONE, Poly, Q, X, Y, ZERO
 
@@ -97,7 +99,7 @@ class Series:
             for j in range(self.order + 1 - i):
                 b = other.coeffs[j]
                 if b:
-                    out[i + j] = out[i + j] + a * b
+                    out[i + j] = out[i + j] + comb(i + j, i) * a * b
         return Series(out, self.order)
 
     __rmul__ = __mul__
@@ -112,7 +114,7 @@ class Series:
         for n in range(1, self.order + 1):
             acc = ZERO
             for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
+                acc = acc + comb(n, k) * self.coeffs[k] * out[n - k]
             out[n] = -(inv0 * acc)
         return Series(out, self.order)
 
@@ -121,13 +123,13 @@ class Series:
         if self.coeffs[0]:
             raise ValueError("exp needs zero constant term")
         out = [ONE] + [ZERO] * self.order
-        # f' * exp(f) = (exp f)': n*out[n] = sum_k k*self[k]*out[n-k]
+        # (exp f)' = f' * exp(f): out[n] = sum_k C(n-1, k-1) self[k] out[n-k]
         for n in range(1, self.order + 1):
             acc = ZERO
             for k in range(1, n + 1):
                 if self.coeffs[k]:
-                    acc = acc + k * self.coeffs[k] * out[n - k]
-            out[n] = acc / n
+                    acc = acc + comb(n - 1, k - 1) * self.coeffs[k] * out[n - k]
+            out[n] = acc
         return Series(out, self.order)
 
     def log(self) -> "Series":
@@ -135,13 +137,13 @@ class Series:
         if self.coeffs[0] != ONE:
             raise ValueError("log needs constant term 1")
         out = [ZERO] * (self.order + 1)
-        # g' = f'/f: n*g[n] = n*f[n] - sum_{k=1}^{n-1} k*g[k]*f[n-k]
+        # f' = g' * f: g[n] = f[n] - sum_{k=1}^{n-1} C(n-1, k-1) g[k] f[n-k]
         for n in range(1, self.order + 1):
-            acc = n * self.coeffs[n]
+            acc = self.coeffs[n]
             for k in range(1, n):
                 if out[k] and self.coeffs[n - k]:
-                    acc = acc - k * out[k] * self.coeffs[n - k]
-            out[n] = acc / n
+                    acc = acc - comb(n - 1, k - 1) * out[k] * self.coeffs[n - k]
+            out[n] = acc
         return Series(out, self.order)
 
     def pow_int(self, n: int) -> "Series":
@@ -157,8 +159,7 @@ class Series:
         return result
 
     def derivative_z(self) -> "Series":
-        out = [(i + 1) * c for i, c in enumerate(self.coeffs[1:])]
-        return Series(out + [ZERO], self.order)
+        return Series(self.coeffs[1:] + [ZERO], self.order)
 
     def scale_z(self, r) -> "Series":
         """Substitute z -> r*z for a rational r."""
@@ -168,16 +169,12 @@ class Series:
     def map_coeffs(self, fn) -> "Series":
         return Series([fn(c) for c in self.coeffs], self.order)
 
-    def egf_coeff(self, n: int) -> Poly:
-        """n! * c_n."""
-        return self.coeffs[n] * factorial(n)
-
 
 def _cos_like(a: Poly, order: int) -> Series:
     """sum_j a^j z^(2j) / (2j)!, which is cos(z sqrt(-a))."""
     out = [ZERO] * (order + 1)
     for j in range(order // 2 + 1):
-        out[2 * j] = a**j / factorial(2 * j)
+        out[2 * j] = a**j
     return Series(out, order)
 
 
@@ -185,7 +182,7 @@ def _sin_like(a: Poly, order: int) -> Series:
     """sum_j a^j z^(2j+1) / (2j+1)!, which is sin(z sqrt(-a)) / sqrt(-a)."""
     out = [ZERO] * (order + 1)
     for j in range((order - 1) // 2 + 1):
-        out[2 * j + 1] = a**j / factorial(2 * j + 1)
+        out[2 * j + 1] = a**j
     return Series(out, order)
 
 
@@ -213,8 +210,8 @@ def build(name: str, order: int = DEFAULT_ORDER) -> Series:
         b = ONE - X
         return (_cos_like(b, order) - _sin_like(b, order)).inverse()
     if name == "Sxz-from-What":
-        w = build("What", order).map_coeffs(lambda c: c.subs(x=2 * X)).scale_z(Fraction(1, 2))
-        return w * w
+        w = build("What", order).map_coeffs(lambda c: c.subs(x=2 * X))
+        return (w * w).scale_z(Fraction(1, 2))
     if name == "springer":
         minus_one = Poly.const(-1)
         return (_cos_like(minus_one, order) - _sin_like(minus_one, order)).inverse()

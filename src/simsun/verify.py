@@ -117,7 +117,7 @@ def _swept(sweep: str, pick, keep=None) -> Side:
 
 
 def _egf(name: str) -> Side:
-    return lambda order: series.build(name, order).egf_coeff
+    return lambda order: series.build(name, order).coeffs.__getitem__
 
 
 def _closed(form: str) -> Side:
@@ -330,7 +330,7 @@ def _series_square(order: int) -> Comparisons:
 
 
 def _series_pde(order: int) -> Comparisons:
-    # (1 - xz) dS/dz = q S + x(1-2x) dS/dx, checked on coefficients 0..order
+    # (1 - xz) dS/dz = q S + x(1-2x) dS/dx, checked on EGF coefficients 0..order
     s = series.build("Sxqz", order + 1)
     sz = s.derivative_z()
     lhs = (series.Series.one(order + 1) - series.Series.z(order + 1) * X) * sz

@@ -1,13 +1,14 @@
 """Truncated exact power series and the closed-form EGF builders."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from simsun import series, triangles
-from simsun.poly import ONE, Poly, Q, X
+from simsun.poly import ONE, ZERO, Poly, Q, X
 from simsun.series import Series
 
 ORDER = 8
@@ -54,8 +55,8 @@ def test_calculus_and_scaling():
     f = z.pow_int(3)
     assert f.derivative_z() == z.pow_int(2) * 3
     g = f.scale_z(Fraction(1, 2))
-    assert g.coeffs[3] == Poly.const(Fraction(1, 8))
-    assert f.egf_coeff(3) == Poly.const(6)
+    assert g.coeffs[3] == Poly.const(Fraction(6, 8))
+    assert f.coeffs[3] == Poly.const(6)
 
 
 @given(small_series, small_series)
@@ -71,21 +72,89 @@ def test_inverse_roundtrip(f):
     assert g.log().exp() == g
 
 
+# Reference: the ordinary-series bodies of *, inverse, exp and log on lists
+# c_0..c_N of sum c_n z^n.  A Series with EGF coefficients a_n is the list
+# a_n / n!.
+
+
+def _ogf(f):
+    return [c / factorial(n) for n, c in enumerate(f.coeffs)]
+
+
+def _ogf_mul(a, b):
+    out = [ZERO] * len(a)
+    for i, c in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] = out[i + j] + c * b[j]
+    return out
+
+
+def _ogf_inverse(a):
+    inv0 = Poly.const(Fraction(1) / a[0].terms[(0, 0, 0)])
+    out = [inv0] + [ZERO] * (len(a) - 1)
+    for n in range(1, len(a)):
+        acc = ZERO
+        for k in range(1, n + 1):
+            acc = acc + a[k] * out[n - k]
+        out[n] = -(inv0 * acc)
+    return out
+
+
+def _ogf_exp(a):
+    # f' * exp(f) = (exp f)': n*out[n] = sum_k k*a[k]*out[n-k]
+    out = [ONE] + [ZERO] * (len(a) - 1)
+    for n in range(1, len(a)):
+        acc = ZERO
+        for k in range(1, n + 1):
+            acc = acc + k * a[k] * out[n - k]
+        out[n] = acc / n
+    return out
+
+
+def _ogf_log(a):
+    # g' = f'/f: n*g[n] = n*a[n] - sum_{k=1}^{n-1} k*g[k]*a[n-k]
+    out = [ZERO] * len(a)
+    for n in range(1, len(a)):
+        acc = n * a[n]
+        for k in range(1, n):
+            acc = acc - k * out[k] * a[n - k]
+        out[n] = acc / n
+    return out
+
+
+@given(small_series, small_series)
+def test_egf_operations_match_ogf_reference(f, g):
+    assert _ogf(f * g) == _ogf_mul(_ogf(f), _ogf(g))
+    unit = f + (1 - f.coeffs[0])
+    invertible = f if f.coeffs[0] else unit
+    assert _ogf(invertible.inverse()) == _ogf_inverse(_ogf(invertible))
+    assert _ogf(unit.log()) == _ogf_log(_ogf(unit))
+    nil = f - f.coeffs[0]
+    assert _ogf(nil.exp()) == _ogf_exp(_ogf(nil))
+
+
+def test_builders_run_in_integer_arithmetic():
+    q_log_sxz = series.build("Sxz", 16).log() * Q
+    for f in [series.build(name, 16) for name in series.BUILDERS] + [q_log_sxz, q_log_sxz.exp()]:
+        for c in f.coeffs:
+            assert all(type(v) is int for v in c.terms.values())
+
+
 def test_builder_rows_match_triangles():
     s = triangles.family_polys("S", 8)
     f = series.build("Sxz", 8)
     for n in range(9):
-        assert f.egf_coeff(n) == s[n]
+        assert f.coeffs[n] == s[n]
     what = triangles.family_polys("What", 8)
     g = series.build("What", 8)
     for n in range(9):
-        assert g.egf_coeff(n) == what[n]
+        assert g.coeffs[n] == what[n]
 
 
 def test_builder_identities():
     assert series.build("Sxz", 10) == series.build("Sxz-from-What", 10)
     springer = series.build("springer", 6)
-    assert [springer.egf_coeff(n) for n in range(7)] == [
+    assert [springer.coeffs[n] for n in range(7)] == [
         Poly.const(v) for v in (1, 1, 3, 11, 57, 361, 2763)
     ]
 
@@ -100,7 +169,7 @@ def test_builder_constant_terms():
 def test_descent_coefficient_degrees():
     f = series.build("Sxz", 10)
     for n in range(11):
-        assert f.egf_coeff(n).degree("x") <= n // 2
+        assert f.coeffs[n].degree("x") <= n // 2
 
 
 def test_q_power_specializes_to_integer_powers():
