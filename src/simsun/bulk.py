@@ -1,22 +1,23 @@
 """Vectorized brute-force oracles for the big enumeration sweeps.
 
-One engine, ``_sweep``, drives all three.  Each level is grown from the last
-by the unlabelled insert of a tree of ``classes`` (first-kind words, all
-permutations, second-kind signed cycle forms), which computes no label.  A
-scanner reads statistic columns off the stored words or signed cycle
-forms, independently of any recurrence, in chunks of
-``perms._CHUNK`` rows.  Every statistic of a level of size m lies in 0..m,
-so a chunk's columns fold into one base-(m + 1) int64 key, counted by
-``np.bincount`` and turned back into tuples by ``np.unravel_index``.
+One engine, ``_sweep``, drives all three: ``perms.depth_first`` grows a
+tree of ``classes`` (first-kind words, all permutations, second-kind signed
+cycle forms) by its unlabelled ``grow``, in blocks of at most
+``perms._CHUNK`` rows, so no level is held whole.  A scanner reads
+statistic columns off each block's words or signed cycle forms,
+independently of any recurrence.  Every statistic of a level of size m lies
+in 0..m, so the columns fold into one base-(m + 1) key, counted by
+``np.bincount`` into the level's bins, read back once by ``np.unravel_index``.
 
 Each sweep caches its largest result: a smaller bound gets a prefix of it,
 a larger bound recomputes.  A bound whose top level would hold more than
 ``perms.ROW_BUDGET`` rows (E_{n+1} or n!) raises ``TooLarge`` before any
-level is built.
+row is grown.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -50,28 +51,25 @@ def _sweep(name, n_max, tree, scan, empty_key) -> dict[int, Counter]:
     perms.check_budget(tree.count(n_max), f"sweep level {n_max}")
     cached = _cache.get(name)
     if cached is None or max(cached) < n_max:
+        bins = dict.fromkeys(range(1, n_max + 1), 0)
+        root = (np.zeros((1, 0), dtype=np.int8),)
+        for m, (block,) in perms.depth_first(root, lambda a: (classes.grow(tree, a),), n_max):
+            if m:
+                bins[m] += _bins(block, scan)
         cached = {0: Counter({empty_key: 1})}
-        level = classes.level(tree, 0)
-        for m in range(1, n_max + 1):
-            level = classes.grow(tree, level)
-            cached[m] = _count(level, scan)
+        for m, counts in bins.items():
+            found = np.flatnonzero(counts)
+            keys = zip(*(d.tolist() for d in np.unravel_index(found, (m + 1,) * len(empty_key))))
+            cached[m] = Counter(dict(zip(keys, counts[found].tolist())))
         _cache[name] = cached
     return {n: cached[n] for n in range(n_max + 1)}
 
 
-def _count(level: np.ndarray, scan) -> Counter:
-    rows, m = level.shape
-    bins = 0
-    for part in perms.chunks(rows):
-        columns = scan(level[part])
-        key = np.zeros(len(columns[0]), dtype=np.int64)
-        for column in columns:
-            key = key * (m + 1) + column
-        bins = bins + np.bincount(key, minlength=(m + 1) ** len(columns))
-    found = np.flatnonzero(bins)
-    digits = np.unravel_index(found, (m + 1,) * len(columns))
-    keys = zip(*(d.tolist() for d in digits))
-    return Counter(dict(zip(keys, bins[found].tolist())))
+def _bins(block: np.ndarray, scan) -> np.ndarray:
+    """Counts of the block's statistic columns, each in 0..m, by key."""
+    columns = scan(block)
+    shape = (block.shape[1] + 1,) * len(columns)
+    return np.bincount(np.ravel_multi_index(columns, shape), minlength=math.prod(shape))
 
 
 def _word_stats(a: np.ndarray) -> list[np.ndarray]:

@@ -7,8 +7,9 @@ a one-row call.  The recognizers are row-mask kernels.  The three trees,
 first-kind words (descent and free gaps), all permutations (interior-peak
 and free gaps) and second-kind cycle forms (excedance and plain letters),
 list the labelled places of a level, insert the next entry there and strip
-it again; every level is grown from the empty object.  The ``bulk`` sweeps
-grow the same trees with no label computed.
+it again; ``level`` grows every level whole from the empty object.  The
+``bulk`` sweeps grow the same trees with no label computed, depth first in
+blocks of rows (``perms.depth_first``), never holding a level whole.
 """
 
 from __future__ import annotations

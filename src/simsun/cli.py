@@ -6,15 +6,16 @@ that ``bijection`` prints text or json only.  Exit codes: 0 success, 1
 identity violation, 2 usage error or ``TooLarge`` (a sweep level, zigzag
 array or permutation stream over ``perms.ROW_BUDGET`` rows, a phi block
 over ``bijections.PHI_BLOCK_LIMIT`` or a psi input over
-``bijections.PSI_LENGTH_LIMIT``).
+``bijections.PSI_LENGTH_LIMIT``), 141 (128 + SIGPIPE, no traceback) when
+the reader closes stdout early, as ``| head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 
 from . import TooLarge, bijections, classes, perms, series, triangles, verify
@@ -88,11 +89,9 @@ def _verdicts(args, key: str, reports: list) -> int:
     if args.format == "json":
         _emit_json(args.command, {key: getattr(args, key), "n_max": args.n_max}, results)
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=[key, "bound", "ok", "detail", "cases"])
+        writer = csv.DictWriter(sys.stdout, fieldnames=[key, "bound", "ok", "detail", "cases"])
         writer.writeheader()
         writer.writerows(results)
-        sys.stdout.write(out.getvalue())
     else:
         for r in reports:
             verdict = "pass" if r.ok else f"FAIL ({r.detail})"
@@ -115,13 +114,11 @@ def cmd_triangle(args) -> int:
         for p in polys:
             if p.variables() - {"x"}:
                 raise UsageError(f"family {args.family} is not univariate; csv unavailable")
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["family", "n", "k", "value"])
         for n, p in enumerate(polys):
             for k, c in enumerate(p.x_coeffs()):
                 writer.writerow([args.family, n, k, c])
-        sys.stdout.write(out.getvalue())
     elif args.format == "json":
         _emit_json(
             "triangle",
@@ -159,12 +156,10 @@ def cmd_enumerate(args) -> int:
             "enumerate", {"class": args.cls, "n": args.n}, rows + [{"count": len(rows)}]
         )
     elif args.format == "csv":
-        out = io.StringIO()
         if rows:
-            writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+            writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-        sys.stdout.write(out.getvalue())
         print(f"count,{len(rows)}")
     else:
         for row in rows:
@@ -273,12 +268,10 @@ def cmd_series(args) -> int:
             [{"n": n, "poly": _poly_json(p)} for n, p in rows],
         )
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["n", "value"])
         for n, p in rows:
             writer.writerow([n, p.text()])
-        sys.stdout.write(out.getvalue())
     else:
         for n, p in rows:
             print(f"{n}: {p.text()}")
@@ -350,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the output still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

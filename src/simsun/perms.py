@@ -9,16 +9,16 @@ ordered by increasing smallest entry.  Signed permutations are windows
 
 All functions are pure, and words and cycle forms are immutable tuples.
 The class oracles (alternating permutations, snakes, the cycle-up-down
-filter) are numpy kernels over arrays whose rows are whole words, built or
-streamed in chunks of ``_CHUNK`` rows.  Every array oracle of the package
-reads ``_CHUNK`` and ``ROW_BUDGET`` here at call time.
+filter) are numpy kernels over arrays whose rows are whole words, streamed
+or grown (``depth_first``) in blocks of ``_CHUNK`` rows.  Every array oracle
+of the package reads ``_CHUNK`` and ``ROW_BUDGET`` here at call time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,9 @@ Word = tuple[int, ...]
 Cycles = tuple[tuple[int, ...], ...]
 
 _CHUNK = 1 << 16
-# admits word level 12 (E_13 = 22,368,256 rows); refuses E_14 and 12! rows
+# admits word level 12 (E_13 = 22,368,256 rows); refuses E_14 and 12! rows.
+# For the sweeps and the zigzags it caps the rows generated, a block at a
+# time, not an array in memory; ``classes.level`` still holds whole levels.
 ROW_BUDGET = 50_000_000
 
 
@@ -41,6 +43,21 @@ def check_budget(rows: int, what: str) -> None:
 def chunks(rows: int) -> Iterator[slice]:
     """Slices of at most ``_CHUNK`` rows covering ``rows`` rows."""
     return (slice(i, i + _CHUNK) for i in range(0, rows, _CHUNK))
+
+
+def depth_first(root: tuple, extend: Callable[..., tuple], n: int) -> Iterator[tuple]:
+    """``(depth, block)`` pairs of the tree grown from ``root`` to depth n,
+    depth first by an explicit stack.  A block is a tuple of row-aligned
+    arrays of at most ``_CHUNK`` rows, cut in order from ``extend(*parent)``:
+    the stack holds one block's children per depth, never a whole level."""
+    stack = [(0, root)]
+    while stack:
+        depth, block = stack.pop()
+        yield depth, block
+        if depth < n:
+            children = extend(*block)
+            parts = reversed(list(chunks(len(children[0]))))
+            stack.extend((depth + 1, tuple(a[part] for a in children)) for part in parts)
 
 
 class StatRecord(NamedTuple):
@@ -260,23 +277,8 @@ def zigzag_chunks(n: int, signed: bool) -> Iterator[np.ndarray]:
     # n <= 30, far beyond any row budget (E_30 and S_30 exceed 10^29)
     bits = np.left_shift(1, np.abs(letters), dtype=np.int32)
     root = np.zeros((1, 0), dtype=dtype), np.zeros(1, dtype=np.int32)
-    return _grow_zigzags(*root, letters, bits, n)
-
-
-def _grow_zigzags(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,
-                  bits: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """Expand the prefixes level by level, depth first over blocks, so the
-    words of length n come out in lexicographic order.  A block has at most
-    ``_CHUNK`` candidate cells, so no level holds more than that many
-    rows at once."""
-    if prefixes.shape[1] == n:
-        yield prefixes
-        return
-    children, used = _extend_zigzags(prefixes, used, letters, bits, n)
-    step = max(1, _CHUNK // len(letters))
-    for start in range(0, len(children), step):
-        stop = start + step
-        yield from _grow_zigzags(children[start:stop], used[start:stop], letters, bits, n)
+    blocks = depth_first(root, lambda *block: _extend_zigzags(*block, letters, bits, n), n)
+    return (prefixes for depth, (prefixes, _) in blocks if depth == n)
 
 
 def _zigzag_rows(m: int) -> int:

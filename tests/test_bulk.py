@@ -85,3 +85,23 @@ def test_counts_fold_over_chunks(monkeypatch):
     monkeypatch.setattr(bulk, "_cache", {})
     for name in sweeps:
         assert getattr(bulk, name)(7) == whole[name]
+
+
+def test_blocks_never_exceed_the_chunk(monkeypatch):
+    # every block that the sweeps and the zigzags extend has at most _CHUNK
+    # rows: no level is handed on whole (level 6 of all permutations has 720)
+    monkeypatch.setattr(perms, "_CHUNK", 7)
+    monkeypatch.setattr(bulk, "_cache", {})
+    seen = {"grow": [], "_extend_zigzags": []}
+    for module, name, at in ((classes, "grow", 1), (perms, "_extend_zigzags", 0)):
+        def record(*args, inner=getattr(module, name), rows=seen[name], at=at):
+            rows.append(len(args[at]))
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, record)
+    bulk.simsun_word_distributions(7)
+    bulk.simsun_cycle_distributions(7)
+    bulk.all_perm_word_distributions(7)
+    assert perms.euler_number(8) == 1385
+    assert perms.springer_number(6) == 2763
+    assert all(rows and max(rows) <= 7 for rows in seen.values())

@@ -105,13 +105,13 @@ def _as_maps(tree, level):
 
 def test_levels_match_filters_and_the_sweeps(monkeypatch):
     swept = {}
-    count = bulk._count
+    count = bulk._bins
 
-    def record(level, scan):
-        swept[scan.__name__, level.shape[1]] = level.copy()
-        return count(level, scan)
+    def record(block, scan):
+        swept.setdefault((scan.__name__, block.shape[1]), []).append(block.copy())
+        return count(block, scan)
 
-    monkeypatch.setattr(bulk, "_count", record)
+    monkeypatch.setattr(bulk, "_bins", record)
     monkeypatch.setattr(bulk, "_cache", {})
     bulk.simsun_word_distributions(8)
     bulk.simsun_cycle_distributions(8)
@@ -128,7 +128,7 @@ def test_levels_match_filters_and_the_sweeps(monkeypatch):
                 labelled = classes.insert(tree, labelled, row, place)
             # the labelled insert at every place is the unlabelled growth
             assert (labelled == classes.level(tree, n)).all()
-            assert _as_maps(tree, labelled) == _as_maps(tree, swept[scan, n])
+            assert _as_maps(tree, labelled) == _as_maps(tree, np.concatenate(swept[scan, n]))
             # and the recognizers over all n! permutations find the same rows
             filtered = [c[mask(c)] for c in perms.permutation_chunks(n)]
             assert _as_maps(tree, labelled) == _as_maps(classes.PEAK, np.concatenate(filtered))

@@ -1,6 +1,9 @@
 """Command-line interface: parsing, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,6 +125,18 @@ def test_listing_over_row_budget_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(perms, "word_array", narrow_only)
     code, out, err = run(capsys, "verify", "filter-matches-generator", "--n-max", "7")
     assert code == 2 and out == "" and "5,040 rows" in err
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # 7,936 lines, more than a pipe buffer: the reader stops after one
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-m", "simsun.cli", "enumerate", "simsun1", "--n", "8"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"perm=1,2,3,4,5,6,7,8")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert b"Traceback" not in err and code == 141
 
 
 def test_verify_json_schema(capsys):
