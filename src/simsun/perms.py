@@ -46,18 +46,20 @@ def chunks(rows: int) -> Iterator[slice]:
 
 
 def depth_first(root: tuple, extend: Callable[..., tuple], n: int) -> Iterator[tuple]:
-    """``(depth, block)`` pairs of the tree grown from ``root`` to depth n,
-    depth first by an explicit stack.  A block is a tuple of row-aligned
-    arrays of at most ``_CHUNK`` rows, cut in order from ``extend(*parent)``:
-    the stack holds one block's children per depth, never a whole level."""
-    stack = [(0, root)]
+    """``(depth, block)`` pairs of the tree grown from ``root`` to depth n, a
+    block being row-aligned arrays of at most ``_CHUNK`` rows.  An explicit
+    stack extends ``_CHUNK // (m + 1)`` rows of a depth-m block at a time, depth
+    first: an insertion tree (at most m + 1 children a row) makes one block."""
+    yield 0, root
+    stack = [(0, root, 0)]  # a block and the first of its rows not yet extended
     while stack:
-        depth, block = stack.pop()
-        yield depth, block
-        if depth < n:
-            children = extend(*block)
-            parts = reversed(list(chunks(len(children[0]))))
-            stack.extend((depth + 1, tuple(a[part] for a in children)) for part in parts)
+        depth, block, start = stack.pop()
+        if depth < n and start < len(block[0]):
+            stop = start + max(1, _CHUNK // (block[0].shape[1] + 1))
+            children = extend(*(a[start:stop] for a in block))
+            parts = [tuple(a[cut] for a in children) for cut in chunks(len(children[0]))]
+            yield from ((depth + 1, part) for part in parts)
+            stack += [(depth, block, stop)] + [(depth + 1, part, 0) for part in parts[::-1]]
 
 
 class StatRecord(NamedTuple):

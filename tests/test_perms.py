@@ -225,6 +225,27 @@ def test_zigzags_fold_over_chunks(monkeypatch):
             for n in range(8)] == whole
 
 
+def test_depth_first_extends_slices_whose_children_fit_one_block(monkeypatch):
+    # a row of width m gets the m + 1 children (row, 0), ..., (row, m): the
+    # depth-n rows, read in walk order, are the product of the ranges in
+    # lexicographic order, and extend never gets more rows than make one block
+    monkeypatch.setattr(perms, "_CHUNK", 12)
+    widths = []
+
+    def extend(a):
+        rows, m = a.shape
+        widths.append((rows, m))
+        new = np.tile(np.arange(m + 1, dtype=a.dtype), rows)[:, None]
+        return (np.hstack([np.repeat(a, m + 1, axis=0), new]),)
+
+    root = (np.zeros((1, 0), dtype=np.int8),)
+    blocks = list(perms.depth_first(root, extend, 6))
+    assert all(len(block) <= 12 for _, (block,) in blocks)
+    assert all(rows <= max(1, 12 // (m + 1)) for rows, m in widths)
+    top = np.concatenate([block for depth, (block,) in blocks if depth == 6])
+    assert top.tolist() == [list(w) for w in itertools.product(*map(range, range(1, 7)))]
+
+
 def test_cycle_up_down():
     # three singletons; (1,3,2); (1,2,3); (1,4,3)(2); (1,3,4)(2)
     words = np.array([(1, 2, 3, 4), (3, 1, 2, 4), (2, 3, 1, 4), (4, 2, 1, 3), (3, 2, 4, 1)],
