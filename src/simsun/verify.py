@@ -17,9 +17,20 @@ labelled ``n={n}`` or ``n={n} ({label})``.  A side is given the bound,
 computes its rows once and returns a function from n to row n: rows of
 triangle families (``_family``), a marginal of a ``bulk`` sweep
 (``_swept``), EGF coefficients (``_egf``), a closed form (``_closed``), a
-per-n oracle evaluated when compared (``_each``) or a per-n listing oracle
-run at every n, largest first (``_listed``).  The remaining checkers
-compare single coefficients, whole objects or rows at several indices.
+per-n oracle evaluated when compared (``_each``), a per-n listing oracle
+run at every n, largest first (``_listed``), or a root verdict compared
+against an always-true side: simple nonpositive real roots (``_rz``) or a
+root-ordering relation (``_related``), each row's certificate seeded from
+the previous row's.
+
+Ten checker functions remain, each for a reason: ``_s_what_convolution``
+and ``_euler_convolution`` convolve all rows; ``_p_recurrence_cleared``,
+``_p_low_coeffs`` and ``_t_split`` state single coefficients;
+``_cardinalities`` shares one Euler number between two rows;
+``_filter_matches_generator`` and ``_descent_left_peak`` read both sides off
+one pass over the objects of each size, largest size first; ``_series_pde``
+builds both sides from one series; ``_bijection`` reports the walk's own
+failure detail.
 
 Checkers and sides look up their providers (``triangles.family_polys``, the
 ``bulk`` sweeps, ``series.build``, ...) on the module each time they run, so
@@ -68,7 +79,9 @@ class Entry:
 
 
 def _rows(*pairs: tuple[str | None, int, Side, Side]) -> Callable[[int], Comparisons]:
-    """Checker comparing row n of each pair's two sides, n outer, pairs inner."""
+    """Checker comparing row n of each pair's two sides, n outer, pairs inner.
+    Each side is asked for its rows in increasing n, once each, which the
+    certificate chains of ``_rz`` and ``_related`` rely on."""
 
     def check(n_max: int) -> Comparisons:
         built = [(label, first, left(n_max), right(n_max)) for label, first, left, right in pairs]
@@ -89,7 +102,7 @@ def _family(*names: str, shift: int = 0, fn=None) -> Side:
     when given (without ``fn``, the row of the one family)."""
 
     def side(n_max: int):
-        tables = [triangles.family_polys(name, n_max + shift) for name in names]
+        tables = [triangles.family_polys(name, max(n_max + shift, 0)) for name in names]
         combine = fn or (lambda n, row: row)
         return lambda n: combine(n, *(rows[n + shift] for rows in tables))
 
@@ -140,6 +153,45 @@ def _listed(fn: Callable[[int], object]) -> Side:
     return side
 
 
+def _rz(side: Side) -> Side:
+    """Row n: whether row n of ``side`` has simple nonpositive real roots,
+    its certificate seeded from row n - 1's."""
+
+    def chain(n_max: int):
+        row, last = side(n_max), [None]
+
+        def rz(n: int) -> bool:
+            last[0] = cert = roots.certify_rz(row(n), near=last[0])
+            return cert.real_rooted and cert.all_nonpositive and cert.all_simple
+
+        return rz
+
+    return chain
+
+
+def _related(p: Side, q: Side, relation: str) -> Side:
+    """Row n: whether row n of p and row n of q stand in ``relation``.  Row
+    n's p is seeded from row n - 1's certificate of q when that row of q is
+    row n of p, else from row n - 1's certificate of p."""
+
+    def chain(n_max: int):
+        p_row, q_row, last = p(n_max), q(n_max), [None, None, None]
+
+        def related(n: int) -> bool:
+            a, b = p_row(n), q_row(n)
+            before, p_cert, q_cert = last
+            report = roots.check_relation(a, b, relation, near=q_cert if a == before else p_cert)
+            last[:] = b, *(report.certs or (None, None))
+            return report.holds
+
+        return related
+
+    return chain
+
+
+_TRUE = _each(lambda n: True)
+
+
 def _x(i: int):
     """Sweep key -> monomial x^key[i]."""
     return lambda key: (key[i], 0, 0)
@@ -176,22 +228,20 @@ def _coeff(p: Poly, k: int) -> int:
 
 
 def _bijection(verifier: str) -> Callable[[int], Comparisons]:
-    """Exhaustive bijection check whose per-k counts are descent counts."""
+    """Exhaustive bijection check whose per-k counts are descent counts; the
+    reports are made largest n first."""
 
     def check(n_max: int) -> Comparisons:
         s = triangles.family_polys("S", n_max)
+        reports = _listed(lambda n: getattr(bijections, verifier)(n) if n else None)(n_max)
         for n in range(1, n_max + 1):
-            report = getattr(bijections, verifier)(n)
+            report = reports(n)
             yield f"n={n}: {report.detail}", report.ok, True
             ks = range(n // 2 + 1)
             yield (f"n={n}: per-k counts", [report.counts.get(k, 0) for k in ks],
                    [_coeff(s[n], k) for k in ks])
 
     return check
-
-
-def _certified(cert: roots.RzCertificate) -> bool:
-    return cert.real_rooted and cert.all_nonpositive and cert.all_simple
 
 
 # -- triangle and closed-form identities ---------------------------------------
@@ -203,16 +253,6 @@ def _s_what_convolution(n_max: int) -> Comparisons:
     for n in range(n_max + 1):
         rhs = sum((comb(n, k) * what[k] * what[n - k] for k in range(n + 1)), ZERO)
         yield f"n={n}", rhs / 2**n, s[n]
-
-
-def _run_mobius(n_max: int) -> Comparisons:
-    s = triangles.family_polys("S", n_max)
-    w = triangles.family_polys("W", n_max)
-    r = triangles.family_polys("R", n_max)
-    for n in range(2, n_max + 1):
-        via_w = X * mobius_compose(w[n], n - 2, 2) / 2 ** (n - 2)
-        yield f"n={n} (interior-peak form)", r[n], via_w
-        yield f"n={n} (descent form)", r[n], 2 * X * mobius_compose(s[n - 1], n - 2, 1)
 
 
 def _p_recurrence_cleared(n_max: int) -> Comparisons:
@@ -244,29 +284,6 @@ def _t_split(n_max: int) -> Comparisons:
                    _coeff(t[n], 2 * k + 1) + _coeff(t[n], 2 * k + 2))
 
 
-def _corner_alternating(n_max: int) -> Comparisons:
-    dist = bulk.simsun_word_distributions(n_max)
-    s = triangles.family_polys("S", n_max)
-    p = triangles.family_polys("P", n_max)
-    t = triangles.family_polys("T", n_max)
-    for n in range(n_max + 1):
-        corner = _coeff(t[n], n)
-        alt = sum(c for key, c in dist[n].items() if key[4])
-        yield f"n={n}: alternating count vs corner", alt, corner
-        m, odd = divmod(n, 2)
-        if n >= 1:
-            middle = _coeff(p[n], m) if odd else _coeff(s[n], m)
-            yield f"n={n}: corner vs middle coefficient", corner, middle
-
-
-def _orbit_descents(n_max: int) -> Comparisons:
-    s = triangles.family_polys("S", n_max)
-    a = triangles.family_polys("A", n_max + 2)
-    for n in range(n_max + 1):
-        for k in range(n // 2 + 1):
-            yield f"n={n}, k={k}", _coeff(a[n + 2], k + 1), _coeff(s[n], k)
-
-
 def _euler_convolution(n_max: int) -> Comparisons:
     springer = [w.eval(x=2) for w in triangles.family_polys("What", n_max)]
     euler = _listed(lambda n: perms.euler_number(n + 1))(n_max)
@@ -287,46 +304,53 @@ def _cardinalities(n_max: int) -> Comparisons:
         yield f"n={n} (second kind)", sum(cycles[n].values()), euler
 
 
-def _filter_matches_generator(n_max: int) -> Comparisons:
+def _sorted_members(n: int) -> list[tuple[str, np.ndarray, np.ndarray]]:
     # the filters read one stream of all n! permutations; both sides are
-    # compared as sorted one-line rows
+    # sorted one-line rows
+    filt1, filt2 = [], []
+    for chunk in perms.permutation_chunks(n):
+        filt1.append(chunk[classes.simsun_first_mask(chunk)])
+        filt2.append(chunk[classes.simsun_second_mask(chunk)])
+    gen1 = classes.level(classes.FIRST, n)
+    gen2 = classes.one_line(classes.level(classes.SECOND, n))
+    return [(kind, gen[perms.row_order(gen)], filt[perms.row_order(filt)])
+            for kind, gen, filt in (("first", gen1, np.concatenate(filt1)),
+                                    ("second", gen2, np.concatenate(filt2)))]
+
+
+def _filter_matches_generator(n_max: int) -> Comparisons:
+    members = _listed(_sorted_members)(n_max)
     for n in range(n_max + 1):
-        filt1, filt2 = [], []
-        for chunk in perms.permutation_chunks(n):
-            filt1.append(chunk[classes.simsun_first_mask(chunk)])
-            filt2.append(chunk[classes.simsun_second_mask(chunk)])
-        gen1 = classes.level(classes.FIRST, n)
-        gen2 = classes.one_line(classes.level(classes.SECOND, n))
-        for kind, gen, filt in (("first", gen1, filt1), ("second", gen2, filt2)):
-            filt = np.concatenate(filt)
-            yield (f"n={n} ({kind} kind)", gen[perms.row_order(gen)].tolist(),
-                   filt[perms.row_order(filt)].tolist())
+        for kind, gen, filt in members(n):
+            yield f"n={n} ({kind} kind)", gen.tolist(), filt.tolist()
 
 
-def _descent_left_peak(n_max: int) -> Comparisons:
+def _left_peak_columns(n: int) -> tuple[list[int], list[int], list[int]]:
     # statistic columns of the generated level, read chunk by chunk by the
     # words sweep's scanner; lpk is read off its definition, the interior
     # peaks of the 0-prepended word
+    words = classes.level(classes.FIRST, n)
+    des, lpk, pk_first_down = [], [], []
+    for part in perms.chunks(len(words)):
+        chunk = words[part]
+        d, pk, _, first_down, _ = bulk._word_stats(chunk)
+        up = np.diff(chunk, axis=1, prepend=0) > 0
+        des += d.tolist()
+        lpk += (up[:, :-1] & ~up[:, 1:]).sum(axis=1).tolist()
+        pk_first_down += (pk + first_down).tolist()
+    return des, lpk, pk_first_down
+
+
+def _descent_left_peak(n_max: int) -> Comparisons:
+    columns = _listed(_left_peak_columns)(n_max)
     for n in range(n_max + 1):
-        words = classes.level(classes.FIRST, n)
-        des, lpk, pk_first_down = [], [], []
-        for part in perms.chunks(len(words)):
-            chunk = words[part]
-            d, pk, _, first_down, _ = bulk._word_stats(chunk)
-            up = np.diff(chunk, axis=1, prepend=0) > 0
-            des += d.tolist()
-            lpk += (up[:, :-1] & ~up[:, 1:]).sum(axis=1).tolist()
-            pk_first_down += (pk + first_down).tolist()
+        des, lpk, pk_first_down = columns(n)
         yield f"n={n}: des vs lpk", des, lpk
         if n >= 2:
             yield f"n={n}: lpk vs pk + [first step down]", lpk, pk_first_down
 
 
 # -- generating-function checks -------------------------------------------------
-
-
-def _series_square(order: int) -> Comparisons:
-    yield "whole series", series.build("Sxz", order), series.build("Sxz-from-What", order)
 
 
 def _series_pde(order: int) -> Comparisons:
@@ -338,53 +362,6 @@ def _series_pde(order: int) -> Comparisons:
     rhs = s * Poly.var("q") + sx * (X * (ONE - 2 * X))
     for n in range(order + 1):
         yield f"z^{n}", lhs.coeffs[n], rhs.coeffs[n]
-
-
-# -- root location ---------------------------------------------------------------
-
-
-def _roots_nonpositive(n_max: int) -> Comparisons:
-    # each row's certificate seeds the next row's, whose roots it interlaces
-    for family in ("S", "P", "P+", "P-"):
-        polys, cert = triangles.family_polys(family, n_max), None
-        for n in range(2, n_max + 1):
-            cert = roots.certify_rz(polys[n], near=cert)
-            yield f"{family}, n={n}", _certified(cert), True
-
-
-def _roots_successive(n_max: int) -> Comparisons:
-    s, near = triangles.family_polys("S", n_max + 1), None
-    for n in range(1, n_max + 1):
-        report = roots.check_relation(s[n], s[n + 1], "precede", near=near)
-        near = report.certs[1] if report.certs else None
-        yield f"n={n}", report.holds, True
-
-
-def _roots_interlacing(n_max: int) -> Comparisons:
-    s = triangles.family_polys("S", n_max)
-    p = triangles.family_polys("P", n_max + 1)
-    plus = triangles.family_polys("P+", n_max + 1)
-    minus = triangles.family_polys("P-", n_max + 1)
-    p_cert = plus_cert = None
-    for n in range(2, n_max + 1):
-        report = roots.check_relation(p[n + 1], s[n], "alternate-left", near=p_cert)
-        p_cert, s_cert = report.certs
-        yield f"n={n} (peak polynomial)", report.holds, True
-        report = roots.check_relation(plus[n + 1], s[n], "precede", near=plus_cert)
-        plus_cert = report.certs[0] if report.certs else None
-        yield f"n={n} (first-step-down part)", report.holds, True
-        yield (f"n={n} (first-step-up part)",
-               roots.check_relation(s[n], minus[n + 1], "alternate-left", near=s_cert).holds,
-               True)
-
-
-def _roots_positive_q(n_max: int) -> Comparisons:
-    sxq = triangles.family_polys("Sxq", n_max)
-    for q in (Fraction(1, 2), 1, 2, 3):
-        cert = None
-        for n in range(2, n_max + 1):
-            cert = roots.certify_rz(sxq[n].subs(q=q), near=cert)
-            yield f"q={q}, n={n}", _certified(cert), True
 
 
 # -- registry --------------------------------------------------------------------
@@ -399,7 +376,11 @@ REGISTRY: dict[str, Entry] = {
         "interior-peak counts over all permutations are 2^(n-k) times descent counts",
     ),
     "run-mobius": Entry(
-        _run_mobius, 14, "alternating-run rows from both Mobius-type substitutions"
+        _rows(("interior-peak form", 2, _family("R"), _family("W", fn=lambda n, w: (
+                  X * mobius_compose(w, n - 2, 2) / 2 ** (n - 2)))),
+              ("descent form", 2, _family("R"), _family("S", shift=-1, fn=lambda n, s: (
+                  2 * X * mobius_compose(s, n - 2, 1))))), 14,
+        "alternating-run rows from both Mobius-type substitutions",
     ),
     "p-split-from-s": Entry(
         _rows(("first-step-down", 1, _family("P+", shift=1), _scaled(lambda n, k: n - 2 * k)),
@@ -428,10 +409,16 @@ REGISTRY: dict[str, Entry] = {
         "every registered closed form matches its recurrence triangle",
     ),
     "corner-alternating": Entry(
-        _corner_alternating, 12, "top up-down-run counts equal alternating-permutation counts"
+        _rows(("alternating count vs corner", 0,
+               _swept(_WORDS, lambda k: (0, 0, 0), lambda k: k[4]),
+               _family("T", fn=lambda n, t: _coeff(t, n))),
+              ("corner vs middle coefficient", 1, _family("T", fn=lambda n, t: _coeff(t, n)),
+               _family("S", "P", fn=lambda n, s, p: _coeff(p if n % 2 else s, n // 2)))), 12,
+        "top up-down-run counts equal alternating-permutation counts",
     ),
     "orbit-descents": Entry(
-        _orbit_descents, 14, "orbit-count triangle is a reindexing of the descent triangle"
+        _pair(_family("A", shift=2), _family("S", fn=lambda n, s: X * s)), 14,
+        "orbit-count triangle is a reindexing of the descent triangle",
     ),
     "euler-convolution": Entry(
         _euler_convolution, 10, "zigzag numbers from the binomial convolution of Springer numbers"
@@ -516,7 +503,8 @@ REGISTRY: dict[str, Entry] = {
         "closed-form left-peak EGF matches the triangle",
     ),
     "series-square": Entry(
-        _series_square, 12, "descent EGF equals the squared rescaled left-peak EGF"
+        _pair(_egf("Sxz"), _egf("Sxz-from-What")), 12,
+        "descent EGF equals the squared rescaled left-peak EGF",
     ),
     "series-pde": Entry(
         _series_pde, 10, "bivariate EGF satisfies its first-order PDE termwise"
@@ -538,16 +526,25 @@ REGISTRY: dict[str, Entry] = {
         "trivariate EGF matches the binomial-sum rows",
     ),
     "roots-nonpositive": Entry(
-        _roots_nonpositive, 25, "descent and peak polynomials have simple nonpositive real roots"
+        _rows(*((f, 2, _rz(_family(f)), _TRUE) for f in ("S", "P", "P+", "P-"))), 25,
+        "descent and peak polynomials have simple nonpositive real roots",
     ),
     "roots-successive": Entry(
-        _roots_successive, 20, "each descent polynomial precedes the next"
+        _pair(_related(_family("S"), _family("S", shift=1), "precede"), _TRUE, first=1), 20,
+        "each descent polynomial precedes the next",
     ),
     "roots-interlacing": Entry(
-        _roots_interlacing, 20, "split peak polynomials interlace the descent polynomials"
+        _rows(("peak polynomial", 2,
+               _related(_family("P", shift=1), _family("S"), "alternate-left"), _TRUE),
+              ("first-step-down part", 2,
+               _related(_family("P+", shift=1), _family("S"), "precede"), _TRUE),
+              ("first-step-up part", 2,
+               _related(_family("S"), _family("P-", shift=1), "alternate-left"), _TRUE)), 20,
+        "split peak polynomials interlace the descent polynomials",
     ),
     "roots-positive-q": Entry(
-        _roots_positive_q, 15,
+        _rows(*((f"q={q}", 2, _rz(_family("Sxq", fn=lambda n, r, q=q: r.subs(q=q))), _TRUE)
+                for q in (Fraction(1, 2), 1, 2, 3))), 15,
         "bivariate rows at sample positive q have simple nonpositive real roots",
     ),
 }

@@ -191,10 +191,11 @@ def test_a_refused_row_breaks_no_later_row(monkeypatch):
         return polys
 
     monkeypatch.setattr(triangles, "family_polys", broken)
-    failed = [where for where, got, want in verify._roots_nonpositive(16) if got != want]
-    assert failed == ["S, n=9"]
+    check = verify.REGISTRY["roots-nonpositive"].check
+    failed = [where for where, got, want in check(16) if got != want]
+    assert failed == ["n=9 (S)"]
     report = verify.run("roots-nonpositive", 16)
-    assert not report.ok and report.detail == "S, n=9"
+    assert not report.ok and report.detail == "n=9 (S)"
 
 
 def test_relation_degree_errors():

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from simsun import bulk, classes, perms, series, triangles, verify
+from simsun import TooLarge, bijections, bulk, classes, perms, series, triangles, verify
+from simsun.poly import Poly, X
 
 
 def test_unknown_identity():
@@ -98,11 +99,26 @@ def _bump_closed_form(original):
 def _bump_series(original):
     def bumped(name, order):
         f = original(name, order)
+        if name != "Sxz":
+            return f
         coeffs = list(f.coeffs)
         coeffs[4] = coeffs[4] + 1
         return series.Series(coeffs, f.order)
 
     return bumped
+
+
+def _change_row(family, m, change):
+    def fault(original):
+        def changed(name, n_max):
+            rows = original(name, n_max)
+            if name == family and n_max >= m:
+                rows = rows[:m] + [change(rows[m])] + rows[m + 1:]
+            return rows
+
+        return changed
+
+    return fault
 
 
 def _bump_at(m):
@@ -148,9 +164,18 @@ def _flip_first_step(original):
         (classes, "simsun_first_mask", _flip_first_member, "filter-matches-generator",
          "n=4 (first kind)"),
         (classes, "distribution", _bump_at(3), "cud-cycles", "n=3"),
+        (series, "build", _bump_series, "series-square", "n=4"),
+        (triangles, "family_polys", _change_row("A", 6, lambda r: r + 1), "orbit-descents",
+         "n=4"),
+        # a complex pair, then roots near 0 that no longer interlace S_4's
+        (triangles, "family_polys",
+         _change_row("P", 5, lambda r: r * Poly.from_x_coeffs([1, 1, 1])), "roots-nonpositive",
+         "n=5 (P)"),
+        (triangles, "family_polys", _change_row("P+", 5, lambda r: r.subs(x=1000 * X)),
+         "roots-interlacing", "n=4 (first-step-down part)"),
     ],
     ids=["closed", "egf", "each", "swept-keep", "euler-cardinalities", "euler-convolution",
-         "first-kind-filter", "listed"],
+         "first-kind-filter", "listed", "egf-both", "family-shifted", "rz", "related"],
 )
 def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identity, detail):
     monkeypatch.setattr(module, provider, fault(getattr(module, provider)))
@@ -175,3 +200,44 @@ def test_descent_left_peak_second_comparison_can_fail(monkeypatch, column):
     report = verify.run("descent-left-peak", 5)
     assert not report.ok
     assert report.detail == "n=2: lpk vs pk + [first step down]"
+
+
+@pytest.mark.parametrize(
+    "identity", ["phi-partition", "psi-transport", "filter-matches-generator", "descent-left-peak"]
+)
+def test_object_checks_refuse_the_top_bound_first(monkeypatch, identity):
+    # at bound 8 every one of them is over a budget of 1,000 rows: it must
+    # be refused before any smaller size is grown, streamed or walked
+    done = []
+
+    def recorded(module, name):
+        original = getattr(module, name)
+
+        def call(*args):
+            result = original(*args)
+            done.append((name, args))
+            return result
+
+        monkeypatch.setattr(module, name, call)
+
+    recorded(bijections, "verify_phi")
+    recorded(bijections, "verify_psi")
+    grow, stream = classes.grow, perms.permutation_chunks
+
+    def grown(tree, level):
+        # every φ walk first grows the one-letter root of its images
+        if level.shape[1]:
+            done.append(("grow", level.shape[1] + 1))
+        return grow(tree, level)
+
+    def streamed(n):
+        for chunk in stream(n):
+            done.append(("permutation_chunks", n))
+            yield chunk
+
+    monkeypatch.setattr(classes, "grow", grown)
+    monkeypatch.setattr(perms, "permutation_chunks", streamed)
+    monkeypatch.setattr(perms, "ROW_BUDGET", 1000)
+    with pytest.raises(TooLarge):
+        verify.run(identity, 8)
+    assert done == []
