@@ -138,7 +138,7 @@ def phi_forward(word: Word) -> list[Word]:
     """Image block of a first-kind simsun permutation: 2^(n-des) permutations
     of [n+1], each with des(word) interior peaks, at most PHI_BLOCK_LIMIT."""
     _check_first(word)
-    free = len(word) - len(perms.descent_set(word))
+    free = len(word) - perms.word_stats(word).des
     if 2**free > PHI_BLOCK_LIMIT:
         raise TooLarge(f"phi block too large: 2^{free} images (limit {PHI_BLOCK_LIMIT:,})")
     return _images("phi", word)
@@ -245,8 +245,8 @@ def _join_back(tree: Tree, images: np.ndarray, sources: np.ndarray,
 def verify_phi(n: int) -> VerifyReport:
     """Blocks are disjoint, sized 2^(n-k), members have pk = k, they cover
     all permutations of [n+1], and the inverse maps every member home."""
-    total = math.factorial(n + 1)
-    return _verify("phi", n, lambda des: 2 ** (n - des), "pk", lambda t: bulk._all_word_stats(t)[1],
+    total, pk = math.factorial(n + 1), perms.mask_stats(n + 1)[:, 2]
+    return _verify("phi", n, lambda des: 2 ** (n - des), "pk", lambda t: pk[perms.ascent_masks(t)],
                    lambda t: "" if len(t) == total else f"blocks cover {len(t)} permutations")
 
 

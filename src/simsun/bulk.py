@@ -3,11 +3,12 @@
 One engine, ``_sweep``, drives all three: ``perms.depth_first`` grows a
 tree of ``classes`` (first-kind words, all permutations, second-kind signed
 cycle forms) by its unlabelled ``grow``, in blocks of at most
-``perms._CHUNK`` rows, so no level is held whole.  A scanner reads
-statistic columns off each block's words or signed cycle forms,
-independently of any recurrence.  Every statistic of a level of size m lies
-in 0..m, so the columns fold into one base-(m + 1) key, counted by
-``np.bincount`` into the level's bins, read back once by ``np.unravel_index``.
+``perms._CHUNK`` rows, so no level is held whole.  A scanner reads one key
+a row off each block's words or signed cycle forms, independently of any
+recurrence, and ``np.bincount`` adds the keys into the level's bins.  A
+word's key is its ascent set (``perms.ascent_masks``, 2^(m-1) bins), whose
+statistics are read once a level off ``perms.mask_stats``; a cycle form's
+is (exc, fix, cyc), each in 0..m, as one base-(m + 1) number.
 
 Each sweep caches its largest result: a smaller bound gets a prefix of it,
 a larger bound recomputes.  A bound whose top level would hold more than
@@ -17,7 +18,6 @@ row is grown.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 import numpy as np
@@ -30,7 +30,7 @@ _cache: dict[str, dict[int, Counter]] = {}
 def simsun_word_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (des, pk, uprun, starts_with_descent, alternating)
     over the first-kind simsun permutations, by direct word scans."""
-    return _sweep("words", n_max, classes.FIRST, _word_stats, (0, 0, 0, 0, 1))
+    return _sweep("words", n_max, classes.FIRST, _ascents, _word_keys)
 
 
 def simsun_cycle_distributions(n_max: int) -> dict[int, Counter]:
@@ -38,47 +38,45 @@ def simsun_cycle_distributions(n_max: int) -> dict[int, Counter]:
     permutations, read off the stored signed cycle forms: exc by comparing
     each letter with its successor, fix as the one-letter cycles, cyc as the
     cycle starts."""
-    return _sweep("cycles", n_max, classes.SECOND, _cycle_stats, (0, 0, 0))
+    return _sweep("cycles", n_max, classes.SECOND, _cycle_key, _cycle_keys)
 
 
 def all_perm_word_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (lpk, pk, altruns) over all permutations of [n],
     generated by unrestricted insertion."""
-    return _sweep("all", n_max, classes.PEAK, _all_word_stats, (0, 0, 0))
+    return _sweep("all", n_max, classes.PEAK, _ascents, _all_word_keys)
 
 
-def _sweep(name, n_max, tree, scan, empty_key) -> dict[int, Counter]:
+def _sweep(name, n_max, tree, scan, read) -> dict[int, Counter]:
     perms.check_budget(tree.count(n_max), f"sweep level {n_max}")
     cached = _cache.get(name)
     if cached is None or max(cached) < n_max:
-        bins = dict.fromkeys(range(1, n_max + 1), 0)
+        bins = dict.fromkeys(range(n_max + 1), 0)
         root = (np.zeros((1, 0), dtype=np.int8),)
         for m, (block,) in perms.depth_first(root, lambda a: (classes.grow(tree, a),), n_max):
-            if m:
-                bins[m] += _bins(block, scan)
-        cached = {0: Counter({empty_key: 1})}
+            keys, size = scan(block)
+            bins[m] += np.bincount(keys, minlength=size)
+        cached = {m: Counter() for m in bins}
         for m, counts in bins.items():
             found = np.flatnonzero(counts)
-            keys = zip(*(d.tolist() for d in np.unravel_index(found, (m + 1,) * len(empty_key))))
-            cached[m] = Counter(dict(zip(keys, counts[found].tolist())))
+            for key, count in zip(read(m, found), counts[found].tolist()):
+                cached[m][key] += count  # several keys may read as one: add, never overwrite
         _cache[name] = cached
     return {n: cached[n] for n in range(n_max + 1)}
 
 
-def _bins(block: np.ndarray, scan) -> np.ndarray:
-    """Counts of the block's statistic columns, each in 0..m, by key."""
-    columns = scan(block)
-    shape = (block.shape[1] + 1,) * len(columns)
-    return np.bincount(np.ravel_multi_index(columns, shape), minlength=math.prod(shape))
+def _ascents(a: np.ndarray) -> tuple[np.ndarray, int]:
+    return perms.ascent_masks(a), 1 << max(a.shape[1] - 1, 0)
 
 
-def _word_stats(a: np.ndarray) -> list[np.ndarray]:
-    asc = a[:, :-1] < a[:, 1:]
-    first_down = (~asc[:, :1]).sum(axis=1)
-    pk = (asc[:, :-1] & ~asc[:, 1:]).sum(axis=1)
-    uprun = 1 + first_down + (asc[:, 1:] != asc[:, :-1]).sum(axis=1)
-    alt = (~asc[:, ::2]).all(axis=1) & asc[:, 1::2].all(axis=1)
-    return [(~asc).sum(axis=1), pk, uprun, first_down, alt]
+def _word_keys(m: int, masks: np.ndarray):
+    # down-up exactly when the 0-prepended word has m runs (an int: JSON dumps a bool as true)
+    table = perms.mask_stats(m)[masks].tolist()
+    return ((des, pk, uprun, lpk - pk, int(uprun == m)) for des, lpk, pk, _, uprun in table)
+
+
+def _all_word_keys(m: int, masks: np.ndarray):
+    return ((lpk, pk, altruns) for _, lpk, pk, altruns, _ in perms.mask_stats(m)[masks].tolist())
 
 
 def _cycle_stats(level: np.ndarray) -> list[np.ndarray]:
@@ -88,9 +86,10 @@ def _cycle_stats(level: np.ndarray) -> list[np.ndarray]:
     return [(succ > letters).sum(axis=1), (start & last).sum(axis=1), start.sum(axis=1)]
 
 
-def _all_word_stats(a: np.ndarray) -> list[np.ndarray]:
-    asc = a[:, :-1] < a[:, 1:]
-    pk = (asc[:, :-1] & ~asc[:, 1:]).sum(axis=1)
-    # a single letter has no runs; lpk = pk + [first step down]
-    altruns = (a.shape[1] > 1) + (asc[:, 1:] != asc[:, :-1]).sum(axis=1)
-    return [(~asc[:, :1]).sum(axis=1) + pk, pk, altruns]
+def _cycle_key(level: np.ndarray) -> tuple[np.ndarray, int]:
+    radix = level.shape[1] + 1
+    return np.ravel_multi_index(_cycle_stats(level), (radix,) * 3), radix**3
+
+
+def _cycle_keys(m: int, found: np.ndarray):
+    return zip(*(d.tolist() for d in np.unravel_index(found, (m + 1,) * 3)))

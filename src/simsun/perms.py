@@ -90,13 +90,8 @@ def check_word(word: Sequence[int]) -> Word:
     return w
 
 
-def descent_set(word: Word) -> list[int]:
-    """Positions i in [n-1] (1-based) with word[i] > word[i+1]."""
-    return [i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1]]
-
-
 def word_stats(word: Word) -> StatRecord:
-    """All five word statistics in one pass over adjacent pairs, conventions:
+    """All five word statistics, read off adjacent comparisons only. Conventions:
 
     - des counts descents at i in [n-1];
     - lpk prepends a virtual 0 and counts peaks at i in [n-1];
@@ -120,6 +115,22 @@ def word_stats(word: Word) -> StatRecord:
             was_up = up
         des += not up
     return StatRecord(des, pk + first_down, pk, turns + 1, turns + 1 + first_down)
+
+
+def ascent_masks(a: np.ndarray) -> np.ndarray:
+    """Ascent set of each row, one int64: bit i set when a[:, i] < a[:, i + 1]."""
+    mask = np.zeros(len(a), dtype=np.int64)
+    for i in range(a.shape[1] - 1):
+        mask |= (a[:, i] < a[:, i + 1]) << i
+    return mask
+
+
+def mask_stats(m: int) -> np.ndarray:
+    """``word_stats`` by ascent set: row ``mask`` of 2^(m-1) (one for m <= 1) is read off the
+    ±1 walk rising at the set bits, as ``word_stats`` reads only adjacent comparisons."""
+    walks = ((0, *itertools.accumulate((mask >> i & 1) * 2 - 1 for i in range(m - 1)))[:m]
+             for mask in range(1 << max(m - 1, 0)))
+    return np.array([word_stats(walk) for walk in walks], dtype=np.int64)
 
 
 def inverse(word: Word) -> Word:

@@ -325,26 +325,16 @@ def _filter_matches_generator(n_max: int) -> Comparisons:
             yield f"n={n} ({kind} kind)", gen.tolist(), filt.tolist()
 
 
-def _left_peak_columns(n: int) -> tuple[list[int], list[int], list[int]]:
-    # statistic columns of the generated level, read chunk by chunk by the
-    # words sweep's scanner; lpk is read off its definition, the interior
-    # peaks of the 0-prepended word
-    words = classes.level(classes.FIRST, n)
-    des, lpk, pk_first_down = [], [], []
-    for part in perms.chunks(len(words)):
-        chunk = words[part]
-        d, pk, _, first_down, _ = bulk._word_stats(chunk)
-        up = np.diff(chunk, axis=1, prepend=0) > 0
-        des += d.tolist()
-        lpk += (up[:, :-1] & ~up[:, 1:]).sum(axis=1).tolist()
-        pk_first_down += (pk + first_down).tolist()
-    return des, lpk, pk_first_down
-
-
 def _descent_left_peak(n_max: int) -> Comparisons:
-    columns = _listed(_left_peak_columns)(n_max)
+    # des and word_stats' lpk (= pk + [first step down]) through the ascent-set
+    # table; lpk read off its definition, the interior peaks of the 0-prepended
+    # word (an int8 zero keeps the letters narrow)
+    levels = _listed(lambda n: classes.level(classes.FIRST, n))(n_max)
     for n in range(n_max + 1):
-        des, lpk, pk_first_down = columns(n)
+        words = levels(n)
+        des, pk_first_down = perms.mask_stats(n)[:, :2].T[:, perms.ascent_masks(words)].tolist()
+        up = np.diff(words, axis=1, prepend=np.int8(0)) > 0
+        lpk = (up[:, :-1] & ~up[:, 1:]).sum(axis=1).tolist()
         yield f"n={n}: des vs lpk", des, lpk
         if n >= 2:
             yield f"n={n}: lpk vs pk + [first step down]", lpk, pk_first_down

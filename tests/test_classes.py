@@ -105,21 +105,23 @@ def _as_maps(tree, level):
 
 def test_levels_match_filters_and_the_sweeps(monkeypatch):
     swept = {}
-    count = bulk._bins
+    grow = classes.grow
 
-    def record(block, scan):
-        swept.setdefault((scan.__name__, block.shape[1]), []).append(block.copy())
-        return count(block, scan)
+    def record(tree, level):
+        grown = grow(tree, level)
+        swept.setdefault((tree, grown.shape[1]), []).append(grown.copy())
+        return grown
 
-    monkeypatch.setattr(bulk, "_bins", record)
+    monkeypatch.setattr(classes, "grow", record)
     monkeypatch.setattr(bulk, "_cache", {})
     bulk.simsun_word_distributions(8)
     bulk.simsun_cycle_distributions(8)
     bulk.all_perm_word_distributions(8)
-    for tree, scan, mask in (
-        (classes.FIRST, "_word_stats", classes.simsun_first_mask),
-        (classes.SECOND, "_cycle_stats", classes.simsun_second_mask),
-        (classes.PEAK, "_all_word_stats", lambda chunk: np.ones(len(chunk), dtype=bool)),
+    monkeypatch.setattr(classes, "grow", grow)
+    for tree, mask in (
+        (classes.FIRST, classes.simsun_first_mask),
+        (classes.SECOND, classes.simsun_second_mask),
+        (classes.PEAK, lambda chunk: np.ones(len(chunk), dtype=bool)),
     ):
         labelled = classes.level(tree, 1)
         for n in range(1, 9):
@@ -128,7 +130,7 @@ def test_levels_match_filters_and_the_sweeps(monkeypatch):
                 labelled = classes.insert(tree, labelled, row, place)
             # the labelled insert at every place is the unlabelled growth
             assert (labelled == classes.level(tree, n)).all()
-            assert _as_maps(tree, labelled) == _as_maps(tree, np.concatenate(swept[scan, n]))
+            assert _as_maps(tree, labelled) == _as_maps(tree, np.concatenate(swept[tree, n]))
             # and the recognizers over all n! permutations find the same rows
             filtered = [c[mask(c)] for c in perms.permutation_chunks(n)]
             assert _as_maps(tree, labelled) == _as_maps(classes.PEAK, np.concatenate(filtered))

@@ -81,11 +81,6 @@ def test_check_word_accepts_and_rejects():
         perms.check_word((1, 1, 2))
 
 
-def test_descent_set():
-    assert perms.descent_set((3, 5, 1, 4, 2)) == [2, 4]
-    assert perms.descent_set((1, 2, 3)) == []
-
-
 def test_word_stats_examples():
     w = (1, 2, 3, 4)
     rec = perms.word_stats(w)
@@ -124,6 +119,39 @@ def test_word_stats_match_definitions():
                 uprun=_runs(ext),
             )
             assert perms.word_stats(w) == expected, w
+
+
+def _all_rows(m):
+    words = list(itertools.permutations(range(1, m + 1)))
+    return words, np.array(words, dtype=np.int8).reshape(len(words), m)
+
+
+def test_mask_table_matches_word_stats():
+    for m in range(9):
+        words, rows = _all_rows(m)
+        table = perms.mask_stats(m)
+        assert table.shape == (2 ** max(m - 1, 0), 5)
+        expected = [list(perms.word_stats(w)) for w in words]
+        assert table[perms.ascent_masks(rows)].tolist() == expected, m
+
+
+def test_mask_table_rows_have_their_ascent_sets():
+    # row ``mask`` is word_stats of the walk rising at the set bits: rebuild
+    # each walk and read its ascent mask back
+    for m in range(14):
+        masks = np.arange(2 ** max(m - 1, 0))
+        steps = np.where((masks[:, None] >> np.arange(max(m - 1, 0))) & 1, 1, -1)
+        walks = np.concatenate([np.zeros((len(masks), 1), dtype=int), steps.cumsum(axis=1)], 1)
+        assert (perms.ascent_masks(walks[:, :m]) == masks).all()
+        expected = [list(perms.word_stats(tuple(w))) for w in walks[:, :m].tolist()]
+        assert perms.mask_stats(m).tolist() == expected, m
+
+
+def test_uprun_is_m_exactly_on_down_up_words():
+    for m in range(10):
+        words, rows = _all_rows(m)
+        uprun = perms.mask_stats(m)[perms.ascent_masks(rows), 4]
+        assert (uprun == m).tolist() == [is_alternating(w) for w in words]
 
 
 @given(small_perms)

@@ -139,6 +139,19 @@ def _flip_first_member(original):
     return flipped
 
 
+def _bump_decreasing_pk(m):
+    def fault(original):
+        def bumped(n):
+            # the ascent set of the decreasing word of [m] gains an interior peak
+            table = original(n).copy()
+            table[0, 2] += n == m
+            return table
+
+        return bumped
+
+    return fault
+
+
 def _flip_first_step(original):
     def flipped(n_max):
         # moves one first-step-down count to first-step-up: the joint peak
@@ -173,30 +186,33 @@ def _flip_first_step(original):
          "n=5 (P)"),
         (triangles, "family_polys", _change_row("P+", 5, lambda r: r.subs(x=1000 * X)),
          "roots-interlacing", "n=4 (first-step-down part)"),
+        (perms, "mask_stats", _bump_decreasing_pk(5), "enum-interior-peaks", "n=5"),
     ],
     ids=["closed", "egf", "each", "swept-keep", "euler-cardinalities", "euler-convolution",
-         "first-kind-filter", "listed", "egf-both", "family-shifted", "rz", "related"],
+         "first-kind-filter", "listed", "egf-both", "family-shifted", "rz", "related",
+         "ascent-table"],
 )
 def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identity, detail):
+    # a sweep cached by an earlier test would hide a fault of what it reads
+    monkeypatch.setattr(bulk, "_cache", {})
     monkeypatch.setattr(module, provider, fault(getattr(module, provider)))
     report = verify.run(identity, 5)
     assert not report.ok
     assert report.detail == detail
 
 
-@pytest.mark.parametrize("column", [1, 3], ids=["pk", "first-step-down"])
-def test_descent_left_peak_second_comparison_can_fail(monkeypatch, column):
-    # lpk is read off the 0-prepended word, so a wrong pk or first-step
-    # column of the scanner leaves des = lpk standing and breaks only
-    # lpk = pk + [first step down]
-    scan = bulk._word_stats
+def test_descent_left_peak_second_comparison_can_fail(monkeypatch):
+    # lpk is read off the 0-prepended word, so a wrong lpk (= pk + [first
+    # step down]) column of the ascent-set table leaves des = lpk standing
+    # and breaks only lpk = pk + [first step down]
+    table = perms.mask_stats
 
-    def bumped(a):
-        columns = scan(a)
-        columns[column] = columns[column] + 1
-        return columns
+    def bumped(m):
+        stats = table(m).copy()
+        stats[:, 1] += 1
+        return stats
 
-    monkeypatch.setattr(bulk, "_word_stats", bumped)
+    monkeypatch.setattr(perms, "mask_stats", bumped)
     report = verify.run("descent-left-peak", 5)
     assert not report.ok
     assert report.detail == "n=2: lpk vs pk + [first step down]"
