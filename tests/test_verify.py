@@ -201,18 +201,23 @@ def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identi
     assert report.detail == detail
 
 
-def test_descent_left_peak_second_comparison_can_fail(monkeypatch):
-    # lpk is read off the 0-prepended word, so a wrong lpk (= pk + [first
-    # step down]) column of the ascent-set table leaves des = lpk standing
-    # and breaks only lpk = pk + [first step down]
-    table = perms.mask_stats
+@pytest.mark.parametrize("part", ["pk", "first-step-down"])
+def test_descent_left_peak_second_comparison_can_fail(monkeypatch, part):
+    # lpk is read off the 0-prepended word, so a wrong pk or first-step-down
+    # part of word_stats' lpk (the column the ascent-set table serves) leaves
+    # des = lpk standing and breaks only lpk = pk + [first step down]
+    stats = perms.word_stats
 
-    def bumped(m):
-        stats = table(m).copy()
-        stats[:, 1] += 1
-        return stats
+    def faulted(word):
+        rec = stats(word)
+        if len(word) < 2:
+            return rec
+        first_down = rec.lpk - rec.pk
+        if part == "pk":
+            return rec._replace(lpk=rec.pk + 1 + first_down)
+        return rec._replace(lpk=rec.pk + 1 - first_down)
 
-    monkeypatch.setattr(perms, "mask_stats", bumped)
+    monkeypatch.setattr(perms, "word_stats", faulted)
     report = verify.run("descent-left-peak", 5)
     assert not report.ok
     assert report.detail == "n=2: lpk vs pk + [first step down]"
