@@ -262,13 +262,37 @@ def word_array(words: Iterable[Sequence[int]], n: int) -> np.ndarray:
 
 
 def permutation_chunks(n: int) -> Iterator[np.ndarray]:
-    """All permutations of [n] in lexicographic order, as arrays of at most
-    ``_CHUNK`` rows; n! over ``ROW_BUDGET`` is refused before the first
-    chunk is built."""
+    """All permutations of [n] in lexicographic order, so that a row's place in
+    the stream is its rank (``ranks``), as blocks of at most ``_CHUNK`` rows;
+    n! over ``ROW_BUDGET`` is refused before the first block is built.
+
+    With j the least prefix length such that (n - j)! <= ``_CHUNK``, a block
+    is one j-letter prefix, in lexicographic order, followed by the other
+    letters arranged by each of the (n - j)! tail permutations, built once."""
     check_budget(math.factorial(n), f"the permutations of [{n}]")
-    stream = itertools.permutations(range(1, n + 1))
-    while len(chunk := word_array(itertools.islice(stream, _CHUNK), n)):
-        yield chunk
+    j = next(j for j in range(n + 1) if math.factorial(n - j) <= _CHUNK)
+    dtype = _letter_dtype(n)
+    tail = np.zeros((1, 0), dtype=dtype)  # 0-based: the permutations of [k] from those of [k-1]
+    for k in range(1, n - j + 1):
+        tail = np.concatenate([np.column_stack([np.full(len(tail), first, dtype=dtype),
+                                                tail + (tail >= first)]) for first in range(k)])
+    for prefix in itertools.permutations(range(1, n + 1), j):
+        rest = np.array([v for v in range(1, n + 1) if v not in prefix], dtype=dtype)
+        block = np.empty((len(tail), n), dtype=dtype)
+        block[:, :j] = prefix
+        block[:, j:] = rest[tail]
+        yield block
+
+
+def ranks(a: np.ndarray) -> np.ndarray:
+    """Lehmer rank of each row of ``a`` (permutations of [n]), its place in
+    lexicographic order: the letters smaller than a[:, i] and to its right,
+    read as digits of the factorial base (Knuth, TAOCP Vol. 4A, 7.2.1.2)."""
+    rows, n = a.shape
+    rank = np.zeros(rows, dtype=np.int64)
+    for i in range(n):
+        rank = rank * (n - i) + (a[:, i + 1:] < a[:, i, None]).sum(axis=1)
+    return rank
 
 
 def zigzag_chunks(n: int, signed: bool) -> Iterator[np.ndarray]:

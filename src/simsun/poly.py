@@ -168,32 +168,15 @@ class Poly:
         return _made(terms)
 
     def subs(self, **values) -> "Poly":
-        """Substitute polynomials or scalars for named variables."""
+        """Substitute polynomials or scalars for named variables, in one pass
+        over the terms: each coefficient times its value powers, each power
+        computed once a call, added at the exponents left."""
         for name in values:
             if name not in VARS:
                 raise ValueError(f"unknown variable {name!r}")
-        if all(type(v) is int or type(v) is Fraction for v in values.values()):
-            return self._subs_scalars(values)
-        result = Poly()
-        for e, c in self.terms.items():
-            term = Poly.const(c)
-            for i, name in enumerate(VARS):
-                if e[i] == 0:
-                    continue
-                if name in values:
-                    v = values[name]
-                    v = v if isinstance(v, Poly) else Poly.const(v)
-                    term = term * v ** e[i]
-                else:
-                    term = term * Poly.var(name) ** e[i]
-            result = result + term
-        return result
-
-    def _subs_scalars(self, values: dict[str, Scalar]) -> "Poly":
-        """``subs`` with int or Fraction values, in one pass over the terms:
-        each coefficient times its value powers, added at the exponents left."""
         bound = [(i, values[name], {}) for i, name in enumerate(VARS) if name in values]
         terms: dict[Exponents, Scalar] = {}
+        get = terms.get
         for e, c in self.terms.items():
             left = list(e)
             for i, v, powers in bound:
@@ -203,8 +186,14 @@ class Poly:
                         powers[k] = v**k
                     c = c * powers[k]
                     left[i] = 0
-            e = tuple(left)
-            terms[e] = terms.get(e, 0) + c
+            if type(c) is Poly:
+                x, q, y = left
+                for (x2, q2, y2), c2 in c.terms.items():
+                    e = (x + x2, q + q2, y + y2)
+                    terms[e] = get(e, 0) + c2
+            else:
+                e = tuple(left)
+                terms[e] = get(e, 0) + c
         return _made(terms)
 
     def eval(self, **values) -> Scalar:

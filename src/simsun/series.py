@@ -172,17 +172,17 @@ class Series:
 
 def _cos_like(a: Poly, order: int) -> Series:
     """sum_j a^j z^(2j) / (2j)!, which is cos(z sqrt(-a))."""
-    out = [ZERO] * (order + 1)
+    out, power = [ZERO] * (order + 1), ONE
     for j in range(order // 2 + 1):
-        out[2 * j] = a**j
+        out[2 * j], power = power, power * a
     return Series(out, order)
 
 
 def _sin_like(a: Poly, order: int) -> Series:
     """sum_j a^j z^(2j+1) / (2j+1)!, which is sin(z sqrt(-a)) / sqrt(-a)."""
-    out = [ZERO] * (order + 1)
+    out, power = [ZERO] * (order + 1), ONE
     for j in range((order - 1) // 2 + 1):
-        out[2 * j + 1] = a**j
+        out[2 * j + 1], power = power, power * a
     return Series(out, order)
 
 

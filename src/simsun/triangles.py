@@ -184,9 +184,9 @@ def s_from_stirling(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
-    acc = ZERO
-    for k in range(n // 2 + 2):
-        acc = acc + p_coeff(n + 1, k) * (2 * X - ONE) ** k
+    acc = ZERO  # by Horner in 2x - 1, from the top summand down
+    for k in range(n // 2 + 1, -1, -1):
+        acc = acc * (2 * X - ONE) + p_coeff(n + 1, k)
     coeffs = acc.x_coeffs()
     if coeffs[0] != 0:
         raise ArithmeticError(f"expansion for n={n} is not divisible by x")

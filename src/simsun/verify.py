@@ -27,10 +27,10 @@ Ten checker functions remain, each for a reason: ``_s_what_convolution``
 and ``_euler_convolution`` convolve all rows; ``_p_recurrence_cleared``,
 ``_p_low_coeffs`` and ``_t_split`` state single coefficients;
 ``_cardinalities`` shares one Euler number between two rows;
-``_filter_matches_generator`` and ``_descent_left_peak`` read both sides off
-one pass over the objects of each size, largest size first; ``_series_pde``
-builds both sides from one series; ``_bijection`` reports the walk's own
-failure detail.
+``_filter_matches_generator`` reads both sides of each size, largest first,
+as maps over the permutation ranks, and ``_descent_left_peak`` both sides
+off one depth-first walk; ``_series_pde`` builds both sides from one
+series; ``_bijection`` reports the walk's own failure detail.
 
 Checkers and sides look up their providers (``triangles.family_polys``, the
 ``bulk`` sweeps, ``series.build``, ...) on the module each time they run, so
@@ -304,40 +304,51 @@ def _cardinalities(n_max: int) -> Comparisons:
         yield f"n={n} (second kind)", sum(cycles[n].values()), euler
 
 
-def _sorted_members(n: int) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    # the filters read one stream of all n! permutations; both sides are
-    # sorted one-line rows
+def _rank_maps(n: int) -> list[tuple[str, tuple, tuple]]:
+    # both sides as (row count, bool map over the n! ranks): the filters read
+    # one stream of all n! permutations, in rank order; the generated rows are
+    # marked at their ranks, so a repeated row shows in the count
     filt1, filt2 = [], []
     for chunk in perms.permutation_chunks(n):
-        filt1.append(chunk[classes.simsun_first_mask(chunk)])
-        filt2.append(chunk[classes.simsun_second_mask(chunk)])
+        filt1.append(classes.simsun_first_mask(chunk))
+        filt2.append(classes.simsun_second_mask(chunk))
     gen1 = classes.level(classes.FIRST, n)
     gen2 = classes.one_line(classes.level(classes.SECOND, n))
-    return [(kind, gen[perms.row_order(gen)], filt[perms.row_order(filt)])
-            for kind, gen, filt in (("first", gen1, np.concatenate(filt1)),
-                                    ("second", gen2, np.concatenate(filt2)))]
+    maps = []
+    for kind, gen, filt in (("first", gen1, np.concatenate(filt1)),
+                            ("second", gen2, np.concatenate(filt2))):
+        seen = np.zeros_like(filt)
+        seen[perms.ranks(gen)] = True
+        maps.append((kind, (len(gen), seen.tobytes()), (int(filt.sum()), filt.tobytes())))
+    return maps
 
 
 def _filter_matches_generator(n_max: int) -> Comparisons:
-    members = _listed(_sorted_members)(n_max)
+    maps = _listed(_rank_maps)(n_max)
     for n in range(n_max + 1):
-        for kind, gen, filt in members(n):
-            yield f"n={n} ({kind} kind)", gen.tolist(), filt.tolist()
+        for kind, gen, filt in maps(n):
+            yield f"n={n} ({kind} kind)", gen, filt
 
 
 def _descent_left_peak(n_max: int) -> Comparisons:
-    # des and word_stats' lpk (= pk + [first step down]) through the ascent-set
-    # table; lpk read off its definition, the interior peaks of the 0-prepended
-    # word (an int8 zero keeps the letters narrow)
-    levels = _listed(lambda n: classes.level(classes.FIRST, n))(n_max)
-    for n in range(n_max + 1):
-        words = levels(n)
-        des, pk_first_down = perms.mask_stats(n)[:, :2].T[:, perms.ascent_masks(words)].tolist()
+    # counts per level of the words where des and word_stats' lpk
+    # (= pk + [first step down]), read through the ascent-set table, differ from
+    # lpk read off its definition: the interior peaks of the 0-prepended word
+    # (an int8 zero keeps the letters narrow).  The tree is walked depth first.
+    perms.check_budget(classes.FIRST.count(n_max), f"the level of size {n_max}")
+    tables = [perms.mask_stats(m)[:, :2] for m in range(n_max + 1)]
+    bad_des, bad_pk = [0] * (n_max + 1), [0] * (n_max + 1)
+    root = (np.zeros((1, 0), dtype=np.int8),)
+    for m, (words,) in perms.depth_first(root, lambda a: (classes.grow(classes.FIRST, a),), n_max):
+        des, pk_first_down = tables[m][perms.ascent_masks(words)].T
         up = np.diff(words, axis=1, prepend=np.int8(0)) > 0
-        lpk = (up[:, :-1] & ~up[:, 1:]).sum(axis=1).tolist()
-        yield f"n={n}: des vs lpk", des, lpk
+        lpk = (up[:, :-1] & ~up[:, 1:]).sum(axis=1)
+        bad_des[m] += int((des != lpk).sum())
+        bad_pk[m] += int((lpk != pk_first_down).sum())
+    for n in range(n_max + 1):
+        yield f"n={n}: des vs lpk", bad_des[n], 0
         if n >= 2:
-            yield f"n={n}: lpk vs pk + [first step down]", lpk, pk_first_down
+            yield f"n={n}: lpk vs pk + [first step down]", bad_pk[n], 0
 
 
 # -- generating-function checks -------------------------------------------------

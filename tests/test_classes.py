@@ -208,8 +208,8 @@ def _filtered(n):
 
 
 def test_filters_fold_over_chunks(monkeypatch):
-    # at n = 7 all 5,040 permutations fit one default chunk; chunks of 7
-    # rows split them into many, the last one partial
+    # at n = 7 all 5,040 permutations fit one default block; a chunk size
+    # of 7 splits them into 840 blocks of 3! = 6 rows
     whole = [_filtered(n) for n in range(8)]
     monkeypatch.setattr(perms, "_CHUNK", 7)
     assert [_filtered(n) for n in range(8)] == whole

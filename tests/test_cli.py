@@ -116,15 +116,20 @@ def test_listing_over_row_budget_exits_2(capsys, monkeypatch):
         code, out, err = run(capsys, "verify", identity, "--n-max", n_max)
         assert code == 2 and out == "" and err.startswith("error:")
     # 6! = 720 permutations are streamed, 7! = 5,040 are refused up front
-    word_array = perms.word_array
+    stream, blocks = perms.permutation_chunks, []
 
-    def narrow_only(words, n):
-        assert n < 7, "the permutations of [7] were streamed"
-        return word_array(words, n)
+    def recorded(n):
+        for block in stream(n):
+            blocks.append(block.shape)
+            yield block
 
-    monkeypatch.setattr(perms, "word_array", narrow_only)
+    monkeypatch.setattr(perms, "permutation_chunks", recorded)
+    code, out, err = run(capsys, "verify", "filter-matches-generator", "--n-max", "6")
+    assert code == 0 and blocks[0] == (720, 6)
+    blocks.clear()
     code, out, err = run(capsys, "verify", "filter-matches-generator", "--n-max", "7")
     assert code == 2 and out == "" and "5,040 rows" in err
+    assert blocks == []
 
 
 def test_closed_pipe_exits_141_without_traceback():

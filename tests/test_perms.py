@@ -253,6 +253,27 @@ def test_zigzags_fold_over_chunks(monkeypatch):
             for n in range(8)] == whole
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_permutation_chunks_are_lexicographic_blocks(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(perms, "_CHUNK", chunk)
+    for n in range(9):
+        blocks = list(perms.permutation_chunks(n))
+        assert all(len(block) <= perms._CHUNK for block in blocks), n
+        rows = np.concatenate(blocks).tolist()
+        assert rows == [list(w) for w in itertools.permutations(range(1, n + 1))], n
+    assert [block.shape for block in perms.permutation_chunks(0)] == [(1, 0)]
+
+
+def test_ranks_are_places_in_the_stream():
+    shuffle = np.random.default_rng(7).permutation
+    for n in range(9):
+        rows = np.concatenate(list(perms.permutation_chunks(n)))
+        assert perms.ranks(rows).tolist() == list(range(len(rows))), n
+        order = shuffle(len(rows))
+        assert (perms.ranks(rows[order]) == order).all(), n
+
+
 def test_depth_first_extends_slices_whose_children_fit_one_block(monkeypatch):
     # a row of width m gets the m + 1 children (row, 0), ..., (row, m): the
     # depth-n rows, read in walk order, are the product of the ranges in

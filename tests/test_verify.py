@@ -1,5 +1,6 @@
 """Identity registry plumbing and spot checks at small bounds."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -128,9 +129,9 @@ def _bump_at(m):
     return fault
 
 
-def _flip_first_member(original):
+def _flip_identity_row(original):
     def flipped(a):
-        # the identity word of [4], row 0, drops out of the first-kind filter
+        # the identity word of [4], row 0, drops out of the filter
         keep = original(a)
         if a.shape[1] == 4:
             keep[0] = not keep[0]
@@ -139,17 +140,29 @@ def _flip_first_member(original):
     return flipped
 
 
-def _bump_decreasing_pk(m):
+def _bump_table(row, column, m):
     def fault(original):
         def bumped(n):
-            # the ascent set of the decreasing word of [m] gains an interior peak
+            # one entry of the ascent-set table of [m] gains one
             table = original(n).copy()
-            table[0, 2] += n == m
+            table[row, column] += n == m
             return table
 
         return bumped
 
     return fault
+
+
+def _repeat_first_member(original):
+    def repeated(tree, n):
+        # the first-kind level of size 4 lists row 0 twice and row 1 not at all
+        rows = original(tree, n)
+        if tree is classes.FIRST and n == 4:
+            rows = rows.copy()
+            rows[1] = rows[0]
+        return rows
+
+    return repeated
 
 
 def _flip_first_step(original):
@@ -174,7 +187,11 @@ def _flip_first_step(original):
          "n=5 (first-step-down)"),
         (perms, "euler_number", _bump_at(5), "cardinalities", "n=4 (first kind)"),
         (perms, "euler_number", _bump_at(5), "euler-convolution", "n=4"),
-        (classes, "simsun_first_mask", _flip_first_member, "filter-matches-generator",
+        (classes, "simsun_first_mask", _flip_identity_row, "filter-matches-generator",
+         "n=4 (first kind)"),
+        (classes, "simsun_second_mask", _flip_identity_row, "filter-matches-generator",
+         "n=4 (second kind)"),
+        (classes, "level", _repeat_first_member, "filter-matches-generator",
          "n=4 (first kind)"),
         (classes, "distribution", _bump_at(3), "cud-cycles", "n=3"),
         (series, "build", _bump_series, "series-square", "n=4"),
@@ -186,11 +203,14 @@ def _flip_first_step(original):
          "n=5 (P)"),
         (triangles, "family_polys", _change_row("P+", 5, lambda r: r.subs(x=1000 * X)),
          "roots-interlacing", "n=4 (first-step-down part)"),
-        (perms, "mask_stats", _bump_decreasing_pk(5), "enum-interior-peaks", "n=5"),
+        # the decreasing word of [5] gains an interior peak
+        (perms, "mask_stats", _bump_table(0, 2, 5), "enum-interior-peaks", "n=5"),
+        # the increasing word of [5], a first-kind member, gains a descent
+        (perms, "mask_stats", _bump_table(-1, 0, 5), "descent-left-peak", "n=5: des vs lpk"),
     ],
     ids=["closed", "egf", "each", "swept-keep", "euler-cardinalities", "euler-convolution",
-         "first-kind-filter", "listed", "egf-both", "family-shifted", "rz", "related",
-         "ascent-table"],
+         "first-kind-filter", "second-kind-filter", "first-kind-repeat", "listed", "egf-both",
+         "family-shifted", "rz", "related", "ascent-table", "ascent-table-des"],
 )
 def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identity, detail):
     # a sweep cached by an earlier test would hide a fault of what it reads
@@ -262,3 +282,19 @@ def test_object_checks_refuse_the_top_bound_first(monkeypatch, identity):
     with pytest.raises(TooLarge):
         verify.run(identity, 8)
     assert done == []
+
+
+@pytest.mark.parametrize("identity, bound", [("filter-matches-generator", 9),
+                                             ("descent-left-peak", 10)])
+def test_listing_checks_stay_small(monkeypatch, identity, bound):
+    # numpy reports its buffers to tracemalloc, so the traced peak does not
+    # depend on the machine; no sweep cached earlier is reused
+    monkeypatch.setattr(bulk, "_cache", {})
+    tracemalloc.start()
+    try:
+        report = verify.run(identity, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.detail
+    assert peak < 8_000_000, f"{identity} at {bound} peaked at {peak:,} bytes"
