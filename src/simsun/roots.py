@@ -1,6 +1,6 @@
 """Exact real-root certification and interlacing checks, by certificate.
 
-Univariate polynomials are dense lists of Fractions (ascending degree).
+Univariate polynomials are lists of integers (ascending degree).
 Every verdict rests on one small checker, ``_alternates``: increasing
 rationals at which no polynomial vanishes and, across each gap, exactly
 the named one changes sign, all by integer Horner evaluation.  Two
@@ -22,60 +22,60 @@ from fractions import Fraction
 
 from .poly import Poly
 
-Dense = list[Fraction]
-
 # bisection steps in one bracket before the search rules out a repeated
 # root, or the seed gives up on a gap
 _PATIENCE = 64
 
 
-def dense(p: Poly | list) -> Dense:
-    coeffs = p.x_coeffs() if isinstance(p, Poly) else list(p)
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def dense(p: Poly | list) -> list[int]:
+    coeffs = [Fraction(c) for c in (p.x_coeffs() if isinstance(p, Poly) else p)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
-def degree(p: Dense) -> int:
+def degree(p: list[int]) -> int:
     return len(p) - 1
 
 
-def derivative(p: Dense) -> Dense:
+def derivative(p: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _divmod(a: Dense, b: Dense) -> tuple[Dense, Dense]:
-    """Exact long division: a = q·b + r with deg r < deg b."""
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = a[:]
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        q[shift] = factor = r[-1] / b[-1]
-        for i, c in enumerate(b):
+def _divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division: c·a = q·b + r with deg r < deg b, where c is a power
+    of b's leading coefficient.  It never divides, so it stays in integers."""
+    lead = b[-1]
+    q, r = [], a[:]
+    for shift in reversed(range(len(a) - len(b) + 1)):
+        factor = r.pop()
+        q = [lead * c for c in q] + [factor]
+        r = [lead * c for c in r]
+        for i, c in enumerate(b[:-1]):
             r[i + shift] -= factor * c
+    while r and r[-1] == 0:
         r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
+    return q[::-1], r
 
 
-def poly_gcd(a: Dense, b: Dense) -> Dense:
-    """The monic gcd (empty for two zero polynomials)."""
+def _primitive(p: list[int]) -> list[int]:
+    """p over its content, signed to make its leading coefficient positive."""
+    content = math.gcd(*p) if p and p[-1] > 0 else -math.gcd(*p)
+    return [c // content for c in p]
+
+
+def poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd with coprime coefficients, the leading one positive (empty for
+    two zero polynomials), by a primitive remainder sequence (Collins 1967)."""
     while b:
-        a, b = b, _divmod(a, b)[1]
-    return [c / a[-1] for c in a] if a else a
+        a, b = b, _primitive(_divmod(a, b)[1])
+    return _primitive(a)
 
 
-def squarefree(p: Dense) -> Dense:
-    """p divided by gcd(p, p'): the same roots, each simple."""
+def squarefree(p: list[int]) -> list[int]:
+    """p divided by gcd(p, p'), up to a positive factor: the same roots, each simple."""
     return _divmod(p, poly_gcd(p, derivative(p)))[0]
-
-
-def _integral(p: Dense) -> list[int]:
-    """p times the positive lcm of its denominators."""
-    scale = math.lcm(*(c.denominator for c in p))
-    return [c.numerator * (scale // c.denominator) for c in p]
 
 
 def _horner(p: list[int], t: Fraction) -> int:
@@ -158,7 +158,7 @@ def _search(p: list[int]) -> list[Fraction] | None:
                 slope = sum(abs(c) * max(-lo, hi) ** i for i, c in enumerate(dp))
             if abs(value) > slope * (bracket[1] - bracket[0]) * mid.denominator ** (len(p) - 1):
                 return None
-            if steps == _PATIENCE and len(poly_gcd(dense(p), dense(dp))) > 1:
+            if steps == _PATIENCE and len(poly_gcd(p, dp)) > 1:
                 return None
             _halve(dp, bracket)
         points.append(mid)
@@ -246,9 +246,9 @@ class RzCertificate:
     """Verdicts on the zeros of p and the certificate behind them.
 
     ``poly`` is the integer polynomial checked: the squarefree part of p
-    with its roots at 0 divided out.  ``points`` alternate in sign on it, or
-    are None when no certificate was found.  ``all_nonpositive`` means every
-    root is real and at most 0.
+    with its roots at 0 divided out, up to a positive factor.  ``points``
+    alternate in sign on it, or are None when no certificate was found.
+    ``all_nonpositive`` means every root is real and at most 0.
     """
 
     real_rooted: bool
@@ -268,20 +268,19 @@ def certify_rz(p: Poly | list, near: RzCertificate | None = None) -> RzCertifica
     if not d:
         raise ValueError("zero polynomial")
     zeros = next(i for i, c in enumerate(d) if c)
-    rest = sf = d[zeros:]
-    poly, turns = _integral(rest), [0] * degree(rest)
+    poly = sf = d[zeros:]
     points = _seeded(poly, near)
-    if points is None or not _alternates([poly], turns, points):
+    if points is None or not _alternates([poly], [0] * degree(poly), points):
         points = _search(poly)
     if points is None:
-        sf = squarefree(rest)
-        if len(sf) < len(rest):
-            poly, turns = _integral(sf), [0] * degree(sf)
-            points = _search(poly)
+        sf = squarefree(poly)
+        if len(sf) < len(poly):
+            poly, points = sf, _search(sf)
+    turns = [0] * degree(poly)
     real_rooted = points is not None and _alternates([poly], turns, points)
     # the other roots are negative iff the last point can move to 0
     nonpositive = real_rooted and _alternates([poly], turns, points[:-1] + [Fraction(0)])
-    return RzCertificate(real_rooted, nonpositive, zeros <= 1 and len(sf) == len(rest),
+    return RzCertificate(real_rooted, nonpositive, zeros <= 1 and len(sf) == len(d) - zeros,
                          points, poly)
 
 
@@ -332,7 +331,7 @@ def check_relation(p: Poly | list, q: Poly | list, relation: str,
     if not (certs[0].real_rooted and certs[1].real_rooted):
         return RelationReport(relation, False, "not real-rooted", certs)
     g = poly_gcd(dp, dq)
-    polys = [_integral(_divmod(d, g)[0]) for d in (dp, dq)]
+    polys = [_divmod(d, g)[0] for d in (dp, dq)]
     # with a constant gcd the cofactors are p and q: a certificate of the
     # whole polynomial (all roots simple, none at 0) brackets its roots
     found = [c.points if len(g) == 1 and c.all_simple and d[0] else None

@@ -1,5 +1,6 @@
 """Sign-alternation certificates and root-ordering relations."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,9 @@ def test_dense_conversion():
     assert roots.dense(ONE + 11 * X + 4 * X**2) == [F(1), F(11), F(4)]
     assert roots.dense([1, 0]) == [F(1)]
     assert roots.dense([0, 0]) == []
+    # rational input is cleared by the positive lcm of its denominators
+    assert roots.dense([F(1, 2), 1]) == [1, 2]
+    assert roots.dense([F(-2, 3), 0, F(1, 6)]) == [-4, 0, 1]
 
 
 def test_evaluate_and_derivative():
@@ -120,12 +124,12 @@ def test_relation_reuses_whole_certificates(monkeypatch):
     def searches(p, q):
         searched.clear()
         assert roots.check_relation(p, q, "alternate-left").holds
-        return [searched.count(tuple(roots._integral(roots.dense(r)))) for r in (p, q)]
+        return [searched.count(tuple(roots.dense(r))) for r in (p, q)]
 
     assert searches(from_roots([-4, -2]), from_roots([-3, -1])) == [1, 0]
     # a root at 0 is divided out of p's certificate, so the merge searches p
     assert searches(from_roots([-2, 0]), from_roots([-1, 1])) == [1, 0]
-    assert searched.count(tuple(roots._integral(roots.dense(from_roots([-2]))))) == 1
+    assert searched.count(tuple(roots.dense(from_roots([-2])))) == 1
     # a common root: the merge searches the cofactors
     assert searches(from_roots([-3, -1]), from_roots([-2, -1])) == [1, 0]
     assert searched.count((3, 1)) == 1 and searched.count((2, 1)) == 1
@@ -148,7 +152,7 @@ def test_chain_searches_the_first_row_only(monkeypatch):
     for n in range(3, 61):
         cert = roots.certify_rz(s[n], near=cert)
         assert _verdict(cert) == (True, True, True)
-        assert cert.poly == roots._integral(roots.dense(s[n]))
+        assert cert.poly == roots.dense(s[n])
     assert len(searched) == first
 
 
@@ -302,3 +306,150 @@ def test_a_seed_never_changes_a_relation(xs, ts, rs, quadratic, relation, scale)
     near = roots.certify_rz(from_roots((rs + xs)[: max(len(xs) - 1, 0) + len(rs) % 2]))
     expected = roots.check_relation(p, q, relation).holds
     assert roots.check_relation(p, q, relation, near=near).holds == expected
+
+
+# The reference for the integer algebra: exact long division and the monic
+# Euclidean gcd over Fractions.
+def oracle_fractions(p: Poly | tuple) -> list:
+    out = [F(c) for c in (p.x_coeffs() if isinstance(p, Poly) else p)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def oracle_divmod(a: list, b: list) -> tuple[list, list]:
+    q = [F(0)] * max(len(a) - len(b) + 1, 0)
+    r = a[:]
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        q[shift] = factor = r[-1] / b[-1]
+        for i, c in enumerate(b):
+            r[i + shift] -= factor * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def oracle_gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, oracle_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
+def oracle_derivative(p: list) -> list:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def oracle_squarefree(p: list) -> list:
+    return oracle_divmod(p, oracle_gcd(p, oracle_derivative(p)))[0]
+
+
+def canonical(p: list) -> list:
+    """p scaled to coprime integers with a positive leading coefficient."""
+    if not p:
+        return []
+    scale = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * scale) for c in p]
+    content = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // content for c in ints]
+
+
+def factor(ints: list, fracs: list):
+    """The rational f with ints == f·fracs, or None when there is none."""
+    if len(ints) != len(fracs) or not fracs:
+        return F(1) if ints == fracs else None
+    f = F(ints[-1]) / fracs[-1]
+    return f if all(a == f * b for a, b in zip(ints, fracs)) else None
+
+
+def positive_multiple(ints: list, fracs: list) -> bool:
+    f = factor(ints, fracs)
+    return f is not None and f > 0
+
+
+def integers(*lists) -> bool:
+    return all(type(c) is int for p in lists for c in p)
+
+
+def row_agrees(p: Poly | tuple, cert: roots.RzCertificate) -> None:
+    """dense, derivative, the gcd with p', squarefree and the certificate's
+    polynomial on p against the oracle."""
+    d, fd = roots.dense(p), oracle_fractions(p)
+    assert positive_multiple(d, fd)
+    dd = roots.derivative(d)
+    g = roots.poly_gcd(d, dd)
+    assert g == canonical(oracle_gcd(fd, oracle_derivative(fd)))
+    sf, rest = roots._divmod(d, g)
+    assert rest == [] and sf == roots.squarefree(d)
+    assert positive_multiple(sf, oracle_squarefree(fd))
+    # the squarefree part with the roots at 0 divided out
+    zeros = next(i for i, c in enumerate(fd) if c)
+    assert positive_multiple(cert.poly, oracle_squarefree(fd[zeros:]))
+    assert integers(d, dd, g, sf, cert.poly)
+
+
+def pair_agrees(p: Poly, q: Poly) -> None:
+    """The gcd, the cofactors and pseudo-division on p and q against the
+    oracle."""
+    a, b = roots.dense(p), roots.dense(q)
+    fa, fb = oracle_fractions(p), oracle_fractions(q)
+    g, og = roots.poly_gcd(a, b), oracle_gcd(fa, fb)
+    assert g == canonical(og)
+    for d, fd in ((a, fa), (b, fb)):
+        cofactor, rest = roots._divmod(d, g)
+        assert rest == [] and positive_multiple(cofactor, oracle_divmod(fd, og)[0])
+        assert integers(cofactor)
+    # c·a = quotient·b + rest, with c a power of b's leading coefficient
+    quotient, rest = roots._divmod(a, b)
+    o_quotient, o_rest = oracle_divmod([F(x) for x in a], [F(x) for x in b])
+    c = factor(quotient, o_quotient) if quotient else F(1)
+    assert c in [b[-1] ** k for k in range(len(a) + 1)]
+    assert factor(rest, o_rest) == c or rest == o_rest == []
+    assert integers(g, quotient, rest)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(root_lists, quadratics, scales, root_lists, quadratics, scales, root_lists, scales)
+def test_integer_algebra_matches_the_fraction_oracle(cs, c_quadratic, c_scale,
+                                                     us, u_quadratic, u_scale, vs, v_scale):
+    # a = c·u and b = c·v share the planted factor c
+    c = from_roots(cs, c_scale, c_quadratic)
+    p, q = c * from_roots(us, u_scale, u_quadratic), c * from_roots(vs, v_scale)
+    row_agrees(p, roots.certify_rz(p))
+    row_agrees(q, roots.certify_rz(q))
+    pair_agrees(p, q)
+    assert len(roots.poly_gcd(roots.dense(p), roots.dense(q))) >= len(roots.dense(c))
+
+
+def test_root_suites_agree_with_the_fraction_oracle(monkeypatch):
+    # every pair the relation suites check, and every row they certify, at 30
+    pairs, rows = [], {}
+    check, certify = roots.check_relation, roots.certify_rz
+    monkeypatch.setattr(roots, "check_relation",
+                        lambda p, q, *a, **k: pairs.append((p, q)) or check(p, q, *a, **k))
+
+    def certified(p, near=None):
+        # check_relation certifies its dense lists, the chains their rows
+        cert = rows[p if isinstance(p, Poly) else tuple(p)] = certify(p, near=near)
+        return cert
+
+    monkeypatch.setattr(roots, "certify_rz", certified)
+    for suite in verify.REGISTRY:
+        if suite.startswith("roots-"):
+            assert verify.run(suite, 30).ok
+    assert len(pairs) == 117
+    assert any(type(c) is F for p in rows if isinstance(p, Poly) for c in p.x_coeffs())  # q = 1/2
+    for p, cert in rows.items():
+        row_agrees(p, cert)
+    for p, q in pairs:
+        pair_agrees(p, q)
+
+
+def test_root_suites_beyond_their_default_bounds():
+    # no other test reaches the chain and relation rows past 25
+    expected = {"roots-nonpositive": 156, "roots-successive": 40,
+                "roots-interlacing": 117, "roots-positive-q": 156}
+    for suite, cases in expected.items():
+        report = verify.run(suite, 40)
+        assert report.ok and report.cases == cases, report
