@@ -9,14 +9,15 @@ peak.  A walk starts from a root and its image, the empty objects, but
 for φ, whose images are one letter longer, the empty word and (1,).
 Single objects (one-row levels) go history → replay: the labels are read
 by stripping the largest entry, then the images grown from the root at the
-renamed labels.  The exhaustive checks walk the source tree level by level
-carrying row-aligned images, a child's joined on its own label.
+renamed labels.  The exhaustive checks walk (source, image) pairs depth
+first and read each claim off arrays indexed by Lehmer rank, unsorted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -92,17 +93,18 @@ def _join(rows: np.ndarray, kinds: np.ndarray, ranks: np.ndarray, other: Tree,
     return children[np.cumsum(used)[pick] - 1], index
 
 
-def _carry(name: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(level, images, owner) at size n of a walk of the source tree of a
-    map from its root: image j belongs to row owner[j], and a child's images
-    are its parent's joined on its own place label renamed."""
-    tree, other, codes, level, images = _spec(name)
-    owner = np.zeros(1, dtype=np.intp)
-    while level.shape[1] < n:
-        row, place, kind, rank = classes.places(tree, level)
-        images, owner = _join(row, codes[kind], rank, other, images, owner)
-        level = classes.insert(tree, level, row, place)
-    return level, images, owner
+def _walk(name: str, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row-aligned blocks (sources, images) of a map's walk to sources of size
+    n, depth first: a child's images are its parent's joined on its label."""
+    tree, other, codes, root, image = _spec(name)
+
+    def extend(sources: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        row, place, kind, rank = classes.places(tree, sources)
+        images, index = _join(row, codes[kind], rank, other, images, np.arange(len(images)))
+        return classes.insert(tree, sources, row, place)[index], images
+
+    steps = n - root.shape[1]
+    return (b for depth, b in perms.depth_first((root, image), extend, steps) if depth == steps)
 
 
 def _map(name: str, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,80 +185,78 @@ def _obj(tree: Tree, level: np.ndarray, i: int) -> tuple:
     return classes.objects(tree, level[i : i + 1])[0]
 
 
-def _verify(name: str, n: int, sizes, stat: str, scan, covered) -> VerifyReport:
-    """The claims of φ and ψ, read in order off the walk (words, images, the
-    word of each image): each word has ``sizes(des)`` images, the images are
-    distinct, ``scan`` reads ``stat`` of each image equal to des of its word,
-    ``covered`` passes the sorted images, and the inverse walk joins back."""
+def _rank(tree: Tree, level: np.ndarray) -> np.ndarray:
+    return perms.ranks(classes.one_line(level) if tree.cycles else level)
+
+
+def _verify(name: str, n: int, sizes, stat: str, scan, cover: str) -> VerifyReport:
+    """The claims of φ and ψ, read off the walk by Lehmer rank; the first to fail,
+    in this order: a source without ``sizes(des)`` images, a repeated image, an
+    image's ``stat`` (``scan``) not des of its source, images not all of their
+    tree (``cover`` gets their count), the inverse walk (``_walk_back``)."""
     if n < 1:
         raise ValueError("defined for n >= 1")
     _, tree, _, root, image = _spec(name)
     m = n + image.shape[1] - root.shape[1]
-    # the last step keeps some ten int64 values per image, not one int8 row:
-    # count m + 1 rows per image
-    perms.check_budget(tree.count(m) * (m + 1), f"the place table of the {name} images of size {m}")
-    words, images, owner = _carry(name, n)
-    # des by the scalar reference, the image statistic by an array scan
-    des = np.array([perms.word_stats(w).des for w in classes.objects(FIRST, words)])
-    block = np.bincount(owner, minlength=len(words))
-    order = perms.row_order(images)
-    images, sources = images[order], words[owner[order]]
-    wrong = np.flatnonzero(block != sizes(des))
-    same = np.flatnonzero((images[1:] == images[:-1]).all(axis=1))
-    bad = np.flatnonzero(scan(images) != des[owner[order]])
-    if len(wrong):
-        detail = f"{_obj(FIRST, words, wrong[0])} has {block[wrong[0]]} images"
-    elif len(same):
-        i = same[0]
-        detail = (f"{_obj(tree, images, i)} hit from {_obj(FIRST, sources, i)}"
-                  f" and {_obj(FIRST, sources, i + 1)}")
-    elif len(bad):
-        i = bad[0]
-        detail = f"{stat}({_obj(tree, images, i)}) != des({_obj(FIRST, sources, i)})"
-    else:
-        inverse = _carry(name + "-1", images.shape[1])
-        detail = covered(images) or _join_back(tree, images, sources, inverse)
+    # bounds the letters the last level writes, m + 1 an image
+    perms.check_budget(tree.count(m) * (m + 1), f"the last level of the {name} walk")
+    table = perms.mask_stats(n)[:, 0]
+    images_of = np.zeros(math.factorial(n), dtype=np.int32)  # by source rank
+    owner = np.full(math.factorial(m), -1, dtype=np.int32)  # source rank by image rank
+    repeat = statistic = ""
+    for sources, images in _walk(name, n):
+        src, img = perms.ranks(sources), _rank(tree, images)
+        np.add.at(images_of, src, np.int32(1))  # an int32 one keeps ``at`` fast
+        # a repeated image finds its rank set, or its place taken by another row
+        earlier, at = owner[img], np.arange(len(img), dtype=np.int32)
+        owner[img] = at
+        for i in np.flatnonzero((earlier >= 0) | (owner[img] != at))[:1]:
+            other = perms.unrank(int(earlier[i] if earlier[i] >= 0 else src[owner[img[i]]]), n)
+            repeat = repeat or (f"{_obj(tree, images, i)} hit from {other}"
+                                f" and {_obj(FIRST, sources, i)}")
+        owner[img] = src
+        for i in np.flatnonzero(scan(images) != table[perms.ascent_masks(sources)])[:1]:
+            statistic = statistic or (f"{stat}({_obj(tree, images, i)})"
+                                      f" != des({_obj(FIRST, sources, i)})")
+    words = classes.level(FIRST, n)  # every source, any the walk lost too
+    des, block = table[perms.ascent_masks(words)], images_of[perms.ranks(words)]
+    covered = int((owner >= 0).sum())
+    detail = repeat or statistic or (cover.format(covered) if covered != tree.count(m) else "")
+    for i in np.flatnonzero(block != sizes(des))[:1]:  # block sizes come first
+        detail = f"{_obj(FIRST, words, i)} has {block[i]} images"
+    detail = detail or _walk_back(name, tree, n, m, owner)
     counts = {k: c for k, c in enumerate(np.bincount(des).tolist()) if c}
     return VerifyReport(name, n, not detail, detail, {} if detail else counts)
 
 
-def _join_back(tree: Tree, images: np.ndarray, sources: np.ndarray,
-               walk: tuple[np.ndarray, ...]) -> str:
-    """Join an inverse walk (targets, their sources, the target of each
-    source) back against the forward pairs (images[i], sources[i]), images
-    sorted: every target needs one source, the word its image came from,
-    and the walk must reach every image.  Empty, or the first failure."""
-    targets, back, owner = walk
-    hits = np.bincount(owner, minlength=len(targets))
-    bad = np.flatnonzero(hits != 1)
+def _walk_back(name: str, tree: Tree, n: int, m: int, owner: np.ndarray) -> str:
+    """The first target the inverse walk takes to another source than ``owner``
+    has by image rank, else the first image not reached once (-1 - k in the
+    ``owner`` it uses up, for an image reached k times)."""
+    for targets, back in _walk(name + "-1", m):
+        t = _rank(tree, targets)
+        got = owner[t]
+        for i in np.flatnonzero((got >= 0) & (got != perms.ranks(back)))[:1]:
+            return (f"inverse({_obj(tree, targets, i)}) = {_obj(FIRST, back, i)}"
+                    f" != {perms.unrank(int(got[i]), n)}")
+        owner[t] = np.minimum(got, -1)
+        np.subtract.at(owner, t, np.int32(1))
+    bad = np.flatnonzero((owner >= 0) | (owner < -2))
     if len(bad):
-        return f"{_obj(tree, targets, bad[0])} has {hits[bad[0]]} sources"
-    # coverage holds, so the targets, grown at every place, are the images
-    order = perms.row_order(targets)
-    targets, back = targets[order], back[np.argsort(owner)][order]
-    bad = np.flatnonzero((back != sources).any(axis=1))
-    if len(bad):
-        i = bad[0]
-        return (f"inverse({_obj(tree, targets, i)}) = {_obj(FIRST, back, i)}"
-                f" != {_obj(FIRST, sources, i)}")
+        word, hits = perms.unrank(int(bad[0]), m), max(-1 - int(owner[bad[0]]), 0)
+        return f"{perms.to_cycles(word) if tree.cycles else word} has {hits} sources"
     return ""
 
 
 def verify_phi(n: int) -> VerifyReport:
     """Blocks are disjoint, sized 2^(n-k), members have pk = k, they cover
     all permutations of [n+1], and the inverse maps every member home."""
-    total, pk = math.factorial(n + 1), perms.mask_stats(n + 1)[:, 2]
+    pk = perms.mask_stats(n + 1)[:, 2]
     return _verify("phi", n, lambda des: 2 ** (n - des), "pk", lambda t: pk[perms.ascent_masks(t)],
-                   lambda t: "" if len(t) == total else f"blocks cover {len(t)} permutations")
+                   "blocks cover {} permutations")
 
 
 def verify_psi(n: int) -> VerifyReport:
     """Statistic-transporting bijection onto the second kind."""
-
-    def covered(images: np.ndarray) -> str:
-        second = classes.level(SECOND, n)
-        if second.shape == images.shape and (second[perms.row_order(second)] == images).all():
-            return ""
-        return "image differs from the second kind"
-
-    return _verify("psi", n, lambda des: 1, "exc", lambda c: bulk._cycle_stats(c)[0], covered)
+    return _verify("psi", n, lambda des: 1, "exc", lambda c: bulk._cycle_stats(c)[0],
+                   "image differs from the second kind")

@@ -4,8 +4,8 @@ Subcommands: triangle, enumerate, verify, bijection, roots, series.
 Everything is deterministic; output formats are text, csv and json, except
 that ``bijection`` prints text or json only.  Exit codes: 0 success, 1
 identity violation, 2 usage error or ``TooLarge`` (a sweep level, zigzag
-array or permutation stream over ``perms.ROW_BUDGET`` rows, a phi block
-over ``bijections.PHI_BLOCK_LIMIT`` or a psi input over
+array, permutation stream or phi/psi walk over ``perms.ROW_BUDGET`` rows,
+a phi block over ``bijections.PHI_BLOCK_LIMIT`` or a psi input over
 ``bijections.PSI_LENGTH_LIMIT``), 141 (128 + SIGPIPE, no traceback) when
 the reader closes stdout early, as ``| head`` does.
 """
@@ -182,20 +182,12 @@ def cmd_bijection(args) -> int:
     if (args.perm is None) == (args.n is None):
         raise UsageError("bijection needs exactly one of --perm and --n")
     if args.n is not None:
-        limit = 8 if args.map == "phi" else 9
-        if not 1 <= args.n <= limit:
-            raise UsageError(f"n={args.n} out of range for {args.map} (max {limit})")
-        report = (
-            bijections.verify_phi(args.n)
-            if args.map == "phi"
-            else bijections.verify_psi(args.n)
-        )
+        if args.n < 1:
+            raise UsageError("--n must be at least 1")
+        report = getattr(bijections, f"verify_{args.map}")(args.n)
         if args.format == "json":
-            _emit_json(
-                "bijection",
-                {"map": args.map, "n": args.n},
-                [{"ok": report.ok, "detail": report.detail, "counts": report.counts}],
-            )
+            _emit_json("bijection", {"map": args.map, "n": args.n},
+                       [{"ok": report.ok, "detail": report.detail, "counts": report.counts}])
         else:
             verdict = "pass" if report.ok else f"FAIL ({report.detail})"
             print(f"{args.map} exhaustive check at n={args.n}: {verdict}")

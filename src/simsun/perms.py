@@ -29,8 +29,8 @@ Cycles = tuple[tuple[int, ...], ...]
 
 _CHUNK = 1 << 16
 # admits word level 12 (E_13 = 22,368,256 rows); refuses E_14 and 12! rows.
-# For the sweeps and the zigzags it caps the rows generated, a block at a
-# time, not an array in memory; ``classes.level`` still holds whole levels.
+# For the sweeps, the zigzags and the φ/ψ walks it caps the rows generated, a
+# block at a time; rank maps hold n! entries, ``classes.level`` whole levels.
 ROW_BUDGET = 50_000_000
 
 
@@ -226,11 +226,6 @@ def inverse_rows(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def row_order(a: np.ndarray) -> np.ndarray:
-    """Indices that sort the rows of ``a`` lexicographically (empty rows tie)."""
-    return np.lexsort(a.T[::-1]) if a.shape[1] else np.arange(len(a))
-
-
 def orbit_minima(a: np.ndarray) -> np.ndarray:
     """Least letter of the cycle through each position of each map (one-line
     rows), by iterated min over the forward steps a(i), a(a(i)), ..."""
@@ -286,13 +281,22 @@ def permutation_chunks(n: int) -> Iterator[np.ndarray]:
 
 def ranks(a: np.ndarray) -> np.ndarray:
     """Lehmer rank of each row of ``a`` (permutations of [n]), its place in
-    lexicographic order: the letters smaller than a[:, i] and to its right,
-    read as digits of the factorial base (Knuth, TAOCP Vol. 4A, 7.2.1.2)."""
+    lexicographic order: factorial-base digit i, the smaller letters right of
+    a[:, i], is a[:, i] - 1 less those left of it, read off a used-letter mask
+    (Knuth, TAOCP Vol. 4A, 7.2.1.2)."""
     rows, n = a.shape
-    rank = np.zeros(rows, dtype=np.int64)
+    rank, used = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
     for i in range(n):
-        rank = rank * (n - i) + (a[:, i + 1:] < a[:, i, None]).sum(axis=1)
+        bit = np.left_shift(1, a[:, i], dtype=np.int64)
+        rank = rank * (n - i) + (a[:, i] - 1 - np.bitwise_count(used & (bit - 2)))
+        used |= bit
     return rank
+
+
+def unrank(rank: int, n: int) -> Word:
+    """The permutation of [n] with Lehmer rank ``rank``, as ``ranks`` reads it."""
+    letters = list(range(1, n + 1))
+    return tuple(letters.pop(rank // math.factorial(k) % (k + 1)) for k in reversed(range(n)))
 
 
 def zigzag_chunks(n: int, signed: bool) -> Iterator[np.ndarray]:

@@ -69,7 +69,10 @@ def poly_gcd(a: list[int], b: list[int]) -> list[int]:
     """The gcd with coprime coefficients, the leading one positive (empty for
     two zero polynomials), by a primitive remainder sequence (Collins 1967)."""
     while b:
-        a, b = b, _primitive(_divmod(a, b)[1])
+        r = _divmod(a, b)[1]
+        if len(r) >= len(b):  # the loop ends only if each remainder is shorter
+            raise ArithmeticError(f"remainder of length {len(r)} by a divisor of length {len(b)}")
+        a, b = b, _primitive(r)
     return _primitive(a)
 
 

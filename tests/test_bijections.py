@@ -105,38 +105,57 @@ def test_phi_block_sizes_small():
             assert all(perms.word_stats(t).pk == k for t in block)
 
 
-def _by_owner(owner, rows):
-    """(owner, row) pairs sorted by owner and then by row."""
-    order = np.lexsort(tuple(rows.T[::-1]) + (owner,))
-    return owner[order].tolist(), rows[order].tolist()
+def _pairs(name, sources, images):
+    """The (source, image) pairs of two row-aligned arrays, as objects."""
+    tree, other = bijections._spec(name)[:2]
+    return list(zip(classes.objects(tree, sources), classes.objects(other, images)))
+
+
+def _walked(name, n):
+    """The pairs of the walk to size n, sorted: leaf order depends on _CHUNK."""
+    return sorted(p for block in bijections._walk(name, n) for p in _pairs(name, *block))
+
+
+def _replayed(name, level):
+    """The pairs of history -> replay of every row of ``level``, sorted."""
+    images, row = bijections._map(name, level)
+    return sorted(_pairs(name, level[row], images))
+
+
+def _by_source(pairs):
+    """Source -> its images, in the order of ``pairs``."""
+    images = {}
+    for source, image in pairs:
+        images.setdefault(source, []).append(image)
+    return images
 
 
 def test_walks_agree_with_replay():
     # a consistency check, not a second oracle: the walks and history ->
     # replay read the same trees, so this shows only that the exhaustive
-    # checks see the maps that single objects get, blocks in the same order;
-    # whole levels of history -> replay are compared too
+    # checks see the maps that single objects get; whole levels of
+    # history -> replay are compared too
     first, peak, second = classes.FIRST, classes.PEAK, classes.SECOND
     for n in range(1, 8):
-        words, blocks, owner = bijections._carry("phi", n)
-        same, images, psi_owner = bijections._carry("psi", n)
-        assert (same == words).all()
-        assert sorted(classes.objects(first, words)) == sorted(classes.gen_simsun_first(n))
-        replayed = bijections._map("phi", words)
-        assert _by_owner(owner, blocks) == _by_owner(replayed[1], replayed[0])
-        replayed = bijections._map("psi", words)
-        assert _by_owner(psi_owner, images) == _by_owner(replayed[1], replayed[0])
-        for i, w in enumerate(classes.objects(first, words)):
-            assert bijections.phi_forward(w) == classes.objects(peak, blocks[owner == i])
-            assert [bijections.psi_forward(w)] == classes.objects(second, images[psi_owner == i])
+        words = classes.level(first, n)
+        blocks, images = _walked("phi", n), _walked("psi", n)
+        assert blocks == _replayed("phi", words)
+        assert images == _replayed("psi", words)
+        blocks, images = _by_source(blocks), _by_source(images)
+        assert sorted(blocks) == sorted(images) == sorted(classes.gen_simsun_first(n))
+        for w in classes.objects(first, words):
+            assert sorted(bijections.phi_forward(w)) == blocks[w]
+            assert [bijections.psi_forward(w)] == images[w]
     for n in range(1, 7):
         for name, tree, size, inverse in (("phi-1", peak, n + 1, bijections.phi_inverse),
                                           ("psi-1", second, n, bijections.psi_inverse)):
-            targets, sources, owner = bijections._carry(name, size)
-            replayed = bijections._map(name, targets)
-            assert _by_owner(owner, sources) == _by_owner(replayed[1], replayed[0])
-            for i, t in enumerate(classes.objects(tree, targets)):
-                assert [inverse(t)] == classes.objects(first, sources[owner == i])
+            targets = classes.level(tree, size)
+            sources = _walked(name, size)
+            assert sources == _replayed(name, targets)
+            sources = _by_source(sources)
+            assert sorted(sources) == sorted(classes.objects(tree, targets))
+            for t in classes.objects(tree, targets):
+                assert [inverse(t)] == sources[t]
 
 
 def _relabel(tree, old, new):

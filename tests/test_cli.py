@@ -237,11 +237,20 @@ def test_bijection_rejects_csv(capsys):
         assert capsys.readouterr().out == ""
 
 
-def test_bijection_exhaustive(capsys):
+def test_bijection_exhaustive(capsys, monkeypatch):
     code, out, _ = run(capsys, "bijection", "phi", "--n", "4")
     assert code == 0 and "pass" in out
     code, _, err = run(capsys, "bijection", "phi", "--n", "12")
     assert code == 2
+    code, _, err = run(capsys, "bijection", "psi", "--n", "0")
+    assert code == 2
+    # the only bound on --n is the row budget: phi at 4 writes 5! * 6 = 720
+    # letters at its last level, at 5 it would write 6! * 7 = 5,040
+    monkeypatch.setattr(perms, "ROW_BUDGET", 1000)
+    code, out, _ = run(capsys, "bijection", "phi", "--n", "4")
+    assert code == 0 and "pass" in out
+    code, _, err = run(capsys, "bijection", "phi", "--n", "5")
+    assert code == 2 and "budget 1,000" in err
 
 
 def test_roots(capsys):

@@ -272,6 +272,8 @@ def test_ranks_are_places_in_the_stream():
         assert perms.ranks(rows).tolist() == list(range(len(rows))), n
         order = shuffle(len(rows))
         assert (perms.ranks(rows[order]) == order).all(), n
+        unranked = [perms.unrank(r, n) for r in order.tolist()]
+        assert unranked == list(map(tuple, rows[order].tolist())), n
 
 
 def test_depth_first_extends_slices_whose_children_fit_one_block(monkeypatch):

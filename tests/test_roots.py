@@ -48,6 +48,13 @@ def test_gcd_and_squarefree():
     assert roots.squarefree(roots.dense([1, 0, 2, 0, 1])) == [F(1), F(0), F(1)]  # (1+x^2)^2
 
 
+def test_gcd_refuses_a_remainder_that_does_not_shrink(monkeypatch):
+    # a faulty division must fail the gcd at once, not loop forever
+    monkeypatch.setattr(roots, "_divmod", lambda a, b: ([], a))
+    with pytest.raises(ArithmeticError):
+        roots.poly_gcd(roots.dense([1, 2, 1]), roots.dense([1, 1]))
+
+
 def test_certify_examples():
     cert = roots.certify_rz(ONE + 11 * X + 4 * X**2)
     assert cert.real_rooted and cert.all_nonpositive and cert.all_simple

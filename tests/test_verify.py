@@ -285,7 +285,9 @@ def test_object_checks_refuse_the_top_bound_first(monkeypatch, identity):
 
 
 @pytest.mark.parametrize("identity, bound", [("filter-matches-generator", 9),
-                                             ("descent-left-peak", 10)])
+                                             ("descent-left-peak", 10),
+                                             ("phi-partition", 8),
+                                             ("psi-transport", 9)])
 def test_listing_checks_stay_small(monkeypatch, identity, bound):
     # numpy reports its buffers to tracemalloc, so the traced peak does not
     # depend on the machine; no sweep cached earlier is reused
@@ -297,4 +299,6 @@ def test_listing_checks_stay_small(monkeypatch, identity, bound):
     finally:
         tracemalloc.stop()
     assert report.ok, report.detail
-    assert peak < 8_000_000, f"{identity} at {bound} peaked at {peak:,} bytes"
+    # φ and ψ also hold int32 rank maps over the permutations of their image size
+    limit = {"phi-partition": 20_000_000, "psi-transport": 20_000_000}.get(identity, 8_000_000)
+    assert peak < limit, f"{identity} at {bound} peaked at {peak:,} bytes"
