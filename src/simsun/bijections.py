@@ -189,18 +189,19 @@ def _rank(tree: Tree, level: np.ndarray) -> np.ndarray:
     return perms.ranks(classes.one_line(level) if tree.cycles else level)
 
 
-def _verify(name: str, n: int, sizes, stat: str, scan, cover: str) -> VerifyReport:
+def _verify(name: str, n: int, sizes, stat: str, scanner, cover: str) -> VerifyReport:
     """The claims of φ and ψ, read off the walk by Lehmer rank; the first to fail,
     in this order: a source without ``sizes(des)`` images, a repeated image, an
-    image's ``stat`` (``scan``) not des of its source, images not all of their
-    tree (``cover`` gets their count), the inverse walk (``_walk_back``)."""
+    image's ``stat`` (by the scan ``scanner()`` makes past the budget check) not des
+    of its source, images not all of their tree (``cover`` gets their count), the
+    inverse walk (``_walk_back``)."""
     if n < 1:
         raise ValueError("defined for n >= 1")
     _, tree, _, root, image = _spec(name)
     m = n + image.shape[1] - root.shape[1]
     # bounds the letters the last level writes, m + 1 an image
     perms.check_budget(tree.count(m) * (m + 1), f"the last level of the {name} walk")
-    table = perms.mask_stats(n)[:, 0]
+    table, scan = perms.mask_stats(n)[:, 0], scanner()
     images_of = np.zeros(math.factorial(n), dtype=np.int32)  # by source rank
     owner = np.full(math.factorial(m), -1, dtype=np.int32)  # source rank by image rank
     repeat = statistic = ""
@@ -251,12 +252,16 @@ def _walk_back(name: str, tree: Tree, n: int, m: int, owner: np.ndarray) -> str:
 def verify_phi(n: int) -> VerifyReport:
     """Blocks are disjoint, sized 2^(n-k), members have pk = k, they cover
     all permutations of [n+1], and the inverse maps every member home."""
-    pk = perms.mask_stats(n + 1)[:, 2]
-    return _verify("phi", n, lambda des: 2 ** (n - des), "pk", lambda t: pk[perms.ascent_masks(t)],
+
+    def scanner():
+        pk = perms.mask_stats(n + 1)[:, 2]
+        return lambda t: pk[perms.ascent_masks(t)]
+
+    return _verify("phi", n, lambda des: 2 ** (n - des), "pk", scanner,
                    "blocks cover {} permutations")
 
 
 def verify_psi(n: int) -> VerifyReport:
     """Statistic-transporting bijection onto the second kind."""
-    return _verify("psi", n, lambda des: 1, "exc", lambda c: bulk._cycle_stats(c)[0],
+    return _verify("psi", n, lambda des: 1, "exc", lambda: lambda c: bulk._cycle_stats(c)[0],
                    "image differs from the second kind")

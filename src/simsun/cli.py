@@ -61,7 +61,7 @@ def parse_perm(text: str):
                 raise UsageError(f"bad cycle syntax: {text!r}")
             body = part[1:-1]
             try:
-                cycles.append(tuple(int(v) for v in body.split(",") if v != ""))
+                cycles.append(tuple(int(v) for v in body.split(",")))
             except ValueError:
                 raise UsageError(f"bad cycle syntax: {text!r}") from None
         try:

@@ -3,12 +3,12 @@
 Univariate polynomials are lists of integers (ascending degree).
 Every verdict rests on one small checker, ``_alternates``: increasing
 rationals at which no polynomial vanishes and, across each gap, exactly
-the named one changes sign, all by integer Horner evaluation.  Two
-proposers find the points and neither is trusted, since a wrong point only
+the named one changes sign, all by integer Horner evaluation.  One
+proposer finds the points and is not trusted, since a wrong point only
 makes the checker refuse: ``_seeded`` places them in the gaps of a
 certificate already made for a polynomial whose roots interlace these
-(the previous row of a family, or the other side of a relation), and an
-exact bisection, ``_search``, recursive via Rolle, is the fallback.
+(the previous row of a family, the other side of a relation, or, in the
+Rolle search ``_search``, the derivative).
 Weak inequalities in the interlacing definitions are honored through the
 exact gcd of common roots, never numeric closeness.
 """
@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .poly import Poly
 
-# bisection steps in one bracket before the search rules out a repeated
-# root, or the seed gives up on a gap
+# halvings of a gap, past those from its width down to the least root, before
+# the seed looks for a shared root and then tests the slope bound
 _PATIENCE = 64
 
 
@@ -132,40 +132,14 @@ def _cauchy(p: list[int]) -> Fraction:
 
 
 def _search(p: list[int]) -> list[Fraction] | None:
-    """Untrusted: deg p + 1 increasing points at which p alternates in sign.
-
-    Recursive via Rolle: if p has simple real roots then so has p', and at
-    the root of p' between two roots of p, p has the sign of that gap.  So
-    each bracket of p' is halved until p has that sign at its midpoint.
-    None when a slope bound shows p has the wrong sign at a root of p', or
-    when p has a repeated root.  The outer points are ±(Cauchy bound).
-    """
+    """Untrusted: deg p + 1 increasing points at which p alternates in sign,
+    or None.  Recursive via Rolle: the roots of p', real and simple if p's
+    are, separate p's, so p' and its own points seed p."""
     if len(p) == 1:
         return [Fraction(0)]
     dp = derivative(p)
     crit = _search(dp)
-    if crit is None:
-        return None
-    bound = _cauchy(p)
-    points = [-bound]
-    for k, (lo, hi) in enumerate(zip(crit, crit[1:])):
-        want = (-1) ** (len(crit) - k - 1) * (1 if p[-1] > 0 else -1)
-        bracket, slope = [lo, hi, _sign(dp, lo)], None
-        for steps in itertools.count(1):
-            mid = (bracket[0] + bracket[1]) / 2
-            value = _horner(p, mid)
-            if value * want > 0:
-                break
-            if slope is None:
-                # |p'| <= slope on [lo, hi], so |p(mid) - p(root of p')| <= slope·(hi - lo)
-                slope = sum(abs(c) * max(-lo, hi) ** i for i, c in enumerate(dp))
-            if abs(value) > slope * (bracket[1] - bracket[0]) * mid.denominator ** (len(p) - 1):
-                return None
-            if steps == _PATIENCE and len(poly_gcd(p, dp)) > 1:
-                return None
-            _halve(dp, bracket)
-        points.append(mid)
-    return points + [bound]
+    return None if crit is None else _seeded(p, dp, crit)
 
 
 def _dyadic(p: list[int], mid: Fraction, lo: Fraction, hi: Fraction, want: int) -> Fraction:
@@ -178,21 +152,39 @@ def _dyadic(p: list[int], mid: Fraction, lo: Fraction, hi: Fraction, want: int) 
             return t
 
 
-def _seeded(p: list[int], near: RzCertificate | None) -> list[Fraction] | None:
-    """Untrusted: points for p from ``near``, a certificate of some q.
+def _place(p: list[int], q: list[int], lo: Fraction, hi: Fraction, want: int,
+           patience: int) -> Fraction | None:
+    """A point in (lo, hi), a gap of one root of q, at which p has the sign
+    ``want``: the midpoint of the gap, halved around q's root until p has it
+    there, shortened by ``_dyadic``.  Past ``patience`` halvings, None on a
+    root shared with q, or once a slope bound proves p wrong at q's root."""
+    bracket = [lo, hi, _sign(q, lo)]
+    for steps in itertools.count():
+        a, b = bracket[:2]
+        mid = (a + b) / 2
+        value = _horner(p, mid)
+        if value * want > 0:
+            return _dyadic(p, mid, lo, hi, want)
+        if steps == patience:
+            if len(poly_gcd(p, q)) > 1:
+                return None
+            # |p'| <= slope on [lo, hi], so |p(mid) - p(root of q)| <= slope·(b - a)
+            slope = sum(abs(c) * math.ceil(max(-lo, hi)) ** i for i, c in enumerate(derivative(p)))
+        if steps >= patience and abs(value) > slope * (b - a) * mid.denominator ** degree(p):
+            return None
+        _halve(q, bracket)
+
+
+def _seeded(p: list[int], q: list[int], known: list[Fraction]) -> list[Fraction] | None:
+    """Untrusted: points for p from ``known``, a certificate of q.
 
     If q is p, its points.  If deg p is deg q + 1 and q's roots interlace
-    p's, one point in each gap of q plus the outer points; with equal
-    degrees, the gaps of q with the outer point on one side, as p's roots
-    precede or follow q's (both are tried).  Each gap of q is halved around
-    q's root until p has the sign of its place at the midpoint, which is
-    then shortened by ``_dyadic``.  None when a gap takes ``_PATIENCE``
-    halvings more than it takes to come down from the width of the gap to
-    the least root of q (a shared root, or roots that do not interlace).
+    p's, a point in each gap of q (``_place``) and the outer points; with
+    equal degrees, the outer point on the side where p's roots precede or
+    follow q's (both are tried).  It ends if ``known`` is a valid
+    certificate of q: at q's root in a gap, p has the wanted sign, vanishes
+    (a shared root) or has the wrong sign, which the slope bound proves.
     """
-    if near is None or not near.real_rooted:
-        return None
-    q, known = near.poly, near.points
     if q == p:
         return known
     shift = degree(p) - degree(q)
@@ -200,21 +192,16 @@ def _seeded(p: list[int], near: RzCertificate | None) -> list[Fraction] | None:
         return None
     bound = Fraction(math.ceil(max(_cauchy(p), -known[0], known[-1])))
     lead = 1 if p[-1] > 0 else -1
-    # every root of q exceeds 1/_cauchy(q reversed) in absolute value
-    patience = _PATIENCE + math.ceil(2 * bound * _cauchy(q[::-1])).bit_length()
+    # the nonzero roots of q exceed 1/_cauchy(nonzero reversed) in absolute value
+    nonzero = q[next(i for i, c in enumerate(q) if c):]
+    patience = _PATIENCE + math.ceil(2 * bound * _cauchy(nonzero[::-1])).bit_length()
     for left, right in [(1, 1)] if shift else [(0, 1), (1, 0)]:
         points = [-bound] * left
         for lo, hi in zip(known, known[1:]):
-            want = lead * (-1) ** (degree(p) - len(points))
-            bracket = [lo, hi, _sign(q, lo)]
-            for _ in range(patience):
-                mid = (bracket[0] + bracket[1]) / 2
-                if _sign(p, mid) == want:
-                    points.append(_dyadic(p, mid, lo, hi, want))
-                    break
-                _halve(q, bracket)
-            else:
+            point = _place(p, q, lo, hi, lead * (-1) ** (degree(p) - len(points)), patience)
+            if point is None:
                 break
+            points.append(point)
         else:
             return points + [bound] * right
     return None
@@ -272,7 +259,7 @@ def certify_rz(p: Poly | list, near: RzCertificate | None = None) -> RzCertifica
         raise ValueError("zero polynomial")
     zeros = next(i for i, c in enumerate(d) if c)
     poly = sf = d[zeros:]
-    points = _seeded(poly, near)
+    points = _seeded(poly, near.poly, near.points) if near and near.real_rooted else None
     if points is None or not _alternates([poly], [0] * degree(poly), points):
         points = _search(poly)
     if points is None:

@@ -176,6 +176,9 @@ def test_bijection_errors(capsys):
     assert code == 2
     code, out, err = run(capsys, "bijection", "phi", "--perm", "12", "--n", "3")
     assert code == 2 and out == "" and "exactly one of --perm and --n" in err
+    for perm in ("(1,,2)", "(1,2,)", "(1)()"):  # an empty entry or cycle
+        code, out, err = run(capsys, "bijection", "psi", "--perm", perm)
+        assert code == 2 and out == "" and "bad cycle syntax" in err
 
 
 def test_bijection_psi_long_input(capsys):
@@ -251,6 +254,17 @@ def test_bijection_exhaustive(capsys, monkeypatch):
     assert code == 0 and "pass" in out
     code, _, err = run(capsys, "bijection", "phi", "--n", "5")
     assert code == 2 and "budget 1,000" in err
+
+
+def test_oversized_phi_is_refused_before_its_tables(capsys, monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"a table of 2^{m - 1} rows was built before the budget check")
+
+    monkeypatch.setattr(perms, "mask_stats", refuse)
+    code, _, err = run(capsys, "bijection", "phi", "--n", "30")
+    assert code == 2 and "budget" in err
+    code, _, err = run(capsys, "verify", "phi-partition", "--n-max", "20")
+    assert code == 2 and "budget" in err
 
 
 def test_roots(capsys):

@@ -177,8 +177,9 @@ def test_refused_seeds_fall_back_to_the_search(monkeypatch, bad):
     expected = [_verdict(roots.certify_rz(p)) for p, _ in cases]
     seeds = [roots.certify_rz(q) for _, q in cases]
     seeded = roots._seeded
-    monkeypatch.setattr(roots, "_seeded",
-                        lambda p, near: None if (t := seeded(p, near)) is None else bad(t))
+    # the search seeds p from p' too: leave those seeds whole
+    monkeypatch.setattr(roots, "_seeded", lambda p, q, known: (
+        t if (t := seeded(p, q, known)) is None or q == roots.derivative(p) else bad(t)))
     searched = []
     search = roots._search
     monkeypatch.setattr(roots, "_search", lambda p: searched.append(tuple(p)) or search(p))
@@ -190,6 +191,23 @@ def test_refused_seeds_fall_back_to_the_search(monkeypatch, bad):
         searched.clear()
         assert roots.check_relation(s[n], s[n + 1], "precede").holds
         assert searched
+
+
+@pytest.mark.parametrize("p, q, gcd, found", [
+    ([3, 4, 1], [1, 1], [1, 1], False),  # (x+1)(x+3) shares -1 with x+1: the gcd
+    ([2, 1], [1, 1], [1], True),  # x+2 precedes x+1: the slope ends the first orientation
+    ([2, 3, 1], [0, 1], [1], False),  # 0 is not between -2 and -1: the slope bound
+    # (x+1)(x+1+2^-80): the root of p' is more than 64 halvings from the gap's width
+    ([2**80 + 1, 2**81 + 1, 2**80], None, [1], True),
+])
+def test_each_way_the_proposer_ends(monkeypatch, p, q, gcd, found):
+    gcds = []
+    poly_gcd = roots.poly_gcd
+    monkeypatch.setattr(roots, "poly_gcd", lambda a, b: gcds.append(poly_gcd(a, b)) or gcds[-1])
+    q = q or roots.derivative(p)
+    points = roots._seeded(p, q, roots._search(q))
+    assert gcds == [gcd]  # each pair passes the patience once, in one gap
+    assert (points is not None and roots._alternates([p], [0] * roots.degree(p), points)) == found
 
 
 def test_a_refused_row_breaks_no_later_row(monkeypatch):
