@@ -1,58 +1,39 @@
-"""Sparse exact polynomials in the variables x, q, y.
+"""Sparse exact polynomials in the variables x, q, y with integer coefficients.
 
-Terms map exponent triples (ex, eq, ey) to exact coefficients (int or
-Fraction).  Zero coefficients are never stored, and a whole Fraction is
-stored as an int, so equality is structural.  Printing uses increasing
-x-degree, e.g. ``1 + 11*x + 4*x^2``.
+Terms map exponent triples (ex, eq, ey) to nonzero ints, so equality is
+structural.  Printing uses increasing x-degree, e.g. ``1 + 11*x + 4*x^2``.
 
-Only the public constructor ``Poly(...)`` accepts arbitrary rationals.  Ring
-operations (``+``, ``*``, ``-``, scalar ``/``, ``derivative``, ``subs`` with
-scalars) combine stored coefficients, and int and Fraction are closed under
-them, so their results are int or Fraction.  ``_made`` relies on that: it
-only drops zeros and turns a Fraction of denominator 1 into an int, by
-``type(c) is Fraction``, with no abstract-base-class ``isinstance``.
+The public constructor ``Poly(...)`` and ``subs`` take every scalar
+through ``operator.index``, which refuses a rational or a float with
+TypeError.  Ring operations (``+``, ``*``, ``-``, ``derivative``, ``subs``)
+keep integers, so ``_made`` only drops zeros.  The one division,
+``exact_div`` by an integer, raises ArithmeticError on a remainder.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from numbers import Rational
-from typing import Iterable, Mapping, Union
+from operator import index
+from typing import Iterable, Mapping
 
 VARS = ("x", "q", "y")
 Exponents = tuple[int, int, int]
-Scalar = Union[int, Fraction]
 
 
-def _norm(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _made(terms: dict[Exponents, Scalar]) -> "Poly":
-    """The Poly of a fresh dict of int and Fraction coefficients."""
-    clean = {}
-    for e, c in terms.items():
-        if c:
-            clean[e] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+def _made(terms: dict[Exponents, int]) -> "Poly":
+    """The Poly of a fresh dict of int coefficients."""
     p = object.__new__(Poly)
-    object.__setattr__(p, "terms", clean)
+    object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
     return p
 
 
 class Poly:
-    """Immutable sparse polynomial over the rationals in x, q, y."""
+    """Immutable sparse polynomial over the integers in x, q, y."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponents, Scalar] | None = None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[e] = _norm(c)
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms: Mapping[Exponents, int] | None = None):
+        clean = {e: index(c) for e, c in (terms or {}).items()}
+        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -60,7 +41,7 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def const(c: Scalar) -> "Poly":
+    def const(c: int) -> "Poly":
         return Poly({(0, 0, 0): c})
 
     @staticmethod
@@ -71,7 +52,7 @@ class Poly:
         return Poly({tuple(e): 1})
 
     @staticmethod
-    def from_x_coeffs(coeffs: Iterable[Scalar]) -> "Poly":
+    def from_x_coeffs(coeffs: Iterable[int]) -> "Poly":
         return Poly({(i, 0, 0): c for i, c in enumerate(coeffs)})
 
     # -- ring operations ---------------------------------------------------
@@ -80,10 +61,8 @@ class Poly:
         kind = type(other)
         if kind is Poly:
             return other
-        if kind is int or kind is Fraction:
+        if kind is int:
             return _made({(0, 0, 0): other})
-        if isinstance(other, Rational):
-            return Poly.const(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -114,7 +93,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Exponents, Scalar] = {}
+        terms: dict[Exponents, int] = {}
         get = terms.get
         right = list(other.terms.items())
         for (x1, q1, y1), c1 in self.terms.items():
@@ -137,11 +116,14 @@ class Poly:
             n >>= 1
         return result
 
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Rational):
-            inv = 1 / Fraction(scalar)
-            return _made({e: c * inv for e, c in self.terms.items()})
-        return NotImplemented
+    def exact_div(self, d: int) -> "Poly":
+        """Every coefficient divided by the integer d, which must divide it."""
+        terms = {}
+        for e, c in self.terms.items():
+            terms[e], rest = divmod(c, d)
+            if rest:
+                raise ArithmeticError(f"coefficient {c} is not divisible by {d}")
+        return _made(terms)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -168,14 +150,15 @@ class Poly:
         return _made(terms)
 
     def subs(self, **values) -> "Poly":
-        """Substitute polynomials or scalars for named variables, in one pass
+        """Substitute polynomials or integers for named variables, in one pass
         over the terms: each coefficient times its value powers, each power
         computed once a call, added at the exponents left."""
-        for name in values:
+        for name, v in values.items():
             if name not in VARS:
                 raise ValueError(f"unknown variable {name!r}")
+            values[name] = v if type(v) is Poly else index(v)
         bound = [(i, values[name], {}) for i, name in enumerate(VARS) if name in values]
-        terms: dict[Exponents, Scalar] = {}
+        terms: dict[Exponents, int] = {}
         get = terms.get
         for e, c in self.terms.items():
             left = list(e)
@@ -196,17 +179,6 @@ class Poly:
                 terms[e] = get(e, 0) + c
         return _made(terms)
 
-    def eval(self, **values) -> Scalar:
-        """Evaluate with every occurring variable bound to a scalar."""
-        total: Scalar = 0
-        for e, c in self.terms.items():
-            val = c
-            for i, name in enumerate(VARS):
-                if e[i]:
-                    val = val * Fraction(values[name]) ** e[i]
-            total += val
-        return _norm(Fraction(total))
-
     # -- views -------------------------------------------------------------
 
     def variables(self) -> set[str]:
@@ -224,12 +196,12 @@ class Poly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def x_coeffs(self) -> list[Scalar]:
+    def x_coeffs(self) -> list[int]:
         """Coefficient list in x (requires a univariate-in-x polynomial)."""
         if self.variables() - {"x"}:
             raise ValueError(f"not univariate in x: {self}")
         n = max(self.degree("x"), 0)
-        out: list[Scalar] = [0] * (n + 1)
+        out: list[int] = [0] * (n + 1)
         for e, c in self.terms.items():
             out[e[0]] = c
         return out
@@ -270,7 +242,7 @@ ONE = Poly.const(1)
 ZERO = Poly()
 
 
-def mobius_compose(p: Poly, m: int, alpha: Scalar) -> Poly:
+def mobius_compose(p: Poly, m: int, alpha: int) -> Poly:
     """Return (1+x)^m * p(alpha*x / (1+x)) as a polynomial.
 
     Expands sum_k p_k (alpha*x)^k (1+x)^(m-k): the coefficient of x^j is
@@ -279,7 +251,7 @@ def mobius_compose(p: Poly, m: int, alpha: Scalar) -> Poly:
     coeffs = p.x_coeffs()
     if len(coeffs) - 1 > m:
         raise ValueError(f"deg p = {len(coeffs) - 1} exceeds m = {m}")
-    out: list[Scalar] = [0] * (m + 1)
+    out: list[int] = [0] * (m + 1)
     for k, c in enumerate(coeffs):
         if c:
             c = c * alpha**k

@@ -208,27 +208,27 @@ def _seeded(p: list[int], q: list[int], known: list[Fraction]) -> list[Fraction]
 
 
 def _merge(polys: list[list[int]], found: list) -> list[Fraction] | None:
-    """Untrusted: one increasing point sequence for coprime polynomials.
-
-    Each gap of each polynomial's own certificate is a bracket holding one
-    root; ``found[j]`` is a certificate of ``polys[j]`` already made, or None
-    to search for one.  Overlapping brackets are halved until none overlap;
-    then the lowest start and every upper end separate the roots, one per gap.
+    """Untrusted: one increasing point sequence for two coprime polynomials.
+    ``found[j]`` is a certificate of ``polys[j]`` already made, or None to
+    search for one; its gaps, in order, hold one root each.  One pass merges
+    the two lists of gaps, halving both heads while they overlap; then the
+    lowest start and every upper end separate the roots, one per gap.
     """
-    brackets = []
-    for j, (p, points) in enumerate(zip(polys, found)):
-        if points is None:
-            points = _search(p)
-        if points is None:
-            return None
-        brackets += [[lo, hi, _sign(p, lo), j] for lo, hi in zip(points, points[1:])]
-    while True:
-        brackets.sort()
-        clashing = [b for a, c in zip(brackets, brackets[1:]) if a[1] > c[0] for b in (a, c)]
-        if not clashing:
-            return [brackets[0][0] if brackets else Fraction(0)] + [b[1] for b in brackets]
-        for b in clashing:
-            _halve(polys[b[3]], b)
+    found = [_search(p) if points is None else points for p, points in zip(polys, found)]
+    if None in found:
+        return None
+    merged, (a, b) = [], ([[lo, hi, _sign(p, lo)] for lo, hi in zip(points, points[1:])]
+                          for p, points in zip(polys, found))
+    while a and b:
+        if a[0][1] <= b[0][0]:
+            merged.append(a.pop(0))
+        elif b[0][1] <= a[0][0]:
+            merged.append(b.pop(0))
+        else:
+            _halve(polys[0], a[0])
+            _halve(polys[1], b[0])
+    merged += a + b
+    return [merged[0][0] if merged else Fraction(0)] + [c[1] for c in merged]
 
 
 @dataclass

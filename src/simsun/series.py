@@ -1,9 +1,10 @@
-"""Truncated exponential power series in z with exact polynomial coefficients.
+"""Truncated exponential power series in z with integer polynomial coefficients.
 
 A Series of order N stores the EGF coefficients a_0..a_N of
 f(z) = sum a_n z^n / n!; arithmetic is exact mod z^(N+1).  Products are
-binomial convolutions, so a series with integer coefficients stays integer
-under +, *, exp and log, and row n of a triangle is read as ``coeffs[n]``.
+binomial convolutions, so +, *, exp and log stay in integer ``Poly``s, and
+row n of a triangle is read as ``coeffs[n]``.  ``inverse`` needs a constant
+term of 1 or -1, its own inverse; ``halve_z`` (z -> z/2) divides exactly.
 
 The closed-form builders avoid the radicals appearing in the textbook
 generating functions by even/odd splitting: writing the denominators as
@@ -13,7 +14,6 @@ even powers, so every z-coefficient stays polynomial in x (and q, y).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .poly import ONE, Poly, Q, X, Y, ZERO
@@ -88,7 +88,7 @@ class Series:
         return self._wrap(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (Poly, int, Fraction)):
+        if isinstance(other, (Poly, int)):
             other = other if isinstance(other, Poly) else Poly.const(other)
             return Series([c * other for c in self.coeffs], self.order)
         other = self._wrap(other)
@@ -105,11 +105,10 @@ class Series:
     __rmul__ = __mul__
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; the constant term must be a nonzero scalar."""
-        c0 = self.coeffs[0]
-        if c0.variables() or not c0:
-            raise ValueError("inverse needs a nonzero constant scalar term")
-        inv0 = Poly.const(Fraction(1, 1) / Fraction(c0.terms[(0, 0, 0)]))
+        """Multiplicative inverse; the constant term must be 1 or -1, its own inverse."""
+        inv0 = self.coeffs[0]
+        if inv0 != ONE and inv0 != -ONE:
+            raise ValueError("inverse needs a constant term of 1 or -1")
         out = [inv0] + [ZERO] * self.order
         for n in range(1, self.order + 1):
             acc = ZERO
@@ -161,10 +160,9 @@ class Series:
     def derivative_z(self) -> "Series":
         return Series(self.coeffs[1:] + [ZERO], self.order)
 
-    def scale_z(self, r) -> "Series":
-        """Substitute z -> r*z for a rational r."""
-        r = Fraction(r)
-        return Series([c * Poly.const(r**i) for i, c in enumerate(self.coeffs)], self.order)
+    def halve_z(self) -> "Series":
+        """Substitute z -> z/2: coefficient n over 2^n, which must divide it."""
+        return Series([c.exact_div(2**n) for n, c in enumerate(self.coeffs)], self.order)
 
     def map_coeffs(self, fn) -> "Series":
         return Series([fn(c) for c in self.coeffs], self.order)
@@ -202,16 +200,16 @@ def build(name: str, order: int = DEFAULT_ORDER) -> Series:
     ``trivariate``          exp(qz(y-1)) * Sxz^q
     """
     if name == "Sxz":
-        a = (ONE - 2 * X) / 4
-        den = _cos_like(a, order) - _sin_like(a, order) * Fraction(1, 2)
-        inv = den.inverse()
-        return inv * inv
+        # at z = 2w the half angles clear: cos-like and sin-like in 1 - 2x
+        a = ONE - 2 * X
+        inv = (_cos_like(a, order) - _sin_like(a, order)).inverse()
+        return (inv * inv).halve_z()
     if name == "What":
         b = ONE - X
         return (_cos_like(b, order) - _sin_like(b, order)).inverse()
     if name == "Sxz-from-What":
         w = build("What", order).map_coeffs(lambda c: c.subs(x=2 * X))
-        return (w * w).scale_z(Fraction(1, 2))
+        return (w * w).halve_z()
     if name == "springer":
         minus_one = Poly.const(-1)
         return (_cos_like(minus_one, order) - _sin_like(minus_one, order)).inverse()

@@ -34,7 +34,6 @@ has no derivative form, keeps an integer triangle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
 
@@ -190,22 +189,16 @@ def s_from_stirling(n: int) -> Poly:
     coeffs = acc.x_coeffs()
     if coeffs[0] != 0:
         raise ArithmeticError(f"expansion for n={n} is not divisible by x")
-    out = []
-    for c in coeffs[1:]:
-        q = Fraction(c, 2 ** (n + 1))
-        if q.denominator != 1:
-            raise ArithmeticError(f"expansion for n={n} not divisible by 2^{n + 1}")
-        out.append(int(q))
-    return Poly.from_x_coeffs(out)
+    return Poly.from_x_coeffs(coeffs[1:]).exact_div(2 ** (n + 1))
 
 
 # -- closed forms ------------------------------------------------------------
 
 
 def _t_from_s(n: int, s: Poly) -> Poly:
-    # the primed factor is d/dx of S_n(x^2), chain rule included
-    s2 = s.subs(x=X * X)
-    return X * (ONE + n * X) * s2 + X * X * (ONE - 2 * X) * s2.derivative("x") / 2
+    # the primed factor is d/dx S_n(x^2) = 2x S_n'(x^2), so the 1/2 cancels
+    x2 = X * X
+    return X * (ONE + n * X) * s.subs(x=x2) + x2 * X * (ONE - 2 * X) * s.derivative("x").subs(x=x2)
 
 
 #: form -> (first n, row n from n and S_n)

@@ -40,7 +40,6 @@ a provider replaced there is the one used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator
 
@@ -215,6 +214,14 @@ def _scaled(weight: Callable[[int, int], int]) -> Side:
         [weight(n, k) * c for k, c in enumerate(s.x_coeffs())]))
 
 
+def _at_half(n: int, r: Poly) -> list[int]:
+    """2^n r(x, 1/2) as x-coefficients, for r of q-degree at most n."""
+    out = [0] * (r.degree("x") + 1)
+    for (i, j, _), c in r.terms.items():
+        out[i] += c << (n - j)
+    return out
+
+
 def _squared_parts(n: int, s: Poly, p: Poly) -> Poly:
     x2 = X * X
     return X * s.subs(x=x2) + x2 * p.subs(x=x2)
@@ -252,7 +259,7 @@ def _s_what_convolution(n_max: int) -> Comparisons:
     what = [w.subs(x=2 * X) for w in triangles.family_polys("What", n_max)]
     for n in range(n_max + 1):
         rhs = sum((comb(n, k) * what[k] * what[n - k] for k in range(n + 1)), ZERO)
-        yield f"n={n}", rhs / 2**n, s[n]
+        yield f"n={n}", rhs, 2**n * s[n]
 
 
 def _p_recurrence_cleared(n_max: int) -> Comparisons:
@@ -285,7 +292,7 @@ def _t_split(n_max: int) -> Comparisons:
 
 
 def _euler_convolution(n_max: int) -> Comparisons:
-    springer = [w.eval(x=2) for w in triangles.family_polys("What", n_max)]
+    springer = [_coeff(w.subs(x=2), 0) for w in triangles.family_polys("What", n_max)]
     euler = _listed(lambda n: perms.euler_number(n + 1))(n_max)
     for n in range(n_max + 1):
         rhs = sum(comb(n, k) * springer[k] * springer[n - k] for k in range(n + 1))
@@ -377,8 +384,8 @@ REGISTRY: dict[str, Entry] = {
         "interior-peak counts over all permutations are 2^(n-k) times descent counts",
     ),
     "run-mobius": Entry(
-        _rows(("interior-peak form", 2, _family("R"), _family("W", fn=lambda n, w: (
-                  X * mobius_compose(w, n - 2, 2) / 2 ** (n - 2)))),
+        _rows(("interior-peak form", 2, _family("R", fn=lambda n, r: 2 ** (n - 2) * r),
+               _family("W", fn=lambda n, w: X * mobius_compose(w, n - 2, 2))),
               ("descent form", 2, _family("R"), _family("S", shift=-1, fn=lambda n, s: (
                   2 * X * mobius_compose(s, n - 2, 1))))), 14,
         "alternating-run rows from both Mobius-type substitutions",
@@ -544,8 +551,9 @@ REGISTRY: dict[str, Entry] = {
         "split peak polynomials interlace the descent polynomials",
     ),
     "roots-positive-q": Entry(
-        _rows(*((f"q={q}", 2, _rz(_family("Sxq", fn=lambda n, r, q=q: r.subs(q=q))), _TRUE)
-                for q in (Fraction(1, 2), 1, 2, 3))), 15,
+        _rows(("q=1/2", 2, _rz(_family("Sxq", fn=_at_half)), _TRUE),
+              *((f"q={q}", 2, _rz(_family("Sxq", fn=lambda n, r, q=q: r.subs(q=q))), _TRUE)
+                for q in (1, 2, 3))), 15,
         "bivariate rows at sample positive q have simple nonpositive real roots",
     ),
 }

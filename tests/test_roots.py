@@ -14,12 +14,13 @@ F = Fraction
 
 
 def from_roots(rs, scale=1, quadratic=None) -> Poly:
-    """scale · prod (x - r), times an irreducible x^2 + a x + b if given."""
-    p = Poly.from_x_coeffs([scale])
-    for r in rs:
-        p = p * Poly.from_x_coeffs([-r, 1])
+    """scale · prod (b·x - a) over the roots r = a/b, times the irreducible
+    quadratic of ascending integer coefficients ``quadratic`` if given."""
+    p = Poly.const(scale)
+    for r in map(F, rs):
+        p = p * Poly.from_x_coeffs([-r.numerator, r.denominator])
     if quadratic is not None:
-        p = p * Poly.from_x_coeffs([quadratic[1], quadratic[0], 1])
+        p = p * Poly.from_x_coeffs(quadratic)
     return p
 
 
@@ -173,7 +174,7 @@ def test_refused_seeds_fall_back_to_the_search(monkeypatch, bad):
     cases = [(s[n], s[n - 1]) for n in range(3, 13)]
     cases += [(from_roots([-2, -1, 0]), from_roots([-3, -1])),
               (from_roots([-1, -1]), from_roots([-2])),
-              (from_roots([-1], quadratic=(1, 1)), from_roots([-2, -1]))]
+              (from_roots([-1], quadratic=(1, 1, 1)), from_roots([-2, -1]))]
     expected = [_verdict(roots.certify_rz(p)) for p, _ in cases]
     seeds = [roots.certify_rz(q) for _, q in cases]
     seeded = roots._seeded
@@ -251,8 +252,9 @@ def test_family_certificates_small():
 # small rationals, with 0 and repeats likely
 root_values = st.sampled_from([F(k, d) for k in range(-4, 3) for d in (1, 2, 3)])
 root_lists = st.lists(root_values, max_size=5)
-quadratics = st.none() | st.sampled_from([(0, 1), (1, 1), (-2, 3), (F(1, 2), 2)])
-scales = st.sampled_from([1, -1, 3, F(-2, 5)])
+# x^2 + 1, x^2 + x + 1, x^2 - 2x + 3, 2x^2 + x + 4
+quadratics = st.none() | st.sampled_from([(1, 0, 1), (1, 1, 1), (3, -2, 1), (4, 1, 2)])
+scales = st.sampled_from([1, -1, 3, -2])
 
 
 def weakly_ordered(xs, ts, relation) -> bool:
@@ -297,8 +299,8 @@ def test_relations_match_root_lists(xs, ts, relation, ordered, complex_in, scale
     # an irreducible quadratic stands in for two of the roots
     complex_p = complex_in == "p" and len(xs) >= 2
     complex_q = complex_in == "q" and len(ts) >= 2
-    p = from_roots(xs[2:] if complex_p else xs, scale, (1, 1) if complex_p else None)
-    q = from_roots(ts[2:] if complex_q else ts, 1, (1, 1) if complex_q else None)
+    p = from_roots(xs[2:] if complex_p else xs, scale, (1, 1, 1) if complex_p else None)
+    q = from_roots(ts[2:] if complex_q else ts, 1, (1, 1, 1) if complex_q else None)
     expected = weakly_ordered(xs, ts, relation) and not (complex_p or complex_q)
     assert roots.check_relation(p, q, relation).holds == expected
 
@@ -464,7 +466,12 @@ def test_root_suites_agree_with_the_fraction_oracle(monkeypatch):
         if suite.startswith("roots-"):
             assert verify.run(suite, 30).ok
     assert len(pairs) == 117
-    assert any(type(c) is F for p in rows if isinstance(p, Poly) for c in p.x_coeffs())  # q = 1/2
+    # the q = 1/2 rows are 2^n S_n(x, 1/2), by Fraction arithmetic
+    for n, r in enumerate(triangles.family_polys("Sxq", 30)[2:], start=2):
+        half = [F(0)] * (r.degree("x") + 1)
+        for (i, j, _), c in r.terms.items():
+            half[i] += c * F(1, 2) ** j
+        assert tuple(2**n * c for c in half) in rows
     for p, cert in rows.items():
         row_agrees(p, cert)
     for p, q in pairs:

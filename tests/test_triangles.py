@@ -132,7 +132,7 @@ def test_degree_bounds_and_nonnegativity():
 def test_row_sums_are_zigzag_numbers():
     s = triangles.family_polys("S", 10)
     for n in range(11):
-        assert s[n].eval(x=1) == EULER[n + 1]
+        assert s[n].subs(x=1) == EULER[n + 1]
 
 
 def test_stirling_numbers():

@@ -109,6 +109,16 @@ def _bump_series(original):
     return bumped
 
 
+def _bump_halving(original):
+    def bumped(self):
+        # both sides of series-square halve in z, so they share this fault
+        coeffs = list(original(self).coeffs)
+        coeffs[4] = coeffs[4] + 1
+        return series.Series(coeffs, self.order)
+
+    return bumped
+
+
 def _change_row(family, m, change):
     def fault(original):
         def changed(name, n_max):
@@ -182,6 +192,7 @@ def _flip_first_step(original):
     [
         (triangles, "closed_forms", _bump_closed_form, "closed-forms", "n=3 (P-from-S)"),
         (series, "build", _bump_series, "series-descent-egf", "n=4"),
+        (series.Series, "halve_z", _bump_halving, "series-descent-egf", "n=4"),
         (triangles, "s_from_stirling", _bump_at(4), "stirling-reconstruction", "n=4"),
         (bulk, "simsun_word_distributions", _flip_first_step, "enum-peaks",
          "n=5 (first-step-down)"),
@@ -208,7 +219,7 @@ def _flip_first_step(original):
         # the increasing word of [5], a first-kind member, gains a descent
         (perms, "mask_stats", _bump_table(-1, 0, 5), "descent-left-peak", "n=5: des vs lpk"),
     ],
-    ids=["closed", "egf", "each", "swept-keep", "euler-cardinalities", "euler-convolution",
+    ids=["closed", "egf", "egf-halving", "each", "swept-keep", "euler-cardinalities", "euler-convolution",
          "first-kind-filter", "second-kind-filter", "first-kind-repeat", "listed", "egf-both",
          "family-shifted", "rz", "related", "ascent-table", "ascent-table-des"],
 )
