@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .poly import Poly
 
@@ -28,11 +29,12 @@ _PATIENCE = 64
 
 
 def dense(p: Poly | list) -> list[int]:
-    coeffs = [Fraction(c) for c in (p.x_coeffs() if isinstance(p, Poly) else p)]
+    """The coefficients of p in x, ascending, without trailing zeros.  Each
+    goes through ``operator.index``, which refuses a rational or a float."""
+    coeffs = [index(c) for c in (p.x_coeffs() if isinstance(p, Poly) else p)]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in coeffs]
+    return coeffs
 
 
 def degree(p: list[int]) -> int:

@@ -15,16 +15,19 @@ Families (rows indexed by n, each row an exact polynomial):
 - ``A``     orbit-count triangle, a_i(n+1) = i*a_i(n) + (n-2i+2)a_{i-1}(n),
             a_0(1) = 1, row 0 the zero polynomial
 - ``Sxq``   descent polynomials refined by the cycle count q of the second kind
-- ``Sxyq``  trivariate rows via the binomial sum over Sxq rows
+- ``Sxyq``  descent polynomials refined by cycles q and fixed points y,
+            the binomial sum F_n = sum_i C(n,i) (q(y-1))^i Sxq_{n-i}, F_0 = 1
 - ``D``     leaf polynomials of increasing 1-2 trees via D(n+1) = x*S(n)
 
-S, What, W, R, A, Sxq, P+ and P- share one first-order step,
+S, What, W, R, A, Sxq, Sxyq, P+ and P- share one first-order step,
 
-    F_{n+1} = (a0 + n a1) F_n + b F_n',
+    F_{n+1} = (a0 + n a1) F_n + b dF_n/dx + d dF_n/dy,
 
-driven by the ``FIRST_ORDER`` table of ``(seeds, a0, a1, b)`` with
+driven by the ``FIRST_ORDER`` table of ``(seeds, a0, a1, b, d)`` with
 polynomial coefficients; the seeds are rows 0, 1, ... and the step applies
-from the last seed on.  An integer triangle becomes a row of the table by
+from the last seed on.  Only Sxyq has a y-derivative: Pascal's rule on its
+binomial sum and dF_n/dy = nq F_{n-1} give a0 = qy and d = x(1 - y) over
+Sxq's step.  An integer triangle becomes a row of the table by
 summing its recurrence against x^k: a term c(k) F(n-1,k-j) with c linear in
 k contributes x^j (c(j) F_{n-1} + c'x F_{n-1}'), e.g. R's (n-k)R(n-1,k-2)
 gives x^2((n-2)R_{n-1} - x R_{n-1}').  P+ and P- add a coupling term:
@@ -42,24 +45,26 @@ from .poly import ONE, Poly, Q, X, Y, ZERO
 _DESCENT = X * (1 - 2 * X)
 _PEAK = 2 * X * (1 - X)
 
-#: family -> (seed rows, a0, a1, b) of F_{n+1} = (a0 + n a1)F_n + b F_n'
+#: family -> (seed rows, a0, a1, b, d) of F_{n+1} = (a0 + n a1)F_n + b dF_n/dx + d dF_n/dy
 FIRST_ORDER = {
-    "S": ((ONE,), ONE, X, _DESCENT),  # (1 + nx)S_n + x(1 - 2x)S_n'
-    "What": ((ONE, ONE), ONE, X, _PEAK),  # (1 + nx)W^_n + 2x(1 - x)W^_n'
-    "W": ((ONE, ONE), 2 - X, X, _PEAK),  # (2 + (n - 1)x)W_n + 2x(1 - x)W_n'
-    "R": ((ONE, ONE), X * (2 - X), X * X, X * (1 - X * X)),  # (2x + (n - 1)x^2)R_n + x(1 - x^2)R_n'
-    "A": ((ZERO, ONE), ZERO, X, _DESCENT),  # nx A_n + x(1 - 2x)A_n'
-    "Sxq": ((ONE,), Q, X, _DESCENT),  # (q + nx)S_n(x,q) + x(1 - 2x) d/dx S_n(x,q)
+    "S": ((ONE,), ONE, X, _DESCENT, ZERO),  # (1 + nx)S_n + x(1 - 2x)S_n'
+    "What": ((ONE, ONE), ONE, X, _PEAK, ZERO),  # (1 + nx)W^_n + 2x(1 - x)W^_n'
+    "W": ((ONE, ONE), 2 - X, X, _PEAK, ZERO),  # (2 + (n - 1)x)W_n + 2x(1 - x)W_n'
+    "R": ((ONE, ONE), X * (2 - X), X * X, X * (1 - X * X), ZERO),  # (2x + (n - 1)x^2)R_n + x(1 - x^2)R_n'
+    "A": ((ZERO, ONE), ZERO, X, _DESCENT, ZERO),  # nx A_n + x(1 - 2x)A_n'
+    "Sxq": ((ONE,), Q, X, _DESCENT, ZERO),  # (q + nx)S_n(x,q) + x(1 - 2x) d/dx S_n(x,q)
+    # (qy + nx)F_n + x(1 - 2x) d/dx F_n + x(1 - y) d/dy F_n
+    "Sxyq": ((ONE,), Q * Y, X, _DESCENT, X * (1 - Y)),
     # the coupled recurrences hold for n >= 2; rows 0 and 1 are literals
-    "P+": ((ZERO, ONE, ONE), 1 - 2 * X, X, _DESCENT),  # (1 + (n - 2)x)P+_n + x(1 - 2x)P+_n' + P-_n
-    "P-": ((ZERO, ONE, ONE), 1 - X, X, _DESCENT),  # (1 + (n - 1)x)P-_n + x(1 - 2x)P-_n' + x P+_n
+    "P+": ((ZERO, ONE, ONE), 1 - 2 * X, X, _DESCENT, ZERO),  # (1 + (n - 2)x)P+_n + x(1 - 2x)P+_n' + P-_n
+    "P-": ((ZERO, ONE, ONE), 1 - X, X, _DESCENT, ZERO),  # (1 + (n - 1)x)P-_n + x(1 - 2x)P-_n' + x P+_n
 }
 
 
 def _step(family: str, prev: Poly, n: int) -> Poly:
     """F_{n+1} from F_n by the family's first-order step, without coupling."""
-    _, a0, a1, b = FIRST_ORDER[family]
-    return (a0 + n * a1) * prev + b * prev.derivative("x")
+    _, a0, a1, b, d = FIRST_ORDER[family]
+    return (a0 + n * a1) * prev + b * prev.derivative("x") + d * prev.derivative("y")
 
 
 def _first_order(family: str, n_max: int) -> list[Poly]:
@@ -99,20 +104,6 @@ def _family_T(n_max: int) -> list[Poly]:
     return [Poly.from_x_coeffs(r) for r in rows[: n_max + 1]]
 
 
-def _family_Sxyq(n_max: int) -> list[Poly]:
-    sxq = _first_order("Sxq", n_max)
-    powers = [ONE]  # (q(y - 1))^i
-    for _ in range(n_max):
-        powers.append(powers[-1] * (Y * Q - Q))
-    rows = []
-    for n in range(n_max + 1):
-        row = ZERO
-        for i in range(n + 1):
-            row = row + comb(n, i) * powers[i] * sxq[n - i]
-        rows.append(row)
-    return rows
-
-
 def _family_D(n_max: int) -> list[Poly]:
     return [ONE] + [X * s for s in _first_order("S", max(n_max - 1, 0))][:n_max]
 
@@ -128,7 +119,7 @@ _ROWS = {
     "P": _family_P,
     "A": partial(_first_order, "A"),
     "Sxq": partial(_first_order, "Sxq"),
-    "Sxyq": _family_Sxyq,
+    "Sxyq": partial(_first_order, "Sxyq"),
     "D": _family_D,
 }
 

@@ -434,7 +434,7 @@ REGISTRY: dict[str, Entry] = {
     "trivariate-binomial": Entry(
         # key (exc, fix, cyc) -> monomial x^exc q^cyc y^fix
         _pair(_swept(_CYCLES, lambda k: (k[0], k[2], k[1])), _family("Sxyq")), 9,
-        "binomial-sum trivariate rows match the (exc, fix, cyc) enumeration",
+        "trivariate recurrence rows match the (exc, fix, cyc) enumeration",
     ),
     "stirling-reconstruction": Entry(
         _pair(_each(lambda n: triangles.s_from_stirling(n)), _family("S"), first=1), 15,
@@ -531,7 +531,7 @@ REGISTRY: dict[str, Entry] = {
     ),
     "series-trivariate": Entry(
         _pair(_egf("trivariate"), _family("Sxyq")), 9,
-        "trivariate EGF matches the binomial-sum rows",
+        "trivariate EGF matches the recurrence rows",
     ),
     "roots-nonpositive": Entry(
         _rows(*((f, 2, _rz(_family(f)), _TRUE) for f in ("S", "P", "P+", "P-"))), 25,

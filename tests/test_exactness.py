@@ -1,0 +1,34 @@
+"""No check uses floating point: a lint over the package source."""
+
+import ast
+from pathlib import Path
+
+import simsun
+
+SOURCES = sorted(Path(simsun.__file__).parent.glob("*.py"))
+
+
+def _imported(node: ast.AST) -> list:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module] if isinstance(node, ast.ImportFrom) else []
+
+
+def test_only_roots_divides_or_imports_fractions():
+    # roots.py alone holds rationals, its Fraction certificate points; every
+    # other module stays in integers: no / (nor /=), no float or complex
+    # literal, no fractions import
+    assert "roots.py" in [path.name for path in SOURCES]
+    found = []
+    for path in SOURCES:
+        if path.name == "roots.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{where} true division")
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{where} constant {node.value!r}")
+            if "fractions" in _imported(node):
+                found.append(f"{where} imports fractions")
+    assert found == []

@@ -28,9 +28,10 @@ def test_dense_conversion():
     assert roots.dense(ONE + 11 * X + 4 * X**2) == [F(1), F(11), F(4)]
     assert roots.dense([1, 0]) == [F(1)]
     assert roots.dense([0, 0]) == []
-    # rational input is cleared by the positive lcm of its denominators
-    assert roots.dense([F(1, 2), 1]) == [1, 2]
-    assert roots.dense([F(-2, 3), 0, F(1, 6)]) == [-4, 0, 1]
+    # a rational or a float is refused, as by Poly(...)
+    for bad in ([F(1, 2), 1], [1.0, 2]):
+        with pytest.raises(TypeError):
+            roots.dense(bad)
 
 
 def test_evaluate_and_derivative():

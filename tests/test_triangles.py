@@ -1,9 +1,11 @@
 """Recurrence families, the Stirling route, and closed forms."""
 
+from math import comb
+
 import pytest
 
 from simsun import perms, triangles
-from simsun.poly import ONE, Poly, Q, X
+from simsun.poly import ONE, Poly, Q, X, Y, ZERO
 
 X2 = X * X
 
@@ -187,6 +189,18 @@ def test_closed_forms_match_recurrences():
     # each row of a bound equals that row computed at a smaller bound
     for f, rows in forms.items():
         assert triangles.closed_forms(f, 5) == rows[:6]
+
+
+def test_trivariate_rows_equal_the_binomial_sum():
+    # the reference: F_n = sum_i C(n, i) (q(y - 1))^i Sxq_{n-i}
+    sxq = triangles.family_polys("Sxq", 30)
+    sxyq = triangles.family_polys("Sxyq", 30)
+    powers = [ONE]  # (q(y - 1))^i
+    for _ in range(30):
+        powers.append(powers[-1] * (Y * Q - Q))
+    assert len(sxyq) == 31
+    for n in range(31):
+        assert sxyq[n] == sum((comb(n, i) * powers[i] * sxq[n - i] for i in range(n + 1)), ZERO)
 
 
 def test_bivariate_specializes_to_univariate():

@@ -187,6 +187,11 @@ def _flip_first_step(original):
     return flipped
 
 
+def _drop_y_derivative(table):
+    # without its d/dy term Sxyq's step turns the 2-cycle of [2], x*q, into x*q*y
+    return {**table, "Sxyq": table["Sxyq"][:4] + (Poly(),)}
+
+
 @pytest.mark.parametrize(
     "module, provider, fault, identity, detail",
     [
@@ -218,10 +223,13 @@ def _flip_first_step(original):
         (perms, "mask_stats", _bump_table(0, 2, 5), "enum-interior-peaks", "n=5"),
         # the increasing word of [5], a first-kind member, gains a descent
         (perms, "mask_stats", _bump_table(-1, 0, 5), "descent-left-peak", "n=5: des vs lpk"),
+        (triangles, "FIRST_ORDER", _drop_y_derivative, "trivariate-binomial", "n=2"),
+        (triangles, "FIRST_ORDER", _drop_y_derivative, "series-trivariate", "n=2"),
     ],
     ids=["closed", "egf", "egf-halving", "each", "swept-keep", "euler-cardinalities", "euler-convolution",
          "first-kind-filter", "second-kind-filter", "first-kind-repeat", "listed", "egf-both",
-         "family-shifted", "rz", "related", "ascent-table", "ascent-table-des"],
+         "family-shifted", "rz", "related", "ascent-table", "ascent-table-des",
+         "y-derivative-cycles", "y-derivative-egf"],
 )
 def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identity, detail):
     # a sweep cached by an earlier test would hide a fault of what it reads
