@@ -1,42 +1,98 @@
-"""Sparse exact polynomials in the variables x, q, y with integer coefficients.
+"""Exact polynomials in the variables x, q, y with integer coefficients,
+stored dense in x.
 
-Terms map exponent triples (ex, eq, ey) to nonzero ints, so equality is
-structural.  Printing uses increasing x-degree, e.g. ``1 + 11*x + 4*x^2``.
+``rows`` maps each (q, y) exponent pair (eq, ey) to the tuple of that
+monomial's ascending x-coefficients, trailing zeros trimmed and empty rows
+dropped, so equality is structural.  A product convolves each pair of rows,
+the shorter in the outer loop and each from its lowest nonzero coefficient,
+and adds the result at the summed key; a derivative in x scales a row by its
+index, one in q or y shifts the keys.  Rows hold Python ints, which grow
+past 2^63 where a fixed-width array would wrap.  Printing uses increasing
+x-degree, e.g. ``1 + 11*x + 4*x^2``, read from ``terms``, the sparse view
+(ex, eq, ey) -> coefficient.
 
-The public constructor ``Poly(...)`` and ``subs`` take every scalar
-through ``operator.index``, which refuses a rational or a float with
-TypeError.  Ring operations (``+``, ``*``, ``-``, ``derivative``, ``subs``)
-keep integers, so ``_made`` only drops zeros.  The one division,
-``exact_div`` by an integer, raises ArithmeticError on a remainder.
+The public constructor ``Poly(...)`` takes such a sparse mapping and, like
+``subs``, takes every scalar through ``operator.index``, which refuses a
+rational or a float with TypeError.  Ring operations (``+``, ``*``, ``-``,
+``derivative``, ``subs``) keep integers, so ``_made`` only trims zeros.  The
+one division, ``exact_div`` by an integer, raises ArithmeticError on a
+remainder.
 """
 
 from __future__ import annotations
 
-from operator import index
+from itertools import count, repeat
+from operator import add, index, mul, neg
 from typing import Iterable, Mapping
 
 VARS = ("x", "q", "y")
 Exponents = tuple[int, int, int]
+Key = tuple[int, int]
 
 
-def _made(terms: dict[Exponents, int]) -> "Poly":
-    """The Poly of a fresh dict of int coefficients."""
+def _made(rows: dict[Key, list[int] | tuple[int, ...]]) -> "Poly":
+    """The Poly of a fresh dict of int rows, trailing zeros and empty rows dropped."""
+    kept = {}
+    for key, row in rows.items():
+        if not (row and row[-1]):
+            row = list(row)
+            while row and not row[-1]:
+                row.pop()
+            if not row:
+                continue
+        kept[key] = tuple(row)
     p = object.__new__(Poly)
-    object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+    object.__setattr__(p, "rows", kept)
     return p
 
 
-class Poly:
-    """Immutable sparse polynomial over the integers in x, q, y."""
+def _row_sum(a, b) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(add, a, b))
+    out += a[len(b):]
+    return out
 
-    __slots__ = ("terms",)
+
+def _from_lowest(rows: dict[Key, tuple[int, ...]]) -> list[tuple[Key, int, tuple[int, ...]]]:
+    """Each row as (key, index of its lowest nonzero coefficient, the row from there)."""
+    out = []
+    for key, row in rows.items():
+        if row[0]:
+            out.append((key, 0, row))
+            continue
+        low = 1
+        while not row[low]:
+            low += 1
+        out.append((key, low, row[low:]))
+    return out
+
+
+class Poly:
+    """Immutable polynomial over the integers in x, q, y, one x-row per (q, y) monomial."""
+
+    __slots__ = ("rows",)
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
-        clean = {e: index(c) for e, c in (terms or {}).items()}
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
+        rows: dict[Key, list[int]] = {}
+        for (ex, eq, ey), c in (terms or {}).items():
+            ex, eq, ey = index(ex), index(eq), index(ey)
+            if min(ex, eq, ey) < 0:
+                raise ValueError(f"negative exponent in {(ex, eq, ey)}")
+            row = rows.setdefault((eq, ey), [])
+            if len(row) <= ex:
+                row += [0] * (ex + 1 - len(row))
+            row[ex] = index(c)
+        object.__setattr__(self, "rows", _made(rows).rows)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self) -> dict[Exponents, int]:
+        """Sparse view: exponent triple (ex, eq, ey) -> nonzero coefficient."""
+        return {(ex, eq, ey): c for (eq, ey), row in self.rows.items()
+                for ex, c in enumerate(row) if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -53,7 +109,7 @@ class Poly:
 
     @staticmethod
     def from_x_coeffs(coeffs: Iterable[int]) -> "Poly":
-        return Poly({(i, 0, 0): c for i, c in enumerate(coeffs)})
+        return _made({(0, 0): [index(c) for c in coeffs]})
 
     # -- ring operations ---------------------------------------------------
 
@@ -62,23 +118,23 @@ class Poly:
         if kind is Poly:
             return other
         if kind is int:
-            return _made({(0, 0, 0): other})
+            return _made({(0, 0): (other,)})
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        get = terms.get
-        for e, c in other.terms.items():
-            terms[e] = get(e, 0) + c
-        return _made(terms)
+        rows = dict(self.rows)
+        for key, b in other.rows.items():
+            a = rows.get(key)
+            rows[key] = b if a is None else _row_sum(a, b)
+        return _made(rows)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _made({e: -c for e, c in self.terms.items()})
+        return _made({key: tuple(map(neg, row)) for key, row in self.rows.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -90,17 +146,32 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if type(other) is int:
+            return _made({key: tuple(map(mul, row, repeat(other)))
+                          for key, row in self.rows.items()} if other else {})
+        if type(other) is not Poly:
             return NotImplemented
-        terms: dict[Exponents, int] = {}
-        get = terms.get
-        right = list(other.terms.items())
-        for (x1, q1, y1), c1 in self.terms.items():
-            for (x2, q2, y2), c2 in right:
-                e = (x1 + x2, q1 + q2, y1 + y2)
-                terms[e] = get(e, 0) + c1 * c2
-        return _made(terms)
+        acc: dict[Key, list[int]] = {}
+        right = _from_lowest(other.rows)
+        for (q1, y1), low1, a in _from_lowest(self.rows):
+            for (q2, y2), low2, b in right:
+                if len(a) <= len(b):
+                    short, long = a, b
+                else:
+                    short, long = b, a
+                key = (q1 + q2, y1 + y2)
+                low = low1 + low2
+                size = low + len(a) + len(b) - 1
+                out = acc.get(key)
+                if out is None:
+                    out = acc[key] = [0] * size
+                elif len(out) < size:
+                    out += [0] * (size - len(out))
+                for i, c in enumerate(short, low):
+                    if c:
+                        for j, d in enumerate(long, i):
+                            out[j] += c * d
+        return _made(acc)
 
     __rmul__ = __mul__
 
@@ -118,104 +189,122 @@ class Poly:
 
     def exact_div(self, d: int) -> "Poly":
         """Every coefficient divided by the integer d, which must divide it."""
-        terms = {}
-        for e, c in self.terms.items():
-            terms[e], rest = divmod(c, d)
-            if rest:
-                raise ArithmeticError(f"coefficient {c} is not divisible by {d}")
-        return _made(terms)
+        rows = {}
+        for key, row in self.rows.items():
+            rows[key] = out = []
+            for c in row:
+                q, rest = divmod(c, d)
+                if rest:
+                    raise ArithmeticError(f"coefficient {c} is not divisible by {d}")
+                out.append(q)
+        return _made(rows)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self.rows.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.rows)
 
     # -- calculus and substitution -----------------------------------------
 
     def derivative(self, name: str = "x") -> "Poly":
         i = VARS.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                terms[tuple(ne)] = c * e[i]
-        return _made(terms)
+        if i == 0:
+            return _made({key: tuple(map(mul, row[1:], count(1)))
+                          for key, row in self.rows.items()})
+        rows = {}
+        for (eq, ey), row in self.rows.items():
+            e = (eq, ey)[i - 1]
+            if e:
+                key = (eq - 1, ey) if i == 1 else (eq, ey - 1)
+                rows[key] = tuple(map(mul, row, repeat(e)))
+        return _made(rows)
 
     def subs(self, **values) -> "Poly":
-        """Substitute polynomials or integers for named variables, in one pass
-        over the terms: each coefficient times its value powers, each power
-        computed once a call, added at the exponents left."""
+        """Substitute polynomials or integers for named variables: each row
+        evaluated by Horner in the x-value, times the powers of the q- and
+        y-values, each power computed once a call, added at the key left."""
         for name, v in values.items():
             if name not in VARS:
                 raise ValueError(f"unknown variable {name!r}")
             values[name] = v if type(v) is Poly else index(v)
-        bound = [(i, values[name], {}) for i, name in enumerate(VARS) if name in values]
-        terms: dict[Exponents, int] = {}
-        get = terms.get
-        for e, c in self.terms.items():
-            left = list(e)
-            for i, v, powers in bound:
-                k = left[i]
-                if k:
-                    if k not in powers:
-                        powers[k] = v**k
-                    c = c * powers[k]
-                    left[i] = 0
-            if type(c) is Poly:
-                x, q, y = left
-                for (x2, q2, y2), c2 in c.terms.items():
-                    e = (x + x2, q + q2, y + y2)
-                    terms[e] = get(e, 0) + c2
+        xv, qv, yv = (values.get(name) for name in VARS)
+        powers: dict[tuple[str, int], int | Poly] = {}
+
+        def power(name: str, v, k: int):
+            if (name, k) not in powers:
+                powers[name, k] = v**k
+            return powers[name, k]
+
+        acc: dict[Key, list[int] | tuple[int, ...]] = {}
+        for (eq, ey), row in self.rows.items():
+            m = 1
+            if qv is not None and eq:
+                m, eq = power("q", qv, eq), 0
+            if yv is not None and ey:
+                m, ey = m * power("y", yv, ey), 0
+            value = row
+            if xv is not None:
+                value = 0
+                for c in reversed(row):
+                    value = value * xv + c
+                if type(value) is int:
+                    value = (value,)
+            if type(m) is int and type(value) is not Poly:
+                part = {(0, 0): [c * m for c in value]}
             else:
-                e = tuple(left)
-                terms[e] = get(e, 0) + c
-        return _made(terms)
+                part = ((value if type(value) is Poly else _made({(0, 0): value})) * m).rows
+            for (q2, y2), r in part.items():
+                key = (eq + q2, ey + y2)
+                old = acc.get(key)
+                acc[key] = r if old is None else _row_sum(old, r)
+        return _made(acc)
 
     # -- views -------------------------------------------------------------
 
     def variables(self) -> set[str]:
         used = set()
-        for e in self.terms:
-            for i, name in enumerate(VARS):
-                if e[i]:
-                    used.add(name)
+        for (eq, ey), row in self.rows.items():
+            if len(row) > 1:
+                used.add("x")
+            if eq:
+                used.add("q")
+            if ey:
+                used.add("y")
         return used
 
     def degree(self, name: str = "x") -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         i = VARS.index(name)
-        if not self.terms:
+        if not self.rows:
             return -1
-        return max(e[i] for e in self.terms)
+        if i == 0:
+            return max(map(len, self.rows.values())) - 1
+        return max(key[i - 1] for key in self.rows)
 
     def x_coeffs(self) -> list[int]:
-        """Coefficient list in x (requires a univariate-in-x polynomial)."""
-        if self.variables() - {"x"}:
+        """Coefficient list in x (requires a univariate-in-x polynomial); [0] for zero."""
+        if self.rows.keys() - {(0, 0)}:
             raise ValueError(f"not univariate in x: {self}")
-        n = max(self.degree("x"), 0)
-        out: list[int] = [0] * (n + 1)
-        for e, c in self.terms.items():
-            out[e[0]] = c
-        return out
+        return list(self.rows.get((0, 0), (0,)))
 
     def __repr__(self):
         return f"Poly({self.text()})"
 
     def text(self) -> str:
         """Canonical text, graded-lex by (x, q, y) exponents."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[e]
+        for e in sorted(terms, key=lambda e: (sum(e), e)):
+            c = terms[e]
             factors = []
             for i, name in enumerate(VARS):
                 if e[i] == 1:
@@ -260,4 +349,4 @@ def mobius_compose(p: Poly, m: int, alpha: int) -> Poly:
             for j in range(k, m + 1):
                 out[j] += c * binom
                 binom = binom * (m - j) // (j - k + 1)
-    return _made({(j, 0, 0): c for j, c in enumerate(out)})
+    return _made({(0, 0): out})

@@ -89,7 +89,6 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (Poly, int)):
-            other = other if isinstance(other, Poly) else Poly.const(other)
             return Series([c * other for c in self.coeffs], self.order)
         other = self._wrap(other)
         out = [ZERO] * (self.order + 1)

@@ -64,7 +64,8 @@ FIRST_ORDER = {
 def _step(family: str, prev: Poly, n: int) -> Poly:
     """F_{n+1} from F_n by the family's first-order step, without coupling."""
     _, a0, a1, b, d = FIRST_ORDER[family]
-    return (a0 + n * a1) * prev + b * prev.derivative("x") + d * prev.derivative("y")
+    step = (a0 + n * a1) * prev + b * prev.derivative("x")
+    return step + d * prev.derivative("y") if d else step
 
 
 def _first_order(family: str, n_max: int) -> list[Poly]:
@@ -174,9 +175,9 @@ def s_from_stirling(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
-    acc = ZERO  # by Horner in 2x - 1, from the top summand down
+    acc, t = ZERO, 2 * X - ONE  # by Horner in t = 2x - 1, from the top summand down
     for k in range(n // 2 + 1, -1, -1):
-        acc = acc * (2 * X - ONE) + p_coeff(n + 1, k)
+        acc = acc * t + p_coeff(n + 1, k)
     coeffs = acc.x_coeffs()
     if coeffs[0] != 0:
         raise ArithmeticError(f"expansion for n={n} is not divisible by x")

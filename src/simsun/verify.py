@@ -217,8 +217,9 @@ def _scaled(weight: Callable[[int, int], int]) -> Side:
 def _at_half(n: int, r: Poly) -> list[int]:
     """2^n r(x, 1/2) as x-coefficients, for r of q-degree at most n."""
     out = [0] * (r.degree("x") + 1)
-    for (i, j, _), c in r.terms.items():
-        out[i] += c << (n - j)
+    for (j, _), row in r.rows.items():
+        for i, c in enumerate(row):
+            out[i] += c << (n - j)
     return out
 
 
@@ -231,7 +232,8 @@ def _squared_parts(n: int, s: Poly, p: Poly) -> Poly:
 
 
 def _coeff(p: Poly, k: int) -> int:
-    return p.terms.get((k, 0, 0), 0)
+    row = p.rows.get((0, 0), ())
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def _bijection(verifier: str) -> Callable[[int], Comparisons]:

@@ -32,3 +32,16 @@ def test_only_roots_divides_or_imports_fractions():
             if "fractions" in _imported(node):
                 found.append(f"{where} imports fractions")
     assert found == []
+
+
+def test_polynomial_modules_import_no_numpy():
+    # coefficients pass 2^63, where a fixed-width integer row would wrap
+    # silently; Poly and Series rows stay Python ints
+    checked = [path for path in SOURCES if path.name in ("poly.py", "series.py")]
+    assert len(checked) == 2
+    found = []
+    for path in checked:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if any(name.split(".")[0] == "numpy" for name in _imported(node) if name):
+                found.append(f"{path.name}:{node.lineno} imports numpy")
+    assert found == []

@@ -1,4 +1,4 @@
-"""Exact sparse polynomial arithmetic over the integers."""
+"""Exact polynomial arithmetic over the integers, stored as x-rows."""
 
 from fractions import Fraction
 
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simsun import triangles
 from simsun.poly import ONE, Poly, Q, X, Y, ZERO, mobius_compose
 
 exponents = st.tuples(
@@ -19,10 +20,111 @@ scalars = st.integers(min_value=-4, max_value=4)
 x_polys = st.lists(coefficients, max_size=6).map(Poly.from_x_coeffs)
 kernel = settings(derandomize=True, max_examples=150, deadline=None)
 
+# wide in x, coefficients past 2^63, for the comparison with the reference
+wide_exponents = st.tuples(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+wide_terms = st.dictionaries(wide_exponents, st.integers(-(2**70), 2**70), max_size=12)
+
 
 def canonical(p: Poly) -> bool:
-    """Every stored coefficient is a nonzero int."""
-    return all(type(c) is int and c != 0 for c in p.terms.values())
+    """Every stored row is a nonempty tuple of ints ending in a nonzero one."""
+    return all(type(row) is tuple and row and row[-1] and all(type(c) is int for c in row)
+               for row in p.rows.values())
+
+
+# -- reference: sparse dicts (ex, eq, ey) -> nonzero int ------------------------
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (x1, q1, y1), c1 in a.items():
+        for (x2, q2, y2), c2 in b.items():
+            e = (x1 + x2, q1 + q2, y1 + y2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_derivative(a: dict, i: int) -> dict:
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            ne = list(e)
+            ne[i] -= 1
+            out[tuple(ne)] = c * e[i]
+    return out
+
+
+def ref_subs(a: dict, values: dict) -> dict:
+    """Each term times the powers of its substituted values (dicts)."""
+    out: dict = {}
+    for e, c in a.items():
+        left = list(e)
+        term = {(0, 0, 0): c}
+        for i, v in values.items():
+            for _ in range(left[i]):
+                term = ref_mul(term, v)
+            left[i] = 0
+        out = ref_add(out, ref_mul(term, {tuple(left): 1}))
+    return out
+
+
+@kernel
+@given(wide_terms, wide_terms, st.integers(-(2**70), 2**70))
+def test_rows_match_the_sparse_reference(a, b, s):
+    a, b = {e: c for e, c in a.items() if c}, {e: c for e, c in b.items() if c}
+    p, q = Poly(a), Poly(b)
+    assert p.terms == a
+    assert (p + q).terms == ref_add(a, b)
+    assert (p - q).terms == ref_add(a, {e: -c for e, c in b.items()})
+    assert (p * q).terms == ref_mul(a, b)
+    assert (p * s).terms == ref_mul(a, {(0, 0, 0): s} if s else {})
+    for i, name in enumerate("xqy"):
+        assert p.derivative(name).terms == ref_derivative(a, i)
+    small = {(0, 0, 0): 3, (1, 0, 0): -2}  # 3 - 2x
+    assert p.subs(x=-3, q=2).terms == ref_subs(a, {0: {(0, 0, 0): -3}, 1: {(0, 0, 0): 2}})
+    assert p.subs(y=Poly(small)).terms == ref_subs(a, {2: small})
+    assert p.subs(x=X * X, q=Y).terms == ref_subs(a, {0: {(2, 0, 0): 1}, 1: {(0, 0, 1): 1}})
+    assert all(canonical(r) for r in (p, p + q, p - q, p * q, p * s, p.subs(x=X * X)))
+
+
+def test_real_rows_match_the_sparse_reference():
+    what = triangles.family_polys("What", 80)
+    w80, w79 = what[80].subs(x=2 * X), what[79].subs(x=2 * X)
+    assert max(abs(c) for c in w80.terms.values()).bit_length() == 421
+    sxq = triangles.family_polys("Sxq", 40)[40]
+    sxyq = triangles.family_polys("Sxyq", 12)[12]
+    for a, b in ((w80, w79), (sxq, Q + 39 * X), (sxyq, sxyq)):
+        product = a * b
+        assert product.terms == ref_mul(a.terms, b.terms) and canonical(product)
+
+
+def test_canonical_form():
+    p = Poly({(2, 0, 0): 0, (1, 0, 0): 3})
+    assert p == 3 * X and hash(p) == hash(3 * X)
+    assert p.rows == {(0, 0): (0, 3)}
+    # a row whose top cancels is trimmed; one that cancels entirely is dropped
+    assert (X**2 + X * Q - X**2).rows == {(1, 0): (0, 1)}
+    assert (X * Y + 1 - X * Y).rows == {(0, 0): (1,)}
+    assert Poly({(3, 1, 0): 0}).rows == {} and not Poly({(3, 1, 0): 0})
+    with pytest.raises(ValueError):
+        Poly({(-1, 0, 0): 1})
+    # rows hold exact ints only, whatever integer type came in
+    assert canonical(p) and all(type(c) is int for c in (5 * X + Q).rows[(0, 0)])
+    assert type(Poly({(1, 0, 0): True}).rows[(0, 0)][1]) is int
+    coeffs = p.x_coeffs()
+    coeffs[1] = 7
+    assert p.x_coeffs() == [0, 3]
+    assert ZERO.x_coeffs() == [0]
 
 
 def test_construction_drops_zeros():
