@@ -193,11 +193,6 @@ def standardize(cycles: Cycles) -> Cycles:
     return to_cycles(from_cycles(cycles))
 
 
-def permutations(n: int) -> Iterator[Word]:
-    """All permutations of [n] in lexicographic order."""
-    return iter(itertools.permutations(range(1, n + 1)))
-
-
 def cycle_up_down(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row mask of the cycle-up-down maps of ``a`` (one-line rows) and the
     column of their cycle counts.

@@ -2,14 +2,15 @@
 
 A Series of order N stores the EGF coefficients a_0..a_N of
 f(z) = sum a_n z^n / n!; arithmetic is exact mod z^(N+1).  Products are
-binomial convolutions, so +, *, exp and log stay in integer ``Poly``s, and
-row n of a triangle is read as ``coeffs[n]``.  ``inverse`` needs a constant
-term of 1 or -1, its own inverse; ``halve_z`` (z -> z/2) divides exactly.
+binomial convolutions and ``power`` (f^a for f with constant term 1, a an
+int or a Poly such as q) reads its recurrence off f*y' = a*f'*y, so both
+stay in integer ``Poly``s, and row n of a triangle is read as ``coeffs[n]``.
+``halve_z`` (z -> z/2) divides exactly.
 
-The closed-form builders avoid the radicals appearing in the textbook
-generating functions by even/odd splitting: writing the denominators as
-cos-like and sin-like series in which the square root only ever occurs in
-even powers, so every z-coefficient stays polynomial in x (and q, y).
+Every closed-form builder is such a power.  The radicals of the textbook
+generating functions are avoided by even/odd splitting: cos - sin written
+as a series in which the square root only ever occurs in even powers, so
+every z-coefficient stays polynomial in x (and q, y).
 """
 
 from __future__ import annotations
@@ -103,58 +104,24 @@ class Series:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Series":
-        """Multiplicative inverse; the constant term must be 1 or -1, its own inverse."""
-        inv0 = self.coeffs[0]
-        if inv0 != ONE and inv0 != -ONE:
-            raise ValueError("inverse needs a constant term of 1 or -1")
-        out = [inv0] + [ZERO] * self.order
-        for n in range(1, self.order + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                acc = acc + comb(n, k) * self.coeffs[k] * out[n - k]
-            out[n] = -(inv0 * acc)
-        return Series(out, self.order)
+    def power(self, a: int | Poly) -> "Series":
+        """f^a for f with constant term 1, a an int or a Poly.
 
-    def exp(self) -> "Series":
-        """exp(f) for f with zero constant term."""
-        if self.coeffs[0]:
-            raise ValueError("exp needs zero constant term")
-        out = [ONE] + [ZERO] * self.order
-        # (exp f)' = f' * exp(f): out[n] = sum_k C(n-1, k-1) self[k] out[n-k]
-        for n in range(1, self.order + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc = acc + comb(n - 1, k - 1) * self.coeffs[k] * out[n - k]
-            out[n] = acc
-        return Series(out, self.order)
-
-    def log(self) -> "Series":
-        """log(f) for f with constant term 1."""
+        Reads y = f^a off f*y' = a*f'*y: y_0 = 1 and
+        y_(n+1) = sum_(k=1)^(n+1) (a*C(n,k-1) - C(n,k)) f_k y_(n+1-k).
+        """
         if self.coeffs[0] != ONE:
-            raise ValueError("log needs constant term 1")
-        out = [ZERO] * (self.order + 1)
-        # f' = g' * f: g[n] = f[n] - sum_{k=1}^{n-1} C(n-1, k-1) g[k] f[n-k]
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[n]
-            for k in range(1, n):
-                if out[k] and self.coeffs[n - k]:
-                    acc = acc - comb(n - 1, k - 1) * out[k] * self.coeffs[n - k]
-            out[n] = acc
+            raise ValueError("power needs constant term 1")
+        f, out = self.coeffs, [ONE] + [ZERO] * self.order
+        for n in range(self.order):
+            lead = rest = ZERO  # the sums against a*C(n,k-1) and C(n,k)
+            for k in range(1, n + 2):
+                if f[k]:
+                    term = f[k] * out[n + 1 - k]
+                    lead = lead + comb(n, k - 1) * term
+                    rest = rest + comb(n, k) * term
+            out[n + 1] = a * lead - rest
         return Series(out, self.order)
-
-    def pow_int(self, n: int) -> "Series":
-        if n < 0:
-            return self.inverse().pow_int(-n)
-        result = Series.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def derivative_z(self) -> "Series":
         return Series(self.coeffs[1:] + [ZERO], self.order)
@@ -167,56 +134,40 @@ class Series:
         return Series([fn(c) for c in self.coeffs], self.order)
 
 
-def _cos_like(a: Poly, order: int) -> Series:
-    """sum_j a^j z^(2j) / (2j)!, which is cos(z sqrt(-a))."""
-    out, power = [ZERO] * (order + 1), ONE
-    for j in range(order // 2 + 1):
-        out[2 * j], power = power, power * a
-    return Series(out, order)
-
-
-def _sin_like(a: Poly, order: int) -> Series:
-    """sum_j a^j z^(2j+1) / (2j+1)!, which is sin(z sqrt(-a)) / sqrt(-a)."""
-    out, power = [ZERO] * (order + 1), ONE
-    for j in range((order - 1) // 2 + 1):
-        out[2 * j + 1], power = power, power * a
-    return Series(out, order)
-
-
-def sin_z(order: int) -> Series:
-    return _sin_like(Poly.const(-1), order)
+def _cos_minus_sin(a: Poly, order: int) -> Series:
+    """cos(z sqrt(-a)) - sin(z sqrt(-a)) / sqrt(-a): EGF coefficients (-1)^n a^(n//2)."""
+    return Series([(-1) ** n * a ** (n // 2) for n in range(order + 1)], order)
 
 
 def build(name: str, order: int = DEFAULT_ORDER) -> Series:
-    """Closed-form exponential generating functions.
+    """Closed-form exponential generating functions, each a power of a series
+    with constant term 1 (``Series.power``).
 
     ``Sxz``                 descent EGF of first-kind simsun permutations
     ``What``                left-peak EGF over all permutations
     ``Sxz-from-What``       the What builder squared at (2x, z/2)
     ``springer``            1 / (cos z - sin z)
-    ``Sxqz``                exp(q * log Sxz)
-    ``one-minus-sin-negq``  exp(-q * log(1 - sin z))
+    ``Sxqz``                Sxz^q
+    ``one-minus-sin-negq``  (1 - sin z)^(-q)
     ``trivariate``          exp(qz(y-1)) * Sxz^q
     """
     if name == "Sxz":
-        # at z = 2w the half angles clear: cos-like and sin-like in 1 - 2x
-        a = ONE - 2 * X
-        inv = (_cos_like(a, order) - _sin_like(a, order)).inverse()
-        return (inv * inv).halve_z()
+        # at z = 2w the half angles clear: cos - sin in a = 1 - 2x
+        return _cos_minus_sin(ONE - 2 * X, order).power(-2).halve_z()
     if name == "What":
-        b = ONE - X
-        return (_cos_like(b, order) - _sin_like(b, order)).inverse()
+        return _cos_minus_sin(ONE - X, order).power(-1)
     if name == "Sxz-from-What":
         w = build("What", order).map_coeffs(lambda c: c.subs(x=2 * X))
         return (w * w).halve_z()
     if name == "springer":
-        minus_one = Poly.const(-1)
-        return (_cos_like(minus_one, order) - _sin_like(minus_one, order)).inverse()
+        return _cos_minus_sin(Poly.const(-1), order).power(-1)
     if name == "Sxqz":
-        return (build("Sxz", order).log() * Q).exp()
+        return build("Sxz", order).power(Q)
     if name == "one-minus-sin-negq":
-        return ((Series.one(order) - sin_z(order)).log() * (-Q)).exp()
+        # sin z has the EGF coefficients 0, 1, 0, -1, 0, 1, ...
+        sin = [n % 2 * (-1) ** (n // 2) for n in range(order + 1)]
+        return (Series.one(order) - Series(sin, order)).power(-Q)
     if name == "trivariate":
-        front = (Series.z(order) * (Q * Y - Q)).exp()
+        front = Series([(Q * Y - Q) ** n for n in range(order + 1)], order)
         return front * build("Sxqz", order)
     raise ValueError(f"unknown builder {name!r}")

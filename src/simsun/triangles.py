@@ -149,35 +149,25 @@ def stirling2(n: int, i: int) -> int:
     return i * stirling2(n - 1, i) + stirling2(n - 1, i - 1)
 
 
-def p_coeff(n: int, k: int) -> int:
-    """The integer p(n, n-2k+1) from the Stirling-number expansion."""
-
-    def binom(a: int, b: int) -> int:
-        return comb(a, b) if 0 <= b <= a else 0
-
-    total = 0
-    for i in range(1, n + 1):
-        total += (
-            factorial(i)
-            * stirling2(n, i)
-            * (-2) ** (n - i)
-            * (binom(i, n - 2 * k) - binom(i, n - 2 * k + 1))
-        )
-    return (-1) ** k * total
-
-
 def s_from_stirling(n: int) -> Poly:
     """Reconstruct S_n(x) from the Stirling-number formula.
 
     Expands sum_k p(n+1, n-2k+2) (2x-1)^k, asserts exact divisibility by
-    2^(n+1) * x, and returns the quotient.  The top summand is allowed to
-    vanish rather than being truncated silently.
+    2^(n+1) * x, and returns the quotient.  With m = n + 1, the integer
+    p(m, m-2k+1) is (-1)^k sum_i w_i (C(i, m-2k) - C(i, m-2k+1)) over the row
+    weights w_i = i! S(m, i) (-2)^(m-i), i = 1..m, computed once for the row.
+    The top summand is allowed to vanish rather than being truncated silently.
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
+    m = n + 1
+    weights = [factorial(i) * stirling2(m, i) * (-2) ** (m - i) for i in range(1, m + 1)]
     acc, t = ZERO, 2 * X - ONE  # by Horner in t = 2x - 1, from the top summand down
     for k in range(n // 2 + 1, -1, -1):
-        acc = acc * t + p_coeff(n + 1, k)
+        j = m - 2 * k  # -1 only for the top summand of an even n, where C(i, -1) = 0
+        p = sum(w * ((comb(i, j) if j >= 0 else 0) - comb(i, j + 1))
+                for i, w in enumerate(weights, 1))
+        acc = acc * t + (-1) ** k * p
     coeffs = acc.x_coeffs()
     if coeffs[0] != 0:
         raise ArithmeticError(f"expansion for n={n} is not divisible by x")

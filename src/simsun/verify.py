@@ -260,7 +260,10 @@ def _s_what_convolution(n_max: int) -> Comparisons:
     s = triangles.family_polys("S", n_max)
     what = [w.subs(x=2 * X) for w in triangles.family_polys("What", n_max)]
     for n in range(n_max + 1):
-        rhs = sum((comb(n, k) * what[k] * what[n - k] for k in range(n + 1)), ZERO)
+        # each unordered pair k < n - k once, doubled, and the middle term of an even n
+        rhs = sum((2 * comb(n, k) * what[k] * what[n - k] for k in range((n + 1) // 2)), ZERO)
+        if n % 2 == 0:
+            rhs = rhs + comb(n, n // 2) * what[n // 2] * what[n // 2]
         yield f"n={n}", rhs, 2**n * s[n]
 
 

@@ -36,9 +36,10 @@ def test_only_roots_divides_or_imports_fractions():
 
 def test_polynomial_modules_import_no_numpy():
     # coefficients pass 2^63, where a fixed-width integer row would wrap
-    # silently; Poly and Series rows stay Python ints
-    checked = [path for path in SOURCES if path.name in ("poly.py", "series.py")]
-    assert len(checked) == 2
+    # silently; Poly and Series rows and the Stirling row weights of
+    # triangles stay Python ints
+    checked = [path for path in SOURCES if path.name in ("poly.py", "series.py", "triangles.py")]
+    assert len(checked) == 3
     found = []
     for path in checked:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

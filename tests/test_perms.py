@@ -208,12 +208,6 @@ def test_excedance_cyclic_peak_double_excedance_partition(w):
     assert rec.exc == rec.cpk + doubles
 
 
-def test_permutations_lexicographic():
-    got = list(perms.permutations(3))
-    assert got == sorted(got)
-    assert len(got) == 6
-
-
 def test_signed_permutations():
     got = list(signed_permutations(2))
     assert len(got) == 8
@@ -242,7 +236,7 @@ def test_snakes_match_filter():
 def test_alternating_matches_filter():
     for n in range(9):
         listed = list(perms.alternating_permutations(n))
-        brute = [w for w in perms.permutations(n) if is_alternating(w)]
+        brute = [w for w in itertools.permutations(range(1, n + 1)) if is_alternating(w)]
         assert listed == brute
 
 

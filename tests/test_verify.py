@@ -119,6 +119,17 @@ def _bump_halving(original):
     return bumped
 
 
+def _bump_power(original):
+    def bumped(self, a):
+        # +16 keeps Sxz's z/2 halving exact (+1 would raise there); What
+        # does not halve, so the left-peak EGF shows the bump as it is
+        coeffs = list(original(self, a).coeffs)
+        coeffs[4] = coeffs[4] + 16
+        return series.Series(coeffs, self.order)
+
+    return bumped
+
+
 def _change_row(family, m, change):
     def fault(original):
         def changed(name, n_max):
@@ -198,6 +209,7 @@ def _drop_y_derivative(table):
         (triangles, "closed_forms", _bump_closed_form, "closed-forms", "n=3 (P-from-S)"),
         (series, "build", _bump_series, "series-descent-egf", "n=4"),
         (series.Series, "halve_z", _bump_halving, "series-descent-egf", "n=4"),
+        (series.Series, "power", _bump_power, "series-left-peak-egf", "n=4"),
         (triangles, "s_from_stirling", _bump_at(4), "stirling-reconstruction", "n=4"),
         (bulk, "simsun_word_distributions", _flip_first_step, "enum-peaks",
          "n=5 (first-step-down)"),
@@ -226,8 +238,8 @@ def _drop_y_derivative(table):
         (triangles, "FIRST_ORDER", _drop_y_derivative, "trivariate-binomial", "n=2"),
         (triangles, "FIRST_ORDER", _drop_y_derivative, "series-trivariate", "n=2"),
     ],
-    ids=["closed", "egf", "egf-halving", "each", "swept-keep", "euler-cardinalities", "euler-convolution",
-         "first-kind-filter", "second-kind-filter", "first-kind-repeat", "listed", "egf-both",
+    ids=["closed", "egf", "egf-halving", "egf-power", "each", "swept-keep", "euler-cardinalities",
+         "euler-convolution", "first-kind-filter", "second-kind-filter", "first-kind-repeat", "listed", "egf-both",
          "family-shifted", "rz", "related", "ascent-table", "ascent-table-des",
          "y-derivative-cycles", "y-derivative-egf"],
 )
