@@ -9,7 +9,8 @@ and free gaps) and second-kind cycle forms (excedance and plain letters),
 list the labelled places of a level, insert the next entry there and strip
 it again; ``level`` grows every level whole from the empty object.  The
 ``bulk`` sweeps grow the same trees with no label computed, depth first in
-blocks of rows (``perms.depth_first``), never holding a level whole.
+blocks of rows (``perms.depth_first``), never holding a level whole, and
+read their top level off the parents and ``open_places`` without building it.
 """
 
 from __future__ import annotations
@@ -195,14 +196,19 @@ def insert(tree: Tree, level: np.ndarray, row: np.ndarray, place: np.ndarray) ->
 
 
 def grow(tree: Tree, level: np.ndarray) -> np.ndarray:
-    """The next level: the next entry put into every row at every place,
-    with no rank computed; the places are read a chunk at a time."""
+    """The next level: the next entry put into every row at every place."""
+    return _put(tree, level, open_places(tree, level))
+
+
+def open_places(tree: Tree, level: np.ndarray) -> np.ndarray:
+    """Rows × places mask of where the next entry may go, with no rank
+    computed; the marks are read a chunk at a time."""
     at = np.empty((len(level), level.shape[1] + 1), dtype=bool)
     for part in perms.chunks(len(level)):
         one, two, ends, _ = tree.marks(level[part])
         at[part] = one | two
         at[part, ends] = True
-    return _put(tree, level, at)
+    return at
 
 
 def strip(tree: Tree, level: np.ndarray) -> tuple[np.ndarray, ...]:

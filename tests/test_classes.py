@@ -116,9 +116,11 @@ def test_levels_match_filters_and_the_sweeps(monkeypatch):
 
     monkeypatch.setattr(classes, "grow", record)
     monkeypatch.setattr(bulk, "_cache", {})
-    bulk.simsun_word_distributions(8)
-    bulk.simsun_cycle_distributions(8)
-    bulk.all_perm_word_distributions(8)
+    # a sweep grows every level below its bound and derives the top one
+    # without building it, so a bound of 9 grows levels 1..8
+    bulk.simsun_word_distributions(9)
+    bulk.simsun_cycle_distributions(9)
+    bulk.all_perm_word_distributions(9)
     monkeypatch.setattr(classes, "grow", grow)
     for tree, mask in (
         (classes.FIRST, classes.simsun_first_mask),
