@@ -3,7 +3,8 @@ trees with their generators and labelings; and, as an independent oracle,
 the cycle counts of the cycle-up-down permutations.
 
 All of it runs on arrays whose rows are whole objects; a single object is
-a one-row call.  The recognizers are row-mask kernels.  The three trees,
+a one-row call.  The recognizers are row-mask kernels that work on a
+letters × rows copy of their rows, a few numpy calls a letter.  The three trees,
 first-kind words (descent and free gaps), all permutations (interior-peak
 and free gaps) and second-kind cycle forms (excedance and plain letters),
 list the labelled places of a level, insert the next entry there and strip
@@ -31,14 +32,19 @@ from .poly import Poly
 def simsun_first_mask(a: np.ndarray) -> np.ndarray:
     """Rows of ``a`` (words of [m]) with no double descent in any
     restriction to [k]: the letter k is removed from every row at once,
-    from k = m down."""
+    from k = m down.  The rows are the columns of a letters × rows copy, so
+    each step is a few numpy calls over whole rows of it."""
     rows, m = a.shape
-    ok = np.ones(rows, dtype=bool)
+    word = a.T.copy()
+    places = np.arange(m, dtype=a.dtype)[:, None]
+    bad = np.zeros(rows, dtype=bool)
     for k in range(m, 2, -1):
-        down = a[:, :-1] > a[:, 1:]
-        ok &= ~(down[:, :-1] & down[:, 1:]).any(axis=1)
-        a = a[a != k].reshape(rows, k - 1)
-    return ok
+        down = word[:-1] > word[1:]
+        bad |= (down[:-1] & down[1:]).any(axis=0)
+        # k, the largest letter left, leaves: the letters after it move up
+        at = ((word == k) * places[:k]).sum(axis=0, dtype=a.dtype)
+        word = word[:-1] + (places[: k - 1] >= at) * (word[1:] - word[:-1])
+    return ~bad
 
 
 def simsun_second_mask(a: np.ndarray) -> np.ndarray:
@@ -48,21 +54,27 @@ def simsun_second_mask(a: np.ndarray) -> np.ndarray:
     k = 0 is included: the permutation itself must be free of double
     excedances, otherwise exc = cpk can fail.  Removing the letter ``cut``
     bypasses it: its predecessor now maps to its successor.  With at most
-    two letters left no double excedance fits.
+    two letters left no double excedance fits.  Successors and predecessors
+    are letters × rows arrays, so a bypass is one flat scatter.
     """
     rows, m = a.shape
-    values = np.arange(1, m + 1, dtype=a.dtype)
-    succ = a.copy()
-    pred = perms.inverse_rows(a)
-    ok = np.ones(rows, dtype=bool)
-    every = np.arange(rows)
+    links = np.empty((2, m, rows), dtype=a.dtype)  # successors, predecessors
+    links[0], links[1] = a.T, perms.inverse_rows(a).T
+    flat = links.reshape(-1)
+    # letter v of row r in links[j] sits at flat index (j·m + v - 1)·rows + r;
+    # the scatter's index is made in one buffer, with no temporary per cut
+    offset = (np.arange(2)[:, None] * m - 1) * rows + np.arange(rows)
+    index = np.empty_like(offset)
+    values = np.arange(1, m + 1, dtype=a.dtype)[:, None]
+    bad = np.zeros(rows, dtype=bool)
     for cut in range(m, 2, -1):
         x = values[:cut]
-        ok &= ~((pred[:, :cut] < x) & (x < succ[:, :cut])).any(axis=1)
-        before, after = pred[:, cut - 1].copy(), succ[:, cut - 1].copy()
-        succ[every, before - 1] = after
-        pred[every, after - 1] = before
-    return ok
+        bad |= ((links[1, :cut] < x) & (x < links[0, :cut])).any(axis=0)
+        ends = links[:, cut - 1]  # cut's successor and predecessor
+        np.multiply(ends[::-1], rows, out=index, dtype=np.intp)
+        index += offset
+        flat[index] = ends
+    return ~bad
 
 
 def is_simsun_first(word: Word) -> bool:

@@ -303,6 +303,14 @@ def zigzag_chunks(n: int, signed: bool) -> Iterator[np.ndarray]:
     A top level of more than ``ROW_BUDGET`` rows (E_n or S_n, from the
     boustrophedon triangles below) is refused before anything is built.
     """
+    blocks, _ = _zigzag_walk(n, signed, n)
+    return (prefixes for depth, (prefixes, _) in blocks if depth == n)
+
+
+def _zigzag_walk(n: int, signed: bool, depth: int) -> tuple[Iterator[tuple], Callable]:
+    """The ``depth_first`` blocks of the zigzag prefixes of [n] up to
+    ``depth``, and the allowed-letter mask of a block's next letter; the top
+    level is refused over ``ROW_BUDGET`` before the walk starts."""
     rows = _snake_rows(n) if signed else _zigzag_rows(n - 1)
     check_budget(rows, f"the {'snakes' if signed else 'alternating permutations'} of [{n}]")
     dtype = _letter_dtype(n)
@@ -313,8 +321,8 @@ def zigzag_chunks(n: int, signed: bool) -> Iterator[np.ndarray]:
     # n <= 30, far beyond any row budget (E_30 and S_30 exceed 10^29)
     bits = np.left_shift(1, np.abs(letters), dtype=np.int32)
     root = np.zeros((1, 0), dtype=dtype), np.zeros(1, dtype=np.int32)
-    blocks = depth_first(root, lambda *block: _extend_zigzags(*block, letters, bits, n), n)
-    return (prefixes for depth, (prefixes, _) in blocks if depth == n)
+    blocks = depth_first(root, lambda *block: _extend_zigzags(*block, letters, bits, n), depth)
+    return blocks, lambda *block: _allowed(*block, letters, bits, n)
 
 
 def _zigzag_rows(m: int) -> int:
@@ -337,11 +345,9 @@ def _snake_rows(n: int) -> int:
     return row[n]
 
 
-def _extend_zigzags(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,
-                    bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every allowed next letter after every prefix, from a rows × letters
-    mask read in row-major order: the letters ascend, so the children of a
-    prefix follow in lexicographic order."""
+def _allowed(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,
+             bits: np.ndarray, n: int) -> np.ndarray:
+    """Rows × letters mask of the letters that may follow each prefix."""
     rows, i = prefixes.shape
     offered = (used[:, None] & bits) == 0
     if not i:
@@ -358,11 +364,20 @@ def _extend_zigzags(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,
         else:
             end = offered.argmax(axis=1)
         allowed[np.arange(rows), end] = False
+    return allowed
+
+
+def _extend_zigzags(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,
+                    bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every allowed next letter after every prefix, from the ``_allowed``
+    mask read in row-major order: the letters ascend, so the children of a
+    prefix follow in lexicographic order."""
+    allowed = _allowed(prefixes, used, letters, bits, n)
     per_prefix = allowed.sum(axis=1)
     letter = np.flatnonzero(allowed) % len(letters)
-    children = np.empty((len(letter), i + 1), dtype=prefixes.dtype)
-    children[:, :i] = np.repeat(prefixes, per_prefix, axis=0)
-    children[:, i] = letters[letter]
+    children = np.empty((len(letter), prefixes.shape[1] + 1), dtype=prefixes.dtype)
+    children[:, :-1] = np.repeat(prefixes, per_prefix, axis=0)
+    children[:, -1] = letters[letter]
     return children, np.repeat(used, per_prefix) | bits[letter]
 
 
@@ -381,11 +396,27 @@ def alternating_permutations(n: int) -> Iterator[Word]:
     return _words(zigzag_chunks(n, signed=False))
 
 
+def _zigzag_count(n: int, signed: bool) -> int:
+    """The rows of ``zigzag_chunks(n, signed)``, the last level counted as
+    the allowed letters of its parents, never built: as many parents at a
+    time as ``depth_first`` would extend, so the masks stay that small."""
+    if not n:
+        return 1  # the empty word
+    blocks, allowed = _zigzag_walk(n, signed, n - 1)
+    step = max(1, _CHUNK // n)
+    count = 0
+    for depth, block in blocks:
+        if depth == n - 1:
+            for start in range(0, len(block[0]), step):
+                count += int(allowed(*(a[start : start + step] for a in block)).sum())
+    return count
+
+
 def euler_number(n: int) -> int:
     """E_n, the number of rows of the alternating permutations of [n]."""
-    return sum(map(len, zigzag_chunks(n, signed=False)))
+    return _zigzag_count(n, signed=False)
 
 
 def springer_number(n: int) -> int:
     """S_n, the number of rows of the type-B snakes of [n]."""
-    return sum(map(len, zigzag_chunks(n, signed=True)))
+    return _zigzag_count(n, signed=True)

@@ -8,7 +8,12 @@ proposer finds the points and is not trusted, since a wrong point only
 makes the checker refuse: ``_seeded`` places them in the gaps of a
 certificate already made for a polynomial whose roots interlace these
 (the previous row of a family, the other side of a relation, or, in the
-Rolle search ``_search``, the derivative).
+Rolle search ``_search``, the derivative).  The proposer's points are
+dyadic, n/2^e, and it keeps them as integer pairs (n, e): midpoints and
+comparisons are shifts, and Horner evaluates 2^(e·deg p)·p(n/2^e), as in
+integer-only root isolation on dyadic intervals (Rouillier and Zimmermann,
+J. Comput. Appl. Math. 2004).  The checker and the certificates keep
+rationals; ``_rationals`` and ``_dyadics`` convert at that boundary.
 Weak inequalities in the interlacing definitions are honored through the
 exact gcd of common roots, never numeric closeness.
 """
@@ -26,6 +31,8 @@ from .poly import Poly
 # halvings of a gap, past those from its width down to the least root, before
 # the seed looks for a shared root and then tests the slope bound
 _PATIENCE = 64
+
+Dyadic = tuple[int, int]  # (n, e) stands for n/2^e
 
 
 def dense(p: Poly | list) -> list[int]:
@@ -83,19 +90,7 @@ def squarefree(p: list[int]) -> list[int]:
     return _divmod(p, poly_gcd(p, derivative(p)))[0]
 
 
-def _horner(p: list[int], t: Fraction) -> int:
-    """b^deg(p)·p(a/b) for t = a/b, b > 0: it has the sign of p(t)."""
-    a, b = t.numerator, t.denominator
-    acc, power = 0, 1
-    for c in reversed(p):
-        acc = acc * a + c * power
-        power *= b
-    return acc
-
-
-def _sign(p: list[int], t: Fraction) -> int:
-    value = _horner(p, t)
-    return (value > 0) - (value < 0)
+# -- the checker: rational points ---------------------------------------------
 
 
 def _alternates(polys: list[list[int]], turns: list[int], points: list[Fraction]) -> bool:
@@ -107,55 +102,129 @@ def _alternates(polys: list[list[int]], turns: list[int], points: list[Fraction]
     named and none elsewhere: in increasing order they belong to
     polys[turns[0]], polys[turns[1]], ...
     """
+
+    def sign(p: list[int], t: Fraction) -> int:
+        # b^deg(p)·p(a/b) for t = a/b, b > 0, has the sign of p(t)
+        a, b = t.numerator, t.denominator
+        acc, power = 0, 1
+        for c in reversed(p):
+            acc = acc * a + c * power
+            power *= b
+        return (acc > 0) - (acc < 0)
+
     if len(points) != len(turns) + 1 or any(a >= b for a, b in zip(points, points[1:])):
         return False
     if any(turns.count(j) != len(p) - 1 for j, p in enumerate(polys)):
         return False
-    signs = [[_sign(p, t) for p in polys] for t in points]
+    signs = [[sign(p, t) for p in polys] for t in points]
     return all(0 not in row for row in signs) and all(
         before[owner] != after[owner] for owner, before, after in zip(turns, signs, signs[1:])
     )
 
 
+def _rationals(points: list[Dyadic] | None) -> list[Fraction] | None:
+    """The proposer's points as the checker's rationals (None stays None)."""
+    return None if points is None else [Fraction(n, 1 << e) for n, e in points]
+
+
+def _dyadics(points: list[Fraction]) -> list[Dyadic] | None:
+    """A certificate's points as the proposer's pairs, or None if one of
+    them is not a dyadic rational (then it seeds nothing)."""
+    if any(t.denominator & (t.denominator - 1) for t in points):
+        return None
+    return [(t.numerator, t.denominator.bit_length() - 1) for t in points]
+
+
+# -- the proposer: dyadic points as integer pairs ------------------------------
+#
+# A point is a pair (n, e) standing for n/2^e, e >= 0, in lowest terms: n is
+# odd unless e = 0.  Midpoints, comparisons and evaluation are shifts and
+# integer products, so no rational is made while points are proposed.
+
+
+def _dyad(n: int, e: int) -> Dyadic:
+    """n/2^e in lowest terms."""
+    shift = min(e, (n & -n).bit_length() - 1) if n else e
+    return n >> shift, e - shift
+
+
+def _mid(x: Dyadic, y: Dyadic) -> Dyadic:
+    (a, e), (b, f) = x, y
+    g = max(e, f)
+    return _dyad((a << (g - e)) + (b << (g - f)), g + 1)
+
+
+def _less(x: Dyadic, y: Dyadic) -> bool:
+    return x[0] << y[1] < y[0] << x[1]
+
+
+def _ceil(n: int, e: int) -> int:
+    """The least integer at or above n/2^e."""
+    return -(-n >> e)
+
+
+def _horner(p: list[int], t: Dyadic) -> int:
+    """2^(e·deg p)·p(n/2^e) for t = (n, e), by shifts: it has the sign of p(t)."""
+    n, e = t
+    acc, shift = 0, 0
+    for c in reversed(p):
+        acc = acc * n + (c << shift)
+        shift += e
+    return acc
+
+
+def _sign(p: list[int], t: Dyadic) -> int:
+    value = _horner(p, t)
+    return (value > 0) - (value < 0)
+
+
 def _halve(p: list[int], bracket: list) -> None:
     """Halve [lo, hi, sign of p at lo, ...] around the one root of p inside."""
     lo, hi, at_lo = bracket[:3]
-    mid = (lo + hi) / 2
+    mid = _mid(lo, hi)
     side = _sign(p, mid)
     if side == 0:
-        bracket[:2] = (lo + mid) / 2, (mid + hi) / 2
+        bracket[:2] = _mid(lo, mid), _mid(mid, hi)
     else:
         bracket[side != at_lo] = mid  # lo moves up when the sign is the same
 
 
-def _cauchy(p: list[int]) -> Fraction:
-    """A bound above the absolute value of every root of p."""
-    return 1 + Fraction(max(map(abs, p[:-1]), default=0), abs(p[-1]))
+def _cauchy(p: list[int], scale: int = 1) -> int:
+    """The least integer at or above ``scale`` times 1 + max|p_i| / |lead|,
+    the Cauchy bound above the absolute value of every root of p."""
+    lead = abs(p[-1])
+    return -(-scale * (lead + max(map(abs, p[:-1]), default=0)) // lead)
 
 
-def _search(p: list[int]) -> list[Fraction] | None:
+def _search(p: list[int]) -> list[Dyadic] | None:
     """Untrusted: deg p + 1 increasing points at which p alternates in sign,
     or None.  Recursive via Rolle: the roots of p', real and simple if p's
     are, separate p's, so p' and its own points seed p."""
     if len(p) == 1:
-        return [Fraction(0)]
+        return [(0, 0)]
     dp = derivative(p)
     crit = _search(dp)
     return None if crit is None else _seeded(p, dp, crit)
 
 
-def _dyadic(p: list[int], mid: Fraction, lo: Fraction, hi: Fraction, want: int) -> Fraction:
-    """The shortest round(mid·2^j)/2^j strictly inside (lo, hi) at which p
-    has the sign ``want``; p has it at mid, so it exists.  Short points keep
-    the bits of a chain from piling up row after row."""
-    for j in itertools.count():
-        t = Fraction(round(mid * 2**j), 2**j)
-        if lo < t < hi and _sign(p, t) == want:
+def _dyadic(p: list[int], mid: Dyadic, lo: Dyadic, hi: Dyadic, want: int) -> Dyadic:
+    """The shortest round(mid·2^j)/2^j (half to even) strictly inside (lo,
+    hi) at which p has the sign ``want``; p has it at mid, which is such a
+    point for j = e.  Short points keep the bits of a chain from piling up
+    row after row."""
+    n, e = mid
+    for j in range(e):
+        shift = e - j
+        whole, rest = n >> shift, n & ((1 << shift) - 1)
+        half = 1 << (shift - 1)
+        t = _dyad(whole + (rest > half or (rest == half and whole & 1)), j)
+        if _less(lo, t) and _less(t, hi) and _sign(p, t) == want:
             return t
+    return mid
 
 
-def _place(p: list[int], q: list[int], lo: Fraction, hi: Fraction, want: int,
-           patience: int) -> Fraction | None:
+def _place(p: list[int], q: list[int], lo: Dyadic, hi: Dyadic, want: int,
+           patience: int) -> Dyadic | None:
     """A point in (lo, hi), a gap of one root of q, at which p has the sign
     ``want``: the midpoint of the gap, halved around q's root until p has it
     there, shortened by ``_dyadic``.  Past ``patience`` halvings, None on a
@@ -163,7 +232,7 @@ def _place(p: list[int], q: list[int], lo: Fraction, hi: Fraction, want: int,
     bracket = [lo, hi, _sign(q, lo)]
     for steps in itertools.count():
         a, b = bracket[:2]
-        mid = (a + b) / 2
+        mid = _mid(a, b)
         value = _horner(p, mid)
         if value * want > 0:
             return _dyadic(p, mid, lo, hi, want)
@@ -171,13 +240,18 @@ def _place(p: list[int], q: list[int], lo: Fraction, hi: Fraction, want: int,
             if len(poly_gcd(p, q)) > 1:
                 return None
             # |p'| <= slope on [lo, hi], so |p(mid) - p(root of q)| <= slope·(b - a)
-            slope = sum(abs(c) * math.ceil(max(-lo, hi)) ** i for i, c in enumerate(derivative(p)))
-        if steps >= patience and abs(value) > slope * (b - a) * mid.denominator ** degree(p):
-            return None
+            reach = max(_ceil(-lo[0], lo[1]), _ceil(*hi))
+            slope = sum(abs(c) * reach**i for i, c in enumerate(derivative(p)))
+        if steps >= patience:
+            # |p(mid)| > slope·(b - a), times 2^(e·deg p) for mid = (n, e)
+            g = max(a[1], b[1])
+            width = (b[0] << (g - b[1])) - (a[0] << (g - a[1]))
+            if abs(value) << g > slope * width << (mid[1] * degree(p)):
+                return None
         _halve(q, bracket)
 
 
-def _seeded(p: list[int], q: list[int], known: list[Fraction]) -> list[Fraction] | None:
+def _seeded(p: list[int], q: list[int], known: list[Dyadic]) -> list[Dyadic] | None:
     """Untrusted: points for p from ``known``, a certificate of q.
 
     If q is p, its points.  If deg p is deg q + 1 and q's roots interlace
@@ -192,24 +266,24 @@ def _seeded(p: list[int], q: list[int], known: list[Fraction]) -> list[Fraction]
     shift = degree(p) - degree(q)
     if shift not in (0, 1):
         return None
-    bound = Fraction(math.ceil(max(_cauchy(p), -known[0], known[-1])))
+    bound = max(_cauchy(p), _ceil(-known[0][0], known[0][1]), _ceil(*known[-1]))
     lead = 1 if p[-1] > 0 else -1
     # the nonzero roots of q exceed 1/_cauchy(nonzero reversed) in absolute value
     nonzero = q[next(i for i, c in enumerate(q) if c):]
-    patience = _PATIENCE + math.ceil(2 * bound * _cauchy(nonzero[::-1])).bit_length()
+    patience = _PATIENCE + _cauchy(nonzero[::-1], 2 * bound).bit_length()
     for left, right in [(1, 1)] if shift else [(0, 1), (1, 0)]:
-        points = [-bound] * left
+        points = [(-bound, 0)] * left
         for lo, hi in zip(known, known[1:]):
             point = _place(p, q, lo, hi, lead * (-1) ** (degree(p) - len(points)), patience)
             if point is None:
                 break
             points.append(point)
         else:
-            return points + [bound] * right
+            return points + [(bound, 0)] * right
     return None
 
 
-def _merge(polys: list[list[int]], found: list) -> list[Fraction] | None:
+def _merge(polys: list[list[int]], found: list) -> list[Dyadic] | None:
     """Untrusted: one increasing point sequence for two coprime polynomials.
     ``found[j]`` is a certificate of ``polys[j]`` already made, or None to
     search for one; its gaps, in order, hold one root each.  One pass merges
@@ -222,15 +296,15 @@ def _merge(polys: list[list[int]], found: list) -> list[Fraction] | None:
     merged, (a, b) = [], ([[lo, hi, _sign(p, lo)] for lo, hi in zip(points, points[1:])]
                           for p, points in zip(polys, found))
     while a and b:
-        if a[0][1] <= b[0][0]:
+        if not _less(b[0][0], a[0][1]):
             merged.append(a.pop(0))
-        elif b[0][1] <= a[0][0]:
+        elif not _less(a[0][0], b[0][1]):
             merged.append(b.pop(0))
         else:
             _halve(polys[0], a[0])
             _halve(polys[1], b[0])
     merged += a + b
-    return [merged[0][0] if merged else Fraction(0)] + [c[1] for c in merged]
+    return [merged[0][0] if merged else (0, 0)] + [c[1] for c in merged]
 
 
 @dataclass
@@ -261,13 +335,14 @@ def certify_rz(p: Poly | list, near: RzCertificate | None = None) -> RzCertifica
         raise ValueError("zero polynomial")
     zeros = next(i for i, c in enumerate(d) if c)
     poly = sf = d[zeros:]
-    points = _seeded(poly, near.poly, near.points) if near and near.real_rooted else None
+    seed = _dyadics(near.points) if near and near.real_rooted else None
+    points = None if seed is None else _rationals(_seeded(poly, near.poly, seed))
     if points is None or not _alternates([poly], [0] * degree(poly), points):
-        points = _search(poly)
+        points = _rationals(_search(poly))
     if points is None:
         sf = squarefree(poly)
         if len(sf) < len(poly):
-            poly, points = sf, _search(sf)
+            poly, points = sf, _rationals(_search(sf))
     turns = [0] * degree(poly)
     real_rooted = points is not None and _alternates([poly], turns, points)
     # the other roots are negative iff the last point can move to 0
@@ -326,11 +401,11 @@ def check_relation(p: Poly | list, q: Poly | list, relation: str,
     polys = [_divmod(d, g)[0] for d in (dp, dq)]
     # with a constant gcd the cofactors are p and q: a certificate of the
     # whole polynomial (all roots simple, none at 0) brackets its roots
-    found = [c.points if len(g) == 1 and c.all_simple and d[0] else None
+    found = [_dyadics(c.points) if len(g) == 1 and c.all_simple and d[0] else None
              for c, d in zip(certs, (dp, dq))]
     # interlace: q p q ... p q; alternate-left: p q p ... p q
     turns = [(k + shift) % 2 for k in range(len(polys[0]) + len(polys[1]) - 2)]
-    points = _merge(polys, found)
+    points = _rationals(_merge(polys, found))
     if points is None or not _alternates(polys, turns, points):
         return RelationReport(relation, False, "roots out of order", certs)
     return RelationReport(relation, True, certs=certs)

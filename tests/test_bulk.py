@@ -132,9 +132,9 @@ def test_blocks_never_exceed_the_chunk(monkeypatch):
     # no level is handed on whole (level 6 of all permutations has 720)
     monkeypatch.setattr(perms, "_CHUNK", 7)
     monkeypatch.setattr(bulk, "_cache", {})
-    seen = {"grow": [], "_extend_zigzags": [], "bincount": []}
+    seen = {"grow": [], "_extend_zigzags": [], "_allowed": [], "bincount": []}
     for module, name, at in ((classes, "grow", 1), (perms, "_extend_zigzags", 0),
-                             (np, "bincount", 0)):
+                             (perms, "_allowed", 0), (np, "bincount", 0)):
         def record(*args, inner=getattr(module, name), shapes=seen[name], at=at, **kwargs):
             shapes.append(args[at].shape)
             return inner(*args, **kwargs)
@@ -147,6 +147,9 @@ def test_blocks_never_exceed_the_chunk(monkeypatch):
     assert perms.euler_number(8) == 1385
     assert perms.springer_number(6) == 2763
     assert all(shapes and max(shape[0] for shape in shapes) <= 7 for shapes in seen.values())
+    # the zigzag masks, the counted last level's too, cover as many prefixes
+    # of m letters as depth_first extends at a time: _CHUNK // (m + 1)
+    assert all(rows <= max(1, 7 // (m + 1)) for rows, m in seen["_allowed"])
     # the sweeps grow parents of up to 5 letters: level 7 is never built, yet
     # every object of every level is binned once
     assert max(grown) == 5

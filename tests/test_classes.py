@@ -168,6 +168,91 @@ def test_engine_folds_over_chunks(monkeypatch):
 
 
 
+# -- row-wise reference recognizers ------------------------------------------
+#
+# The row-major kernels the transposed ones replaced: the same definitions,
+# each step a reduction along the rows and a boolean-index removal or a
+# fancy-indexed bypass.
+
+
+def _first_mask_rows(a):
+    rows, m = a.shape
+    ok = np.ones(rows, dtype=bool)
+    for k in range(m, 2, -1):
+        down = a[:, :-1] > a[:, 1:]
+        ok &= ~(down[:, :-1] & down[:, 1:]).any(axis=1)
+        a = a[a != k].reshape(rows, k - 1)
+    return ok
+
+
+def _second_mask_rows(a):
+    rows, m = a.shape
+    values = np.arange(1, m + 1, dtype=a.dtype)
+    succ = a.copy()
+    pred = perms.inverse_rows(a)
+    ok = np.ones(rows, dtype=bool)
+    every = np.arange(rows)
+    for cut in range(m, 2, -1):
+        x = values[:cut]
+        ok &= ~((pred[:, :cut] < x) & (x < succ[:, :cut])).any(axis=1)
+        before, after = pred[:, cut - 1].copy(), succ[:, cut - 1].copy()
+        succ[every, before - 1] = after
+        pred[every, after - 1] = before
+    return ok
+
+
+def _same_masks(a):
+    """The two reference masks of ``a``, once the kernels have matched them."""
+    expected = _first_mask_rows(a), _second_mask_rows(a)
+    for kernel, want in zip((classes.simsun_first_mask, classes.simsun_second_mask), expected):
+        got = kernel(a)
+        assert got.dtype == bool and got.shape == (len(a),)
+        assert (got == want).all(), kernel.__name__
+    return expected
+
+
+def test_kernels_match_row_references():
+    # every permutation of [n], n <= 9, in the default blocks
+    for n in range(10):
+        for chunk in perms.permutation_chunks(n):
+            _same_masks(chunk)
+
+
+def test_kernels_match_row_references_in_small_chunks(monkeypatch):
+    # blocks of 3! = 6 rows (2 rows for n = 2 and 1 for n < 2)
+    monkeypatch.setattr(perms, "_CHUNK", 7)
+    for n in range(8):
+        for chunk in perms.permutation_chunks(n):
+            assert len(chunk) <= 7
+            _same_masks(chunk)
+
+
+def _grown(tree, n, rng, closed=False):
+    """One object of size n, each entry put into a random open place, or,
+    with ``closed``, the last one into a place the tree leaves closed: a
+    non-member whose parent is a member.  Its letters pass 127, so they are
+    int32 from the start."""
+    row = np.zeros((1, 0), dtype=np.int32)
+    for m in range(n):
+        at = classes.open_places(tree, row)[0]
+        place = rng.choice(np.flatnonzero(~at if closed and m == n - 1 else at))
+        row = classes.insert(tree, row, np.zeros(1, dtype=np.intp), np.array([place]))
+    return classes.one_line(row) if tree.cycles else row
+
+
+@pytest.mark.parametrize("n", [1100, 4000])
+def test_kernels_match_row_references_on_long_rows(n):
+    rng = np.random.default_rng(n)
+    rows = [_grown(tree, n, rng, closed) for closed in (False, True)
+            for tree in (classes.FIRST, classes.SECOND)]
+    rows += [perms.word_array([rng.permutation(n) + 1], n) for _ in range(2)]
+    first, second = zip(*(_same_masks(row) for row in rows))
+    # members of their own kind, then non-members that fail only with all
+    # letters present, then random words
+    assert [bool(first[i][0]) for i in (0, 2, 4, 5)] == [True, False, False, False]
+    assert [bool(second[i][0]) for i in (1, 3, 4, 5)] == [True, False, False, False]
+
+
 def test_first_kind_recognizer():
     assert classes.is_simsun_first((3, 5, 1, 4, 2))
     assert not classes.is_simsun_first((3, 5, 2, 4, 1))

@@ -46,3 +46,31 @@ def test_polynomial_modules_import_no_numpy():
             if any(name.split(".")[0] == "numpy" for name in _imported(node) if name):
                 found.append(f"{path.name}:{node.lineno} imports numpy")
     assert found == []
+
+
+# the checker, the conversions between its rationals and the proposer's
+# (n, e) pairs, the certificate that carries rationals and certify_rz, which
+# moves the last point of a certificate to 0; no proposer function among them
+FRACTION_ALLOWED = {"_alternates", "_rationals", "_dyadics", "RzCertificate", "certify_rz"}
+PROPOSER = {"_horner", "_sign", "_halve", "_cauchy", "_search", "_dyadic", "_place",
+            "_seeded", "_merge", "_mid", "_dyad", "_less", "_ceil"}
+
+
+def test_roots_names_fraction_only_in_the_checker_and_its_boundary():
+    path = next(path for path in SOURCES if path.name == "roots.py")
+    tree = ast.parse(path.read_text(), str(path))
+    defined = {node.name: node for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert FRACTION_ALLOWED | PROPOSER <= defined.keys() and not FRACTION_ALLOWED & PROPOSER
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            continue  # the one import
+        name = getattr(node, "name", None)
+        for inner in ast.walk(node):
+            if (isinstance(inner, ast.Name) and inner.id == "Fraction"
+                    or isinstance(inner, ast.alias) and inner.name == "Fraction"
+                    or isinstance(inner, ast.Attribute) and inner.attr == "Fraction"):
+                if name not in FRACTION_ALLOWED:
+                    found.append(f"roots.py:{inner.lineno} Fraction in {name or 'module level'}")
+    assert found == []

@@ -165,8 +165,9 @@ def test_chain_searches_the_first_row_only(monkeypatch):
     assert len(searched) == first
 
 
+# the seeds are the proposer's (n, e) pairs, n/2^e
 @pytest.mark.parametrize("bad", [
-    lambda points: [t + 1 for t in points],
+    lambda points: [(n + (1 << e), e) for n, e in points],
     lambda points: points[::-1],
     lambda points: points[:-1],
 ])
@@ -209,6 +210,7 @@ def test_each_way_the_proposer_ends(monkeypatch, p, q, gcd, found):
     q = q or roots.derivative(p)
     points = roots._seeded(p, q, roots._search(q))
     assert gcds == [gcd]  # each pair passes the patience once, in one gap
+    points = roots._rationals(points)
     assert (points is not None and roots._alternates([p], [0] * roots.degree(p), points)) == found
 
 

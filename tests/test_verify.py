@@ -198,6 +198,17 @@ def _flip_first_step(original):
     return flipped
 
 
+def _unfixed_singletons(original):
+    def derived(block, keys, at):
+        # a new singleton cycle (place 0) of the derived top level adds
+        # (0, 0, 1) to (exc, fix, cyc): it is not counted as a fixed point
+        size, columns = original(block, keys, at)
+        radix = block.shape[1] + 2
+        return size, (keys - radix if not c else keys for c, keys in enumerate(columns))
+
+    return derived
+
+
 def _drop_y_derivative(table):
     # without its d/dy term Sxyq's step turns the 2-cycle of [2], x*q, into x*q*y
     return {**table, "Sxyq": table["Sxyq"][:4] + (Poly(),)}
@@ -237,11 +248,13 @@ def _drop_y_derivative(table):
         (perms, "mask_stats", _bump_table(-1, 0, 5), "descent-left-peak", "n=5: des vs lpk"),
         (triangles, "FIRST_ORDER", _drop_y_derivative, "trivariate-binomial", "n=2"),
         (triangles, "FIRST_ORDER", _drop_y_derivative, "series-trivariate", "n=2"),
+        # only the top level of a cold cycle sweep is derived, not built
+        (bulk, "_child_cycle_keys", _unfixed_singletons, "trivariate-binomial", "n=5"),
     ],
     ids=["closed", "egf", "egf-halving", "egf-power", "each", "swept-keep", "euler-cardinalities",
          "euler-convolution", "first-kind-filter", "second-kind-filter", "first-kind-repeat", "listed", "egf-both",
          "family-shifted", "rz", "related", "ascent-table", "ascent-table-des",
-         "y-derivative-cycles", "y-derivative-egf"],
+         "y-derivative-cycles", "y-derivative-egf", "cycle-top-level"],
 )
 def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identity, detail):
     # a sweep cached by an earlier test would hide a fault of what it reads
