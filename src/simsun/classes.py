@@ -3,15 +3,17 @@ trees with their generators and labelings; and, as an independent oracle,
 the cycle counts of the cycle-up-down permutations.
 
 All of it runs on arrays whose rows are whole objects; a single object is
-a one-row call.  The recognizers are row-mask kernels that work on a
-letters × rows copy of their rows, a few numpy calls a letter.  The three trees,
-first-kind words (descent and free gaps), all permutations (interior-peak
-and free gaps) and second-kind cycle forms (excedance and plain letters),
-list the labelled places of a level, insert the next entry there and strip
-it again; ``level`` grows every level whole from the empty object.  The
-``bulk`` sweeps grow the same trees with no label computed, depth first in
-blocks of rows (``perms.depth_first``), never holding a level whole, and
-read their top level off the parents and ``open_places`` without building it.
+a one-row call.  Both recognizers are one row-mask kernel, on a letters ×
+rows copy, that finds no double descent of a word, or for the second kind
+no double ascent of its cycle word (``perms``), in any restriction to [k].
+The three trees, first-kind words (descent and free gaps), all
+permutations (interior-peak and free gaps) and second-kind cycle forms
+(excedance and plain letters), list the labelled places of a level, insert
+the next entry there and strip it again; ``level`` grows every level whole
+from the empty object.  The ``bulk`` sweeps grow the same trees with no
+label computed, depth first in blocks of rows (``perms.depth_first``),
+never holding a level whole, and read their top level off the parents and
+``open_places`` without building it.
 """
 
 from __future__ import annotations
@@ -29,52 +31,36 @@ from .poly import Poly
 # -- recognizers -------------------------------------------------------------
 
 
-def simsun_first_mask(a: np.ndarray) -> np.ndarray:
-    """Rows of ``a`` (words of [m]) with no double descent in any
-    restriction to [k]: the letter k is removed from every row at once,
-    from k = m down.  The rows are the columns of a letters × rows copy, so
-    each step is a few numpy calls over whole rows of it."""
+def _no_double_step(a: np.ndarray, step: np.ufunc) -> np.ndarray:
+    """Rows of ``a`` (words of [m]) with no two consecutive rises r that
+    ``step(r, 0)`` picks in any restriction to [k]: the letter k is removed
+    from every row at once, from k = m down, a few numpy calls over whole
+    rows of a letters × rows copy."""
     rows, m = a.shape
     word = a.T.copy()
-    places = np.arange(m, dtype=a.dtype)[:, None]
-    bad = np.zeros(rows, dtype=bool)
+    places = np.arange(m, dtype=a.dtype)
+    double = np.zeros((max(m - 2, 0), rows), dtype=bool)
     for k in range(m, 2, -1):
-        down = word[:-1] > word[1:]
-        bad |= (down[:-1] & down[1:]).any(axis=0)
+        rise = word[1:] - word[:-1]
+        steps = step(rise, 0)
+        double[: k - 2] |= steps[:-1] & steps[1:]
         # k, the largest letter left, leaves: the letters after it move up
-        at = ((word == k) * places[:k]).sum(axis=0, dtype=a.dtype)
-        word = word[:-1] + (places[: k - 1] >= at) * (word[1:] - word[:-1])
-    return ~bad
+        at = np.einsum("i,ij->j", places[:k], word == k)
+        word = word[:-1] + (places[: k - 1, None] >= at) * rise
+    return ~double.any(axis=0)
+
+
+def simsun_first_mask(a: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` (words of [m]) with no double descent in any
+    restriction to [k]."""
+    return _no_double_step(a, np.less)
 
 
 def simsun_second_mask(a: np.ndarray) -> np.ndarray:
-    """Rows of ``a`` (maps of [m], one-line) with no double excedance after
-    removing the k largest letters, all k >= 0.
-
-    k = 0 is included: the permutation itself must be free of double
-    excedances, otherwise exc = cpk can fail.  Removing the letter ``cut``
-    bypasses it: its predecessor now maps to its successor.  With at most
-    two letters left no double excedance fits.  Successors and predecessors
-    are letters × rows arrays, so a bypass is one flat scatter.
-    """
-    rows, m = a.shape
-    links = np.empty((2, m, rows), dtype=a.dtype)  # successors, predecessors
-    links[0], links[1] = a.T, perms.inverse_rows(a).T
-    flat = links.reshape(-1)
-    # letter v of row r in links[j] sits at flat index (j·m + v - 1)·rows + r;
-    # the scatter's index is made in one buffer, with no temporary per cut
-    offset = (np.arange(2)[:, None] * m - 1) * rows + np.arange(rows)
-    index = np.empty_like(offset)
-    values = np.arange(1, m + 1, dtype=a.dtype)[:, None]
-    bad = np.zeros(rows, dtype=bool)
-    for cut in range(m, 2, -1):
-        x = values[:cut]
-        bad |= ((links[1, :cut] < x) & (x < links[0, :cut])).any(axis=0)
-        ends = links[:, cut - 1]  # cut's successor and predecessor
-        np.multiply(ends[::-1], rows, out=index, dtype=np.intp)
-        index += offset
-        flat[index] = ends
-    return ~bad
+    """Rows of ``a`` (cycle words of maps of [m]) with no double excedance
+    after removing the k largest letters, all k >= 0 (k = 0 too, or exc =
+    cpk can fail): no double ascent in any restriction of the cycle word."""
+    return _no_double_step(a, np.greater)
 
 
 def is_simsun_first(word: Word) -> bool:
@@ -84,7 +70,7 @@ def is_simsun_first(word: Word) -> bool:
 
 def is_simsun_second(word: Word) -> bool:
     """No double excedance after removing the k largest letters, all k >= 0."""
-    return bool(simsun_second_mask(one_row(FIRST, word))[0])
+    return bool(simsun_second_mask(one_row(FIRST, perms.cycle_word(word)))[0])
 
 
 # -- labelled insertion trees as level arrays ----------------------------------
@@ -273,6 +259,22 @@ def one_line(level: np.ndarray) -> np.ndarray:
     return out
 
 
+def cycle_words(level: np.ndarray) -> np.ndarray:
+    """The rows of a SECOND level as cycle words, the cycles in reverse
+    order: each place moves by the letters after its cycle less those before
+    it, read off running maxima of the cycle starts and, from the right, of
+    the cycle ends (the places before a start, place 0 after the last)."""
+    places = np.arange(level.shape[1], dtype=level.dtype)[:, None]
+    start = level.T < 0
+    moves = np.where(np.roll(start, -1, axis=0), places[::-1], 0)
+    perms.running(np.maximum, moves[::-1])
+    moves += places
+    moves -= perms.running(np.maximum, np.where(start, places, 0))
+    words = np.empty_like(level)
+    np.put_along_axis(words, moves.T, level, axis=1)
+    return np.abs(words, out=words)
+
+
 def objects(tree: Tree, level: np.ndarray) -> list[tuple]:
     """The rows as tuples: words, or cycle forms in standard form."""
     rows = level.tolist()
@@ -363,7 +365,7 @@ def format_labeled_cycles(cycles: Cycles) -> str:
 
 def distribution(n: int) -> Poly:
     """Sum of q^cyc(w) over the cycle-up-down permutations w of [n], by a
-    filter over chunks of all n! permutations: no insertion tree is involved."""
+    filter over chunks of all n! cycle words: no insertion tree is involved."""
     counts = np.zeros(n + 1, dtype=np.int64)
     for chunk in perms.permutation_chunks(n):
         keep, cyc = perms.cycle_up_down(chunk)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ ENUM_CLASSES = {
     "simsun2": (classes.gen_simsun_second, 10),
     "snakes": (perms.snakes, 8),
     "alternating": (perms.alternating_permutations, 10),
-    "cud": (lambda n: (w for chunk in perms.permutation_chunks(n)
+    "cud": (lambda n: (perms.from_cycle_word(w) for chunk in perms.permutation_chunks(n)
                        for w in map(tuple, chunk[perms.cycle_up_down(chunk)[0]].tolist())), 9),
 }
 
@@ -273,7 +274,9 @@ def cmd_series(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="simsun",
         description="Exact enumeration and verification for simsun permutations.",

@@ -7,6 +7,17 @@ ordered by increasing smallest entry.  Signed permutations are windows
 ``(p(1), ..., p(n))`` whose absolute values form [n]; the full map on
 +-[n] is determined by p(-i) = -p(i).
 
+The cycle oracles read a word w as a *cycle word* (Foata's fundamental
+transformation): the permutation whose cycles are w cut before each
+left-to-right minimum, each cycle from its minimum, in decreasing order of
+minimum (``cycle_word``, ``from_cycle_word``), a bijection.  Inside a cycle a
+letter's neighbours are its preimage and image; a cycle's first letter
+follows a larger one, and its last letter x, which maps below x, precedes a
+smaller one.  So the double excedances, p^-1(x) < x < p(x), are the middles
+of the double ascents of the cycle word.  The largest letter is a
+left-to-right minimum only as a singleton cycle in front, so deleting it
+from the cycle word bypasses it in the permutation.
+
 All functions are pure, and words and cycle forms are immutable tuples.
 The class oracles (alternating permutations, snakes, the cycle-up-down
 filter) are numpy kernels over arrays whose rows are whole words, streamed
@@ -193,48 +204,46 @@ def standardize(cycles: Cycles) -> Cycles:
     return to_cycles(from_cycles(cycles))
 
 
+def cycle_word(word: Word) -> Word:
+    """The cycle word of a permutation (one-line): its cycles, each from its
+    minimum, in decreasing order of minimum."""
+    return tuple(v for cyc in reversed(to_cycles(word)) for v in cyc)
+
+
+def from_cycle_word(w: Word) -> Word:
+    """The permutation (one-line) whose cycles are ``w`` cut before each of its
+    left-to-right minima."""
+    cuts = [i for i, low in enumerate(itertools.accumulate(w, min)) if w[i] == low] + [len(w)]
+    return from_cycles(tuple(w[a:b] for a, b in zip(cuts, cuts[1:])))
+
+
+def running(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``op.accumulate`` along the first axis of ``a``, in place, one call a
+    row, which beats numpy's own over a few letters × many rows."""
+    for before, row in zip(a, a[1:]):
+        op(before, row, out=row)
+    return a
+
+
+def cycle_starts(word: np.ndarray) -> np.ndarray:
+    """Cycle-start mask of the cycle words that are the columns of ``word``
+    (letters × rows): their left-to-right minima."""
+    return running(np.minimum, word.copy()) == word
+
+
 def cycle_up_down(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row mask of the cycle-up-down maps of ``a`` (one-line rows) and the
+    """Row mask of the cycle-up-down maps among the cycle words ``a`` and the
     column of their cycle counts.
 
     Read from its minimum, a cycle b(1) < b(2) > b(3) < ... alternates: the
-    first step is up, so every letter that is neither its cycle's minimum
-    nor followed by it must be a peak or a valley between its neighbours.
+    first step is up, so every letter that neither starts a cycle nor is
+    followed by a start must be a peak or a valley between its neighbours.
     """
-    values = np.arange(1, a.shape[1] + 1, dtype=a.dtype)
-    is_min = orbit_minima(a) == values
-    turns = (inverse_rows(a) < values) != (values < a)
-    ok = is_min | turns
-    every = np.arange(len(a))
-    for j in range(a.shape[1]):
-        ok[:, j] |= is_min[every, a[:, j] - 1]  # followed by its cycle's minimum
-    return ok.all(axis=1), is_min.sum(axis=1)
-
-
-def inverse_rows(a: np.ndarray) -> np.ndarray:
-    """Inverse of each map of ``a`` (one-line rows), one column at a time
-    so that no index array is wider than a column."""
-    inv = np.empty_like(a)
-    every = np.arange(len(a))
-    for j in range(a.shape[1]):
-        inv[every, a[:, j] - 1] = j + 1
-    return inv
-
-
-def orbit_minima(a: np.ndarray) -> np.ndarray:
-    """Least letter of the cycle through each position of each map (one-line
-    rows), by iterated min over the forward steps a(i), a(a(i)), ..."""
-    rows, m = a.shape
-    flat = a.ravel()
-    # letter v of row r sits at flat index r * m + v - 1
-    offsets = np.arange(rows, dtype=np.intp)[:, None] * m - 1
-    index = np.empty(a.shape, dtype=np.intp)
-    low, cur = a.copy(), a.copy()
-    for _ in range(m - 1):
-        np.add(cur, offsets, out=index)
-        flat.take(index, out=cur)
-        np.minimum(low, cur, out=low)
-    return low
+    word = a.T.copy()
+    start = cycle_starts(word)
+    up = word[:-1] < word[1:]
+    ok = start[1:-1] | start[2:] | (up[:-1] != up[1:])
+    return ok.all(axis=0), start.sum(axis=0)
 
 
 def _letter_dtype(n: int) -> type:
@@ -309,7 +318,7 @@ def zigzag_chunks(n: int, signed: bool) -> Iterator[np.ndarray]:
 
 def _zigzag_walk(n: int, signed: bool, depth: int) -> tuple[Iterator[tuple], Callable]:
     """The ``depth_first`` blocks of the zigzag prefixes of [n] up to
-    ``depth``, and the allowed-letter mask of a block's next letter; the top
+    ``depth``, and the allowed-letter bits of a block's next letter; the top
     level is refused over ``ROW_BUDGET`` before the walk starts."""
     rows = _snake_rows(n) if signed else _zigzag_rows(n - 1)
     check_budget(rows, f"the {'snakes' if signed else 'alternating permutations'} of [{n}]")
@@ -317,12 +326,16 @@ def _zigzag_walk(n: int, signed: bool, depth: int) -> tuple[Iterator[tuple], Cal
     letters = np.arange(1, n + 1, dtype=dtype)
     if signed:
         letters = np.concatenate([-letters[::-1], letters])
-    # bit v of a prefix's mask is set when v or -v is used; 32 bits hold
-    # n <= 30, far beyond any row budget (E_30 and S_30 exceed 10^29)
-    bits = np.left_shift(1, np.abs(letters), dtype=np.int32)
+    # bit j of a prefix's ``used`` is set when letters[j] or its negative is
+    # used; 31 bits hold 2n letters for n <= 15, far beyond any row budget
+    # (E_15 and S_15 exceed 10^9)
+    bits = np.left_shift(1, np.arange(len(letters)), dtype=np.int32)
+    taken = bits | bits[::-1] if signed else bits
+    below = np.zeros(2 * n + 1, dtype=np.int32)  # the bits below v at v, a negative v from the end
+    below[letters] = bits - 1
     root = np.zeros((1, 0), dtype=dtype), np.zeros(1, dtype=np.int32)
-    blocks = depth_first(root, lambda *block: _extend_zigzags(*block, letters, bits, n), depth)
-    return blocks, lambda *block: _allowed(*block, letters, bits, n)
+    blocks = depth_first(root, lambda *b: _extend_zigzags(*b, letters, taken, below, n), depth)
+    return blocks, lambda *block: _allowed(*block, below, n)
 
 
 def _zigzag_rows(m: int) -> int:
@@ -345,40 +358,42 @@ def _snake_rows(n: int) -> int:
     return row[n]
 
 
-def _allowed(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,
-             bits: np.ndarray, n: int) -> np.ndarray:
-    """Rows × letters mask of the letters that may follow each prefix."""
-    rows, i = prefixes.shape
-    offered = (used[:, None] & bits) == 0
+def _allowed(prefixes: np.ndarray, used: np.ndarray, below: np.ndarray, n: int) -> np.ndarray:
+    """The letters that may follow each prefix, one integer a prefix with bit
+    j set when letter j (in value order) may: the letters offered (not used)
+    below or above the last one as the step goes, a first letter positive."""
+    i = prefixes.shape[1]
+    full = 2 * int(below[n]) + 1  # the bits below the greatest letter, and its own
+    offered = full & ~used
     if not i:
-        allowed = offered & (letters > 0)
-    elif i % 2:  # p(i) > p(i+1)
-        allowed = offered & (letters < prefixes[:, -1:])
+        allowed = offered & (full ^ full >> n)  # the n top bits, the positive letters
     else:
-        allowed = offered & (letters > prefixes[:, -1:])
+        last = below[prefixes[:, -1]]
+        allowed = offered & (last if i % 2 else ~last)  # p(i) > p(i+1) for odd i
     if i + 1 < n:
         # the least offered letter leaves nothing below it for the next step
         # down, the greatest nothing above it for the next step up
         if i % 2:
-            end = len(letters) - 1 - offered[:, ::-1].argmax(axis=1)
+            allowed &= ~np.left_shift(1, np.frexp(offered)[1] - 1)
         else:
-            end = offered.argmax(axis=1)
-        allowed[np.arange(rows), end] = False
+            allowed &= ~(offered & -offered)
     return allowed
 
 
 def _extend_zigzags(prefixes: np.ndarray, used: np.ndarray, letters: np.ndarray,
-                    bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every allowed next letter after every prefix, from the ``_allowed``
-    mask read in row-major order: the letters ascend, so the children of a
-    prefix follow in lexicographic order."""
-    allowed = _allowed(prefixes, used, letters, bits, n)
-    per_prefix = allowed.sum(axis=1)
-    letter = np.flatnonzero(allowed) % len(letters)
+                    taken: np.ndarray, below: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every allowed next letter after every prefix, read off the ``_allowed``
+    bits, unpacked in row-major order: the letters ascend with the bits, so
+    the children of a prefix follow in lexicographic order."""
+    allowed = _allowed(prefixes, used, below, n)
+    per_prefix = np.bitwise_count(allowed)
+    octets = allowed.astype("<i4", copy=False).view(np.uint8).reshape(-1, 4)
+    flags = np.unpackbits(octets, axis=1, count=len(letters), bitorder="little").view(bool)
+    letter = np.flatnonzero(flags) % len(letters)
     children = np.empty((len(letter), prefixes.shape[1] + 1), dtype=prefixes.dtype)
     children[:, :-1] = np.repeat(prefixes, per_prefix, axis=0)
     children[:, -1] = letters[letter]
-    return children, np.repeat(used, per_prefix) | bits[letter]
+    return children, np.repeat(used, per_prefix) | taken[letter]
 
 
 def _words(chunks: Iterable[np.ndarray]) -> Iterator[Word]:
@@ -398,18 +413,15 @@ def alternating_permutations(n: int) -> Iterator[Word]:
 
 def _zigzag_count(n: int, signed: bool) -> int:
     """The rows of ``zigzag_chunks(n, signed)``, the last level counted as
-    the allowed letters of its parents, never built: as many parents at a
-    time as ``depth_first`` would extend, so the masks stay that small."""
+    the allowed bits of its parents, never built: as many parents at a time
+    as ``depth_first`` would extend."""
     if not n:
         return 1  # the empty word
     blocks, allowed = _zigzag_walk(n, signed, n - 1)
     step = max(1, _CHUNK // n)
-    count = 0
-    for depth, block in blocks:
-        if depth == n - 1:
-            for start in range(0, len(block[0]), step):
-                count += int(allowed(*(a[start : start + step] for a in block)).sum())
-    return count
+    parents = (tuple(a[i : i + step] for a in block) for depth, block in blocks
+               if depth == n - 1 for i in range(0, len(block[0]), step))
+    return sum(int(np.bitwise_count(allowed(*part)).sum()) for part in parents)
 
 
 def euler_number(n: int) -> int:

@@ -7,10 +7,14 @@ a running thread from another thread and can crash the whole run, so it is
 kept for a test stuck inside one C call, where no signal handler runs.  The
 limit is a BaseException, so hypothesis does not catch it and replay the
 hanging example while shrinking.
+
+The ``one_line`` fixture is the reading of cycle words shared by the
+one-line references of ``test_perms`` and ``test_classes``.
 """
 
 import signal
 
+import numpy as np
 import pytest
 
 LIMIT_S = 120
@@ -32,3 +36,21 @@ def time_limit():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def one_line():
+    """Converter from rows of cycle words to the one-line rows of their
+    permutations: a letter maps to the next letter, unless that one starts a
+    cycle (a left-to-right minimum) or there is none, and then to its own
+    cycle's minimum, the running minimum."""
+
+    def convert(c):
+        low = np.minimum.accumulate(c, axis=1)
+        succ = low.copy()
+        succ[:, :-1] = np.where(c[:, 1:] == low[:, 1:], low[:, :-1], c[:, 1:])
+        out = np.empty_like(c)
+        np.put_along_axis(out, c - 1, succ, axis=1)
+        return out
+
+    return convert

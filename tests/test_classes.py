@@ -135,9 +135,11 @@ def test_levels_match_filters_and_the_sweeps(monkeypatch):
             # the labelled insert at every place is the unlabelled growth
             assert (labelled == classes.level(tree, n)).all()
             assert _as_maps(tree, labelled) == _as_maps(tree, np.concatenate(swept[tree, n]))
-            # and the recognizers over all n! permutations find the same rows
-            filtered = [c[mask(c)] for c in perms.permutation_chunks(n)]
-            assert _as_maps(tree, labelled) == _as_maps(classes.PEAK, np.concatenate(filtered))
+            # and the recognizers over all n! words find the same rows, read
+            # as cycle words for the second kind
+            filtered = np.concatenate([c[mask(c)] for c in perms.permutation_chunks(n)])
+            read = classes.cycle_words if tree.cycles else lambda rows: rows
+            assert _as_maps(classes.PEAK, read(labelled)) == _as_maps(classes.PEAK, filtered)
 
 
 def _walked(name, n):
@@ -172,7 +174,7 @@ def test_engine_folds_over_chunks(monkeypatch):
 #
 # The row-major kernels the transposed ones replaced: the same definitions,
 # each step a reduction along the rows and a boolean-index removal or a
-# fancy-indexed bypass.
+# fancy-indexed bypass.  The second kind's reads one-line maps.
 
 
 def _first_mask_rows(a):
@@ -189,7 +191,7 @@ def _second_mask_rows(a):
     rows, m = a.shape
     values = np.arange(1, m + 1, dtype=a.dtype)
     succ = a.copy()
-    pred = perms.inverse_rows(a)
+    pred = (np.argsort(a, axis=1) + 1).astype(a.dtype)
     ok = np.ones(rows, dtype=bool)
     every = np.arange(rows)
     for cut in range(m, 2, -1):
@@ -201,9 +203,11 @@ def _second_mask_rows(a):
     return ok
 
 
-def _same_masks(a):
-    """The two reference masks of ``a``, once the kernels have matched them."""
-    expected = _first_mask_rows(a), _second_mask_rows(a)
+def _same_masks(a, one_line):
+    """The two reference masks of ``a``, its rows read as words for the
+    first kind and as cycle words for the second, once the kernels have
+    matched them."""
+    expected = _first_mask_rows(a), _second_mask_rows(one_line(a))
     for kernel, want in zip((classes.simsun_first_mask, classes.simsun_second_mask), expected):
         got = kernel(a)
         assert got.dtype == bool and got.shape == (len(a),)
@@ -211,46 +215,54 @@ def _same_masks(a):
     return expected
 
 
-def test_kernels_match_row_references():
+def test_kernels_match_row_references(one_line):
     # every permutation of [n], n <= 9, in the default blocks
     for n in range(10):
         for chunk in perms.permutation_chunks(n):
-            _same_masks(chunk)
+            _same_masks(chunk, one_line)
 
 
-def test_kernels_match_row_references_in_small_chunks(monkeypatch):
+def test_kernels_match_row_references_in_small_chunks(monkeypatch, one_line):
     # blocks of 3! = 6 rows (2 rows for n = 2 and 1 for n < 2)
     monkeypatch.setattr(perms, "_CHUNK", 7)
     for n in range(8):
         for chunk in perms.permutation_chunks(n):
             assert len(chunk) <= 7
-            _same_masks(chunk)
+            _same_masks(chunk, one_line)
 
 
 def _grown(tree, n, rng, closed=False):
     """One object of size n, each entry put into a random open place, or,
     with ``closed``, the last one into a place the tree leaves closed: a
-    non-member whose parent is a member.  Its letters pass 127, so they are
-    int32 from the start."""
+    non-member whose parent is a member; second-kind objects as cycle words.
+    Its letters pass 127, so they are int32 from the start."""
     row = np.zeros((1, 0), dtype=np.int32)
     for m in range(n):
         at = classes.open_places(tree, row)[0]
         place = rng.choice(np.flatnonzero(~at if closed and m == n - 1 else at))
         row = classes.insert(tree, row, np.zeros(1, dtype=np.intp), np.array([place]))
-    return classes.one_line(row) if tree.cycles else row
+    return classes.cycle_words(row) if tree.cycles else row
 
 
 @pytest.mark.parametrize("n", [1100, 4000])
-def test_kernels_match_row_references_on_long_rows(n):
+def test_kernels_match_row_references_on_long_rows(n, one_line):
     rng = np.random.default_rng(n)
     rows = [_grown(tree, n, rng, closed) for closed in (False, True)
             for tree in (classes.FIRST, classes.SECOND)]
     rows += [perms.word_array([rng.permutation(n) + 1], n) for _ in range(2)]
-    first, second = zip(*(_same_masks(row) for row in rows))
+    first, second = zip(*(_same_masks(row, one_line) for row in rows))
     # members of their own kind, then non-members that fail only with all
     # letters present, then random words
     assert [bool(first[i][0]) for i in (0, 2, 4, 5)] == [True, False, False, False]
     assert [bool(second[i][0]) for i in (1, 3, 4, 5)] == [True, False, False, False]
+
+
+def test_cycle_words_of_levels():
+    for n in range(9):
+        level = classes.level(classes.SECOND, n)
+        cycle_forms = classes.objects(classes.SECOND, level)
+        words = [list(perms.cycle_word(perms.from_cycles(c))) for c in cycle_forms]
+        assert classes.cycle_words(level).tolist() == words, n
 
 
 def test_first_kind_recognizer():

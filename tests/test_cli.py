@@ -1,5 +1,6 @@
 """Command-line interface: parsing, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -73,6 +74,32 @@ def test_enumerate_deterministic(capsys):
     _, first, _ = run(capsys, "enumerate", "simsun2", "--n", "4", "--format", "json")
     _, second, _ = run(capsys, "enumerate", "simsun2", "--n", "4", "--format", "json")
     assert first == second
+
+
+# sha256 of the json listing at n = 8, recorded while cud read one-line
+# words and the zigzags were grown from candidate masks
+LISTED_8 = {
+    "cud": "2a2f04e8e2eecfe473fe034b31691a42bb94f360d8da62f7817e70fc00306e25",
+    "alternating": "ae7813c6a181dbb4e40efeb60b109f1e367636a8c1662dda28c3f524746a91fc",
+    "snakes": "2145cc1eb53180d239ebd543f1296bea60b351200489aaebf55e22f412d0e316",
+}
+
+
+@pytest.mark.parametrize("cls", sorted(LISTED_8))
+def test_enumerate_listing_is_unchanged(capsys, cls):
+    code, out, _ = run(capsys, "enumerate", cls, "--n", "8", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTED_8[cls]
+
+
+def test_parser_is_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", "p-low-coeffs", "--bogus"])
+        assert exit_.value.code == 2
+    code, out, _ = run(capsys, "verify", "p-low-coeffs", "--n-max", "3")
+    assert code == 0 and out == "p-low-coeffs: bound 3: pass\n"
 
 
 def test_verify_single(capsys):

@@ -292,10 +292,10 @@ def test_depth_first_extends_slices_whose_children_fit_one_block(monkeypatch):
 
 
 def test_cycle_up_down():
-    # three singletons; (1,3,2); (1,2,3); (1,4,3)(2); (1,3,4)(2)
-    words = np.array([(1, 2, 3, 4), (3, 1, 2, 4), (2, 3, 1, 4), (4, 2, 1, 3), (3, 2, 4, 1)],
-                     dtype=np.int8)
-    keep, cyc = perms.cycle_up_down(words)
+    # three singletons; (1,3,2); (1,2,3); (1,4,3)(2); (1,3,4)(2), read off
+    # their cycle words
+    words = [(1, 2, 3, 4), (3, 1, 2, 4), (2, 3, 1, 4), (4, 2, 1, 3), (3, 2, 4, 1)]
+    keep, cyc = perms.cycle_up_down(perms.word_array(map(perms.cycle_word, words), 4))
     assert keep.tolist() == [True, True, False, True, False]
     assert cyc.tolist() == [4, 2, 2, 2, 2]
     assert is_up_down_cycle((1, 4, 3))
@@ -307,9 +307,171 @@ def test_cycle_up_down_matches_cycle_forms():
         for chunk in perms.permutation_chunks(n):
             keep, cyc = perms.cycle_up_down(chunk)
             for w, k, c in zip(map(tuple, chunk.tolist()), keep.tolist(), cyc.tolist()):
-                cycles = perms.to_cycles(w)
+                cycles = perms.to_cycles(perms.from_cycle_word(w))
                 assert k == all(is_up_down_cycle(x) for x in cycles), w
                 assert c == len(cycles), w
+
+
+@given(small_perms)
+def test_cycle_words_read_cycles_off_left_to_right_minima(w):
+    cycles = perms.to_cycles(w)
+    word = perms.cycle_word(w)
+    assert word == tuple(v for cyc in reversed(cycles) for v in cyc)
+    assert perms.from_cycle_word(word) == w
+    assert perms.cycle_word(perms.from_cycle_word(w)) == w
+    # the double excedances of w are the middles of the double ascents of
+    # its cycle word
+    inv = perms.inverse(w)
+    doubles = {x for x in w if inv[x - 1] < x < w[x - 1]}
+    assert doubles == {b for a, b, c in zip(word, word[1:], word[2:]) if a < b < c}
+    assert perms.cycle_stats(w).has_double_exc == bool(doubles)
+
+
+# -- one-line references of the cycle oracles ----------------------------------
+#
+# The kernels that read one-line maps before the cycle oracles read cycle
+# words: the inverse by a scatter a column at a time, the least letter of
+# each cycle by iterated gathers along the map, and the cycle-up-down mask
+# read off both.
+
+
+def _inverse_rows(a):
+    inv = np.empty_like(a)
+    every = np.arange(len(a))
+    for j in range(a.shape[1]):
+        inv[every, a[:, j] - 1] = j + 1
+    return inv
+
+
+def _orbit_minima(a):
+    rows, m = a.shape
+    flat = a.ravel()
+    # letter v of row r sits at flat index r * m + v - 1
+    offsets = np.arange(rows, dtype=np.intp)[:, None] * m - 1
+    index = np.empty(a.shape, dtype=np.intp)
+    low, cur = a.copy(), a.copy()
+    for _ in range(m - 1):
+        np.add(cur, offsets, out=index)
+        flat.take(index, out=cur)
+        np.minimum(low, cur, out=low)
+    return low
+
+
+def _cycle_up_down_one_line(a):
+    values = np.arange(1, a.shape[1] + 1, dtype=a.dtype)
+    is_min = _orbit_minima(a) == values
+    turns = (_inverse_rows(a) < values) != (values < a)
+    ok = is_min | turns
+    every = np.arange(len(a))
+    for j in range(a.shape[1]):
+        ok[:, j] |= is_min[every, a[:, j] - 1]  # followed by its cycle's minimum
+    return ok.all(axis=1), is_min.sum(axis=1)
+
+
+def _same_cycle_oracles(chunk, one_line):
+    """The cycle oracles on a chunk of cycle words against the one-line
+    references on their maps."""
+    maps = one_line(chunk)
+    values = np.arange(1, chunk.shape[1] + 1, dtype=chunk.dtype)
+    assert (np.take_along_axis(maps, _inverse_rows(maps) - 1, axis=1) == values).all()
+    # each letter's cycle minimum: the running minimum where the cycle word
+    # holds the letter, and the last letter of the map's orbit
+    low = np.minimum.accumulate(chunk, axis=1)
+    minima = np.empty_like(chunk)
+    np.put_along_axis(minima, chunk - 1, low, axis=1)
+    assert (minima == _orbit_minima(maps)).all()
+    assert (perms.cycle_starts(chunk.T.copy()) == (chunk == low).T).all()
+    keep, cyc = perms.cycle_up_down(chunk)
+    want_keep, want_cyc = _cycle_up_down_one_line(maps)
+    assert (keep == want_keep).all() and (cyc == want_cyc).all()
+
+
+def test_cycle_oracles_match_one_line_references(one_line):
+    # every permutation of [n], n <= 9, in the default blocks
+    for n in range(10):
+        for chunk in perms.permutation_chunks(n):
+            _same_cycle_oracles(chunk, one_line)
+
+
+def test_cycle_oracles_match_one_line_references_in_small_chunks(monkeypatch, one_line):
+    monkeypatch.setattr(perms, "_CHUNK", 7)
+    for n in range(8):
+        for chunk in perms.permutation_chunks(n):
+            assert len(chunk) <= 7
+            _same_cycle_oracles(chunk, one_line)
+
+
+# -- the candidate-mask zigzag walk, a reference for the bit-set one -----------
+#
+# Each prefix offers a rows × letters mask: letters not used (bit |v| of an
+# int32), below or above the last letter, less the end letter.
+
+
+def _mask_allowed(prefixes, used, letters, bits, n):
+    rows, i = prefixes.shape
+    offered = (used[:, None] & bits) == 0
+    if not i:
+        allowed = offered & (letters > 0)
+    elif i % 2:
+        allowed = offered & (letters < prefixes[:, -1:])
+    else:
+        allowed = offered & (letters > prefixes[:, -1:])
+    if i + 1 < n:
+        if i % 2:
+            end = len(letters) - 1 - offered[:, ::-1].argmax(axis=1)
+        else:
+            end = offered.argmax(axis=1)
+        allowed[np.arange(rows), end] = False
+    return allowed
+
+
+def _mask_extend(prefixes, used, letters, bits, n):
+    allowed = _mask_allowed(prefixes, used, letters, bits, n)
+    per_prefix = allowed.sum(axis=1)
+    letter = np.flatnonzero(allowed) % len(letters)
+    children = np.empty((len(letter), prefixes.shape[1] + 1), dtype=prefixes.dtype)
+    children[:, :-1] = np.repeat(prefixes, per_prefix, axis=0)
+    children[:, -1] = letters[letter]
+    return children, np.repeat(used, per_prefix) | bits[letter]
+
+
+def _mask_walk(n, signed, depth):
+    letters = np.arange(1, n + 1, dtype=np.int8)
+    if signed:
+        letters = np.concatenate([-letters[::-1], letters])
+    bits = np.left_shift(1, np.abs(letters), dtype=np.int32)
+    root = np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int32)
+    return perms.depth_first(root, lambda *b: _mask_extend(*b, letters, bits, n), depth), (
+        lambda *b: _mask_allowed(*b, letters, bits, n))
+
+
+def _levels(blocks):
+    """The prefixes of each depth of a walk, in walk order."""
+    levels = {}
+    for depth, (prefixes, _) in blocks:
+        levels.setdefault(depth, []).append(prefixes)
+    return [np.concatenate(levels[depth]) for depth in sorted(levels)]
+
+
+def _mask_count(n, signed):
+    if not n:
+        return 1
+    blocks, allowed = _mask_walk(n, signed, n - 1)
+    return sum(int(allowed(*block).sum()) for depth, block in blocks if depth == n - 1)
+
+
+def test_bit_set_walk_matches_the_mask_walk():
+    # the same prefixes at every depth: neither walk builds a prefix that
+    # the other leaves out, such as one that no next letter could follow
+    for n, signed in [(n, False) for n in range(11)] + [(n, True) for n in range(8)]:
+        got = _levels(perms._zigzag_walk(n, signed, n)[0])
+        want = _levels(_mask_walk(n, signed, n)[0])
+        assert len(got) == len(want) == n + 1, (n, signed)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (n, signed)
+        listed = np.concatenate(list(perms.zigzag_chunks(n, signed)))
+        assert np.array_equal(listed, want[n]), (n, signed)
+    for count, signed, size in ((perms.euler_number, False, 13), (perms.springer_number, True, 10)):
+        assert [count(n) for n in range(size)] == [_mask_count(n, signed) for n in range(size)]
 
 
 def test_euler_numbers():

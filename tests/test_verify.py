@@ -209,6 +209,17 @@ def _unfixed_singletons(original):
     return derived
 
 
+def _starts_after_descents(original):
+    def starts(word):
+        # a letter below the one before it is read as a cycle start, a
+        # left-to-right minimum or not: cycles are cut too often
+        got = original(word)
+        got[1:] |= word[1:] < word[:-1]
+        return got
+
+    return starts
+
+
 def _drop_y_derivative(table):
     # without its d/dy term Sxyq's step turns the 2-cycle of [2], x*q, into x*q*y
     return {**table, "Sxyq": table["Sxyq"][:4] + (Poly(),)}
@@ -250,11 +261,13 @@ def _drop_y_derivative(table):
         (triangles, "FIRST_ORDER", _drop_y_derivative, "series-trivariate", "n=2"),
         # only the top level of a cold cycle sweep is derived, not built
         (bulk, "_child_cycle_keys", _unfixed_singletons, "trivariate-binomial", "n=5"),
+        # only the reading of the streamed words as cycles is at fault
+        (perms, "cycle_starts", _starts_after_descents, "cud-cycles", "n=3"),
     ],
     ids=["closed", "egf", "egf-halving", "egf-power", "each", "swept-keep", "euler-cardinalities",
          "euler-convolution", "first-kind-filter", "second-kind-filter", "first-kind-repeat", "listed", "egf-both",
          "family-shifted", "rz", "related", "ascent-table", "ascent-table-des",
-         "y-derivative-cycles", "y-derivative-egf", "cycle-top-level"],
+         "y-derivative-cycles", "y-derivative-egf", "cycle-top-level", "cycle-reading"],
 )
 def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identity, detail):
     # a sweep cached by an earlier test would hide a fault of what it reads
