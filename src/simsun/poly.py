@@ -3,12 +3,18 @@ stored dense in x.
 
 ``rows`` maps each (q, y) exponent pair (eq, ey) to the tuple of that
 monomial's ascending x-coefficients, trailing zeros trimmed and empty rows
-dropped, so equality is structural.  A product convolves each pair of rows,
-the shorter in the outer loop and each from its lowest nonzero coefficient,
-and adds the result at the summed key; a derivative in x scales a row by its
-index, one in q or y shifts the keys.  Rows hold Python ints, which grow
-past 2^63 where a fixed-width array would wrap.  Printing uses increasing
-x-degree, e.g. ``1 + 11*x + 4*x^2``, read from ``terms``, the sparse view
+dropped, so equality is structural.  The one convolution loop is ``dot``,
+the sum of c*a*b over (int, Poly, Poly) triples: it convolves each pair of
+rows, the shorter in the outer loop and each from its lowest nonzero
+coefficient, into one dict of int lists at the summed key, with the scale
+folded into a row first, and trims only the total.  A product is ``dot`` of
+one triple; the recurrences and series convolutions call ``dot`` on the whole
+sum, so no partial sum is made a Poly.  A derivative in x scales a row by its
+index, one in q or y shifts the keys.  ``subs`` evaluates rows by Horner,
+except for an x-value c*x^m with m >= 1, which moves x^k's coefficient to
+x^(m*k) times c^k.  Rows hold Python ints, which grow past 2^63 where a
+fixed-width array would wrap.  Printing uses increasing x-degree, e.g.
+``1 + 11*x + 4*x^2``, read from ``terms``, the sparse view
 (ex, eq, ey) -> coefficient.
 
 The public constructor ``Poly(...)`` takes such a sparse mapping and, like
@@ -21,7 +27,7 @@ remainder.
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 from operator import add, index, mul, neg
 from typing import Iterable, Mapping
 
@@ -151,27 +157,7 @@ class Poly:
                           for key, row in self.rows.items()} if other else {})
         if type(other) is not Poly:
             return NotImplemented
-        acc: dict[Key, list[int]] = {}
-        right = _from_lowest(other.rows)
-        for (q1, y1), low1, a in _from_lowest(self.rows):
-            for (q2, y2), low2, b in right:
-                if len(a) <= len(b):
-                    short, long = a, b
-                else:
-                    short, long = b, a
-                key = (q1 + q2, y1 + y2)
-                low = low1 + low2
-                size = low + len(a) + len(b) - 1
-                out = acc.get(key)
-                if out is None:
-                    out = acc[key] = [0] * size
-                elif len(out) < size:
-                    out += [0] * (size - len(out))
-                for i, c in enumerate(short, low):
-                    if c:
-                        for j, d in enumerate(long, i):
-                            out[j] += c * d
-        return _made(acc)
+        return dot(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -229,7 +215,9 @@ class Poly:
     def subs(self, **values) -> "Poly":
         """Substitute polynomials or integers for named variables: each row
         evaluated by Horner in the x-value, times the powers of the q- and
-        y-values, each power computed once a call, added at the key left."""
+        y-values, each power computed once a call, added at the key left.
+        An x-value c*x^s with s >= 1 needs no Horner: x^k's coefficient moves
+        to x^(s*k), times c^k."""
         for name, v in values.items():
             if name not in VARS:
                 raise ValueError(f"unknown variable {name!r}")
@@ -242,6 +230,14 @@ class Poly:
                 powers[name, k] = v**k
             return powers[name, k]
 
+        spread = 0  # s of an x-value c*x^s, s >= 1, with c^k at scales[k]
+        if type(xv) is Poly and xv.rows.keys() == {(0, 0)}:
+            top = xv.rows[(0, 0)]
+            if len(top) > 1 and not any(top[:-1]):
+                spread = len(top) - 1
+                width = max(map(len, self.rows.values()), default=0)
+                scales = list(accumulate(repeat(top[-1], max(width - 1, 0)), mul, initial=1))
+
         acc: dict[Key, list[int] | tuple[int, ...]] = {}
         for (eq, ey), row in self.rows.items():
             m = 1
@@ -250,7 +246,10 @@ class Poly:
             if yv is not None and ey:
                 m, ey = m * power("y", yv, ey), 0
             value = row
-            if xv is not None:
+            if spread:
+                value = [0] * (spread * (len(row) - 1) + 1)
+                value[::spread] = map(mul, row, scales)
+            elif xv is not None:
                 value = 0
                 for c in reversed(row):
                     value = value * xv + c
@@ -322,6 +321,42 @@ class Poly:
                 parts.append(f"{c}*{mono}")
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
+
+
+def dot(terms: Iterable[tuple[int, "Poly", "Poly"]]) -> "Poly":
+    """The sum of c*a*b over (c, a, b) triples of an int and two Polys.
+
+    Every product is convolved into one dict of int lists: each pair of
+    rows with the shorter in the outer loop, each from its lowest nonzero
+    coefficient, c folded into a's rows before the pair loop.  Only the sum
+    is trimmed and made a Poly, once.
+    """
+    acc: dict[Key, list[int]] = {}
+    for c, a, b in terms:
+        if not (c and a.rows and b.rows):
+            continue
+        right = _from_lowest(b.rows)
+        for (q1, y1), low1, row in _from_lowest(a.rows):
+            if c != 1:
+                row = [c * v for v in row]
+            for (q2, y2), low2, other in right:
+                if len(row) <= len(other):
+                    short, long = row, other
+                else:
+                    short, long = other, row
+                key = (q1 + q2, y1 + y2)
+                low = low1 + low2
+                size = low + len(row) + len(other) - 1
+                out = acc.get(key)
+                if out is None:
+                    out = acc[key] = [0] * size
+                elif len(out) < size:
+                    out += [0] * (size - len(out))
+                for i, u in enumerate(short, low):
+                    if u:
+                        for j, v in enumerate(long, i):
+                            out[j] += u * v
+    return _made(acc)
 
 
 X = Poly.var("x")

@@ -5,6 +5,8 @@ f(z) = sum a_n z^n / n!; arithmetic is exact mod z^(N+1).  Products are
 binomial convolutions and ``power`` (f^a for f with constant term 1, a an
 int or a Poly such as q) reads its recurrence off f*y' = a*f'*y, so both
 stay in integer ``Poly``s, and row n of a triangle is read as ``coeffs[n]``.
+Each product coefficient, and each of the two sums of a power coefficient,
+is one ``poly.dot`` over its terms.
 ``halve_z`` (z -> z/2) divides exactly.
 
 Every closed-form builder is such a power.  The radicals of the textbook
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .poly import ONE, Poly, Q, X, Y, ZERO
+from .poly import ONE, Poly, Q, X, Y, ZERO, dot
 
 BUILDERS = (
     "Sxz",
@@ -91,16 +93,9 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, (Poly, int)):
             return Series([c * other for c in self.coeffs], self.order)
-        other = self._wrap(other)
-        out = [ZERO] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + comb(i + j, i) * a * b
-        return Series(out, self.order)
+        f, g = self.coeffs, self._wrap(other).coeffs
+        return Series([dot((comb(n, i), f[i], g[n - i]) for i in range(n + 1))
+                       for n in range(self.order + 1)], self.order)
 
     __rmul__ = __mul__
 
@@ -114,12 +109,9 @@ class Series:
             raise ValueError("power needs constant term 1")
         f, out = self.coeffs, [ONE] + [ZERO] * self.order
         for n in range(self.order):
-            lead = rest = ZERO  # the sums against a*C(n,k-1) and C(n,k)
-            for k in range(1, n + 2):
-                if f[k]:
-                    term = f[k] * out[n + 1 - k]
-                    lead = lead + comb(n, k - 1) * term
-                    rest = rest + comb(n, k) * term
+            # the sums against a*C(n,k-1) and C(n,k)
+            lead = dot((comb(n, k - 1), f[k], out[n + 1 - k]) for k in range(1, n + 2))
+            rest = dot((comb(n, k), f[k], out[n + 1 - k]) for k in range(1, n + 2))
             out[n + 1] = a * lead - rest
         return Series(out, self.order)
 

@@ -32,7 +32,15 @@ summing its recurrence against x^k: a term c(k) F(n-1,k-j) with c linear in
 k contributes x^j (c(j) F_{n-1} + c'x F_{n-1}'), e.g. R's (n-k)R(n-1,k-2)
 gives x^2((n-2)R_{n-1} - x R_{n-1}').  P+ and P- add a coupling term:
 P+_{n+1} gains P-_n and P-_{n+1} gains x P+_n.  Only T, whose ceil(k/2)
-has no derivative form, keeps an integer triangle.
+has no derivative form, keeps an integer triangle.  A step is one
+``poly.dot`` over its three or four products.
+
+``family_polys`` keeps the longest row list built of each family in
+``_cache`` for the life of the process, as ``bulk`` keeps its sweeps: a
+bound inside it gets a fresh prefix list, a larger one extends it (T
+rebuilds; D and P are read again off the kept S and P+/P- rows), and P+ and
+P-, built as a pair, are kept together.  The closed forms from S read the
+same rows.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from math import comb, factorial
 
-from .poly import ONE, Poly, Q, X, Y, ZERO
+from .poly import ONE, Poly, Q, X, Y, ZERO, dot
 
 _DESCENT = X * (1 - 2 * X)
 _PEAK = 2 * X * (1 - X)
@@ -64,31 +72,41 @@ FIRST_ORDER = {
 def _step(family: str, prev: Poly, n: int) -> Poly:
     """F_{n+1} from F_n by the family's first-order step, without coupling."""
     _, a0, a1, b, d = FIRST_ORDER[family]
-    step = (a0 + n * a1) * prev + b * prev.derivative("x")
-    return step + d * prev.derivative("y") if d else step
+    terms = [(1, a0, prev), (n, a1, prev), (1, b, prev.derivative("x"))]
+    if d:
+        terms.append((1, d, prev.derivative("y")))
+    return dot(terms)
 
 
 def _first_order(family: str, n_max: int) -> list[Poly]:
-    rows = list(FIRST_ORDER[family][0])
+    """Rows 0..n_max or more, extending the cached rows when there are any."""
+    rows = list(_cache.get(family, FIRST_ORDER[family][0]))
     while len(rows) <= n_max:
         rows.append(_step(family, rows[-1], len(rows) - 1))
-    return rows[: n_max + 1]
+    return rows
 
 
 def _family_P_pair(n_max: int) -> tuple[list[Poly], list[Poly]]:
-    plus = list(FIRST_ORDER["P+"][0])
-    minus = list(FIRST_ORDER["P-"][0])
+    plus = list(_cache.get("P+", FIRST_ORDER["P+"][0]))
+    minus = list(_cache.get("P-", FIRST_ORDER["P-"][0]))
     for n in range(len(plus) - 1, n_max):
         p, m = plus[-1], minus[-1]
         plus.append(_step("P+", p, n) + m)
         minus.append(_step("P-", m, n) + X * p)
-    return plus[: n_max + 1], minus[: n_max + 1]
+    return plus, minus
+
+
+def _family_P_split(side: int, n_max: int) -> list[Poly]:
+    """P+ (side 0) or P- (side 1); the two are built together, so both are kept."""
+    pair = _family_P_pair(n_max)
+    _cache["P+"], _cache["P-"] = pair
+    return pair[side]
 
 
 def _family_P(n_max: int) -> list[Poly]:
-    plus, minus = _family_P_pair(n_max)
+    plus, minus = _built("P+", n_max), _built("P-", n_max)
     # P_0 = P_1 = 1 are literals; the split rows at n = 1 both equal 1
-    return [ONE, ONE][: n_max + 1] + [p + m for p, m in zip(plus[2:], minus[2:])]
+    return [ONE, ONE] + [p + m for p, m in zip(plus[2:], minus[2:])]
 
 
 def _at(row: list[int], k: int) -> int:
@@ -106,7 +124,7 @@ def _family_T(n_max: int) -> list[Poly]:
 
 
 def _family_D(n_max: int) -> list[Poly]:
-    return [ONE] + [X * s for s in _first_order("S", max(n_max - 1, 0))][:n_max]
+    return [ONE] + [X * s for s in _built("S", max(n_max - 1, 0))[:n_max]]
 
 
 _ROWS = {
@@ -115,8 +133,8 @@ _ROWS = {
     "W": partial(_first_order, "W"),
     "R": partial(_first_order, "R"),
     "T": _family_T,
-    "P+": lambda n_max: _family_P_pair(n_max)[0],
-    "P-": lambda n_max: _family_P_pair(n_max)[1],
+    "P+": partial(_family_P_split, 0),
+    "P-": partial(_family_P_split, 1),
     "P": _family_P,
     "A": partial(_first_order, "A"),
     "Sxq": partial(_first_order, "Sxq"),
@@ -126,14 +144,26 @@ _ROWS = {
 
 FAMILIES = tuple(_ROWS)
 
+#: family -> the longest list of its rows built in this process
+_cache: dict[str, list[Poly]] = {}
+
+
+def _built(family: str, n_max: int) -> list[Poly]:
+    """The cached rows of a family, built or extended first if they end below n_max."""
+    rows = _cache.get(family)
+    if rows is None or len(rows) <= n_max:
+        rows = _cache[family] = _ROWS[family](n_max)
+    return rows
+
 
 def family_polys(family: str, n_max: int) -> list[Poly]:
-    """Rows 0..n_max of a named family as exact polynomials."""
+    """Rows 0..n_max of a named family as exact polynomials, a fresh list
+    each call (the rows themselves are immutable and shared)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if family not in _ROWS:
         raise ValueError(f"unknown family {family!r}")
-    return _ROWS[family](n_max)
+    return _built(family, n_max)[: n_max + 1]
 
 
 # -- Stirling route to the S polynomials ------------------------------------
@@ -162,16 +192,18 @@ def s_from_stirling(n: int) -> Poly:
         raise ValueError("defined for n >= 1")
     m = n + 1
     weights = [factorial(i) * stirling2(m, i) * (-2) ** (m - i) for i in range(1, m + 1)]
-    acc, t = ZERO, 2 * X - ONE  # by Horner in t = 2x - 1, from the top summand down
+    # by Horner in t = 2x - 1, from the top summand down, on the x-coefficients
+    acc: list[int] = []
     for k in range(n // 2 + 1, -1, -1):
         j = m - 2 * k  # -1 only for the top summand of an even n, where C(i, -1) = 0
         p = sum(w * ((comb(i, j) if j >= 0 else 0) - comb(i, j + 1))
                 for i, w in enumerate(weights, 1))
-        acc = acc * t + (-1) ** k * p
-    coeffs = acc.x_coeffs()
-    if coeffs[0] != 0:
+        # acc * (2x - 1): c_i <- 2 c_(i-1) - c_i
+        acc = [2 * a - b for a, b in zip([0] + acc, acc + [0])]
+        acc[0] += (-1) ** k * p
+    if acc[0]:
         raise ArithmeticError(f"expansion for n={n} is not divisible by x")
-    return Poly.from_x_coeffs(coeffs[1:]).exact_div(2 ** (n + 1))
+    return Poly.from_x_coeffs(acc[1:]).exact_div(2 ** (n + 1))
 
 
 # -- closed forms ------------------------------------------------------------
@@ -208,8 +240,8 @@ def closed_forms(form_id: str, n_max: int) -> list[Poly | None]:
     ``T-from-S``      T_{n+1} = x(1+nx)S_n(x^2) + (1/2)x^2(1-2x)S_n'(x^2)
     ``Sxq-at-minus1`` (1-x)(1-2x)^(m-1) for n = 2m, -(1-2x)^m for n = 2m+1 (n >= 1)
 
-    Rows below a form's first n are None.  The forms from S build S_0..S_n_max
-    once, by S's own recurrence, and nothing else.
+    Rows below a form's first n are None.  The forms from S read S_0..S_n_max,
+    built by S's own recurrence and kept, and nothing else.
     """
     if form_id != "Sxq-at-minus1" and form_id not in _FROM_S:
         raise ValueError(f"unknown closed form {form_id!r}")
@@ -218,5 +250,5 @@ def closed_forms(form_id: str, n_max: int) -> list[Poly | None]:
     if form_id == "Sxq-at-minus1":
         return [None] + [_sxq_at_minus1(n) for n in range(1, n_max + 1)]
     first, row = _FROM_S[form_id]
-    s = _first_order("S", n_max)
+    s = _built("S", n_max)
     return [None] * first + [row(n, s[n]) for n in range(first, n_max + 1)]

@@ -47,7 +47,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import bijections, bulk, classes, perms, roots, series, triangles
-from .poly import ONE, Poly, X, ZERO, mobius_compose
+from .poly import ONE, Poly, X, dot, mobius_compose
 
 #: one comparison of a checker: (where, lhs, rhs)
 Comparisons = Iterator[tuple[str, object, object]]
@@ -262,10 +262,10 @@ def _s_what_convolution(n_max: int) -> Comparisons:
     what = [w.subs(x=2 * X) for w in triangles.family_polys("What", n_max)]
     for n in range(n_max + 1):
         # each unordered pair k < n - k once, doubled, and the middle term of an even n
-        rhs = sum((2 * comb(n, k) * what[k] * what[n - k] for k in range((n + 1) // 2)), ZERO)
+        terms = [(2 * comb(n, k), what[k], what[n - k]) for k in range((n + 1) // 2)]
         if n % 2 == 0:
-            rhs = rhs + comb(n, n // 2) * what[n // 2] * what[n // 2]
-        yield f"n={n}", rhs, 2**n * s[n]
+            terms.append((comb(n, n // 2), what[n // 2], what[n // 2]))
+        yield f"n={n}", dot(terms), 2**n * s[n]
 
 
 def _p_recurrence_cleared(n_max: int) -> Comparisons:

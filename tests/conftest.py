@@ -8,6 +8,10 @@ kept for a test stuck inside one C call, where no signal handler runs.  The
 limit is a BaseException, so hypothesis does not catch it and replay the
 hanging example while shrinking.
 
+Each test starts with an empty ``triangles._cache``: a family's rows
+built by an earlier test would otherwise hide a fault that a test patches
+into what builds them (``triangles.FIRST_ORDER``, say).
+
 The ``one_line`` fixture is the reading of cycle words shared by the
 one-line references of ``test_perms`` and ``test_classes``.
 """
@@ -16,6 +20,8 @@ import signal
 
 import numpy as np
 import pytest
+
+from simsun import triangles
 
 LIMIT_S = 120
 
@@ -36,6 +42,11 @@ def time_limit():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def cold_family_rows(monkeypatch):
+    monkeypatch.setattr(triangles, "_cache", {})
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simsun import triangles
-from simsun.poly import ONE, Poly, Q, X, Y, ZERO, mobius_compose
+from simsun.poly import ONE, Poly, Q, X, Y, ZERO, dot, mobius_compose
 
 exponents = st.tuples(
     st.integers(min_value=0, max_value=3),
@@ -27,6 +27,9 @@ wide_exponents = st.tuples(
     st.integers(min_value=0, max_value=3),
 )
 wide_terms = st.dictionaries(wide_exponents, st.integers(-(2**70), 2**70), max_size=12)
+# dot's operands and scales: ZERO and 0 often, negative and huge values too
+operands = st.one_of(st.just(ZERO), wide_terms.map(Poly), polys)
+scales = st.one_of(st.just(0), st.just(1), st.integers(-(2**70), 2**70))
 
 
 def canonical(p: Poly) -> bool:
@@ -106,6 +109,43 @@ def test_real_rows_match_the_sparse_reference():
     for a, b in ((w80, w79), (sxq, Q + 39 * X), (sxyq, sxyq)):
         product = a * b
         assert product.terms == ref_mul(a.terms, b.terms) and canonical(product)
+
+
+def ref_dot(terms) -> dict:
+    out: dict = {}
+    for c, a, b in terms:
+        out = ref_add(out, ref_mul(ref_mul({(0, 0, 0): c} if c else {}, a.terms), b.terms))
+    return out
+
+
+@kernel
+@given(st.lists(st.tuples(scales, operands, operands), max_size=6), st.integers(0, 6))
+def test_dot_matches_the_sparse_reference(terms, cancelled):
+    # the negated first terms cancel rows and row tops of the sum
+    for case in (terms, terms + [(-c, b, a) for c, a, b in terms[:cancelled]]):
+        expected = ref_dot(case)
+        got = dot(case)
+        assert got.terms == expected and canonical(got)
+        assert got == Poly(expected) and hash(got) == hash(Poly(expected))
+    assert dot(terms + [(-c, a, b) for c, a, b in terms]).rows == {}
+
+
+def test_dot_sums_trim_once():
+    # a top that cancels is trimmed, a row that cancels is dropped
+    got = dot([(1, X, X + Q), (2, Q, X * Y), (-1, X * X, ONE), (-2, ONE, X * Q * Y)])
+    assert got.rows == {(1, 0): (0, 1)} and hash(got) == hash(X * Q)
+    assert dot([]) == ZERO and dot([(0, X, X), (5, ZERO, X), (5, X, ZERO)]).rows == {}
+    assert dot([(-3, 2 * X - Q, ONE)]).rows == {(0, 0): (0, -6), (1, 0): (3,)}
+
+
+def test_real_row_pair_dot():
+    what = triangles.family_polys("What", 80)
+    w80, w79 = what[80].subs(x=2 * X), what[79].subs(x=2 * X)
+    expected = ref_mul(w80.terms, w79.terms)
+    got = dot([(1, w80, w79)])
+    assert got.terms == expected and canonical(got) and got == w80 * w79
+    scaled = dot([(3, w80, w79), (-2, w79, w80)])
+    assert scaled.terms == expected and hash(scaled) == hash(got)
 
 
 def test_canonical_form():
@@ -232,6 +272,23 @@ def test_scalar_subs_matches_polynomial_subs(p, u, v):
         assert p.subs(**{name: u}) == p.subs(**{name: Poly.const(u)})
     assert p.subs(x=u, y=v) == p.subs(x=Poly.const(u), y=Poly.const(v))
     assert p.subs(q=u, x=v, y=u) == p.subs(q=Poly.const(u), x=Poly.const(v), y=Poly.const(u))
+
+
+@kernel
+@given(operands, st.sampled_from([1, -1, 2, -2, 1000]), st.integers(min_value=1, max_value=3))
+def test_monomial_subs_matches_term_expansion(p, c, m):
+    # an x-value c*x^m moves coefficient k to index m*k, times c^k
+    value = c * X**m
+    expected = ZERO
+    for (ex, eq, ey), coeff in p.terms.items():
+        expected = expected + coeff * value**ex * Poly({(0, eq, ey): 1})
+    got = p.subs(x=value)
+    assert got == expected and canonical(got)
+    assert got.terms == ref_subs(p.terms, {0: {(m, 0, 0): c}})
+    mixed = p.subs(x=value, q=Y, y=-2)
+    assert mixed.terms == ref_subs(p.terms, {0: {(m, 0, 0): c}, 1: {(0, 0, 1): 1},
+                                             2: {(0, 0, 0): -2}})
+    assert canonical(mixed)
 
 
 @kernel

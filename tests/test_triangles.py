@@ -1,10 +1,11 @@
 """Recurrence families, the Stirling route, and closed forms."""
 
+from collections import Counter
 from math import comb
 
 import pytest
 
-from simsun import perms, triangles
+from simsun import perms, triangles, verify
 from simsun.poly import ONE, Poly, Q, X, Y, ZERO
 
 X2 = X * X
@@ -210,3 +211,42 @@ def test_bivariate_specializes_to_univariate():
     for n in range(11):
         assert sxq[n].subs(q=1) == s[n]
         assert sxyq[n].subs(y=1) == sxq[n]
+
+
+def test_cached_rows_match_cold_builds(monkeypatch):
+    # every family asked at bounds 0..30 in rising and in falling order, the
+    # families interleaved, against one cold build of each bound
+    cold = {}
+    for family in triangles.FAMILIES:
+        for n in range(31):
+            monkeypatch.setattr(triangles, "_cache", {})
+            cold[family, n] = triangles.family_polys(family, n)
+    for bounds in (range(31), range(30, -1, -1)):
+        monkeypatch.setattr(triangles, "_cache", {})
+        for n in bounds:
+            for family in triangles.FAMILIES:
+                assert triangles.family_polys(family, n) == cold[family, n], (family, n)
+
+
+def test_returned_rows_are_fresh_lists():
+    rows = triangles.family_polys("S", 10)
+    expected = list(rows)
+    rows[3] = ZERO
+    rows.append(ONE)
+    del rows[0]
+    assert triangles.family_polys("S", 10) == expected
+    assert triangles.family_polys("S", 12)[:11] == expected
+
+
+@pytest.mark.parametrize("identity, bound, family", [("roots-interlacing", 24, "S"),
+                                                     ("roots-positive-q", 20, "Sxq")])
+def test_each_family_is_built_once_a_run(monkeypatch, identity, bound, family):
+    builds = Counter()
+    for name, build in triangles._ROWS.items():
+        def counted(n_max, name=name, build=build):
+            builds[name] += 1
+            return build(n_max)
+
+        monkeypatch.setitem(triangles._ROWS, name, counted)
+    assert verify.run(identity, bound).ok
+    assert builds[family] == 1 and max(builds.values()) == 1, builds
