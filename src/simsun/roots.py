@@ -2,20 +2,20 @@
 
 Univariate polynomials are lists of integers (ascending degree).
 Every verdict rests on one small checker, ``_alternates``: increasing
-rationals at which no polynomial vanishes and, across each gap, exactly
-the named one changes sign, all by integer Horner evaluation.  One
-proposer finds the points and is not trusted, since a wrong point only
-makes the checker refuse: ``_seeded`` places them in the gaps of a
-certificate already made for a polynomial whose roots interlace these
-(the previous row of a family, the other side of a relation, or, in the
-Rolle search ``_search``, the derivative).  The proposer's points are
-dyadic, n/2^e, and it keeps them as integer pairs (n, e): midpoints and
-comparisons are shifts, and Horner evaluates 2^(e·deg p)·p(n/2^e), as in
-integer-only root isolation on dyadic intervals (Rouillier and Zimmermann,
-J. Comput. Appl. Math. 2004).  The checker and the certificates keep
-rationals; ``_rationals`` and ``_dyadics`` convert at that boundary.
-Weak inequalities in the interlacing definitions are honored through the
-exact gcd of common roots, never numeric closeness.
+points at which no polynomial vanishes and, across each gap, exactly the
+named one changes sign, all by integer Horner evaluation.  One proposer
+finds the points and is not trusted, since a wrong point only makes the
+checker refuse: ``_seeded`` places them in the gaps of a certificate
+already made for a polynomial whose roots interlace these (the previous
+row of a family, the other side of a relation, or, in the Rolle search
+``_search``, the derivative).  Every point is dyadic, n/2^e, and is kept
+as the integer pair (n, e), from the proposer through the certificates to
+the checker: midpoints and comparisons are shifts, and Horner evaluates
+2^(e·deg p)·p(n/2^e), as in integer-only root isolation on dyadic
+intervals (Rouillier and Zimmermann, J. Comput. Appl. Math. 2004).  No
+rational is made anywhere.  Weak inequalities in the interlacing
+definitions are honored through the exact gcd of common roots, never
+numeric closeness.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 
 from .poly import Poly
@@ -90,56 +89,52 @@ def squarefree(p: list[int]) -> list[int]:
     return _divmod(p, poly_gcd(p, derivative(p)))[0]
 
 
-# -- the checker: rational points ---------------------------------------------
+# -- the checker ---------------------------------------------------------------
+#
+# A point is a pair (n, e) standing for n/2^e, e >= 0.  Comparisons are
+# shifts and evaluation is integer Horner, so the checker makes no rational.
 
 
-def _alternates(polys: list[list[int]], turns: list[int], points: list[Fraction]) -> bool:
+def _horner(p: list[int], t: Dyadic) -> int:
+    """2^(e·deg p)·p(n/2^e) for t = (n, e), by shifts: it has the sign of p(t)."""
+    n, e = t
+    acc, shift = 0, 0
+    for c in reversed(p):
+        acc = acc * n + (c << shift)
+        shift += e
+    return acc
+
+
+def _sign(p: list[int], t: Dyadic) -> int:
+    value = _horner(p, t)
+    return (value > 0) - (value < 0)
+
+
+def _alternates(polys: list[list[int]], turns: list[int], points: list[Dyadic]) -> bool:
     """The checker: the points increase, no polynomial vanishes at any of
     them, ``polys[turns[k]]`` changes sign across gap k, and polys[j] is
     named deg polys[j] times in ``turns``.  A sign change across a gap needs
     a root inside, and polys[j] has at most deg polys[j] of them, so then
     all roots are real and simple, one in each gap where their polynomial is
     named and none elsewhere: in increasing order they belong to
-    polys[turns[0]], polys[turns[1]], ...
+    polys[turns[0]], polys[turns[1]], ...  A point with a negative exponent
+    is refused.
     """
-
-    def sign(p: list[int], t: Fraction) -> int:
-        # b^deg(p)·p(a/b) for t = a/b, b > 0, has the sign of p(t)
-        a, b = t.numerator, t.denominator
-        acc, power = 0, 1
-        for c in reversed(p):
-            acc = acc * a + c * power
-            power *= b
-        return (acc > 0) - (acc < 0)
-
-    if len(points) != len(turns) + 1 or any(a >= b for a, b in zip(points, points[1:])):
+    if len(points) != len(turns) + 1 or any(e < 0 for _, e in points):
+        return False
+    if any(a << f >= b << e for (a, e), (b, f) in zip(points, points[1:])):
         return False
     if any(turns.count(j) != len(p) - 1 for j, p in enumerate(polys)):
         return False
-    signs = [[sign(p, t) for p in polys] for t in points]
+    signs = [[_sign(p, t) for p in polys] for t in points]
     return all(0 not in row for row in signs) and all(
         before[owner] != after[owner] for owner, before, after in zip(turns, signs, signs[1:])
     )
 
 
-def _rationals(points: list[Dyadic] | None) -> list[Fraction] | None:
-    """The proposer's points as the checker's rationals (None stays None)."""
-    return None if points is None else [Fraction(n, 1 << e) for n, e in points]
-
-
-def _dyadics(points: list[Fraction]) -> list[Dyadic] | None:
-    """A certificate's points as the proposer's pairs, or None if one of
-    them is not a dyadic rational (then it seeds nothing)."""
-    if any(t.denominator & (t.denominator - 1) for t in points):
-        return None
-    return [(t.numerator, t.denominator.bit_length() - 1) for t in points]
-
-
-# -- the proposer: dyadic points as integer pairs ------------------------------
+# -- the proposer --------------------------------------------------------------
 #
-# A point is a pair (n, e) standing for n/2^e, e >= 0, in lowest terms: n is
-# odd unless e = 0.  Midpoints, comparisons and evaluation are shifts and
-# integer products, so no rational is made while points are proposed.
+# Its points are in lowest terms: n is odd unless e = 0.
 
 
 def _dyad(n: int, e: int) -> Dyadic:
@@ -161,21 +156,6 @@ def _less(x: Dyadic, y: Dyadic) -> bool:
 def _ceil(n: int, e: int) -> int:
     """The least integer at or above n/2^e."""
     return -(-n >> e)
-
-
-def _horner(p: list[int], t: Dyadic) -> int:
-    """2^(e·deg p)·p(n/2^e) for t = (n, e), by shifts: it has the sign of p(t)."""
-    n, e = t
-    acc, shift = 0, 0
-    for c in reversed(p):
-        acc = acc * n + (c << shift)
-        shift += e
-    return acc
-
-
-def _sign(p: list[int], t: Dyadic) -> int:
-    value = _horner(p, t)
-    return (value > 0) - (value < 0)
 
 
 def _halve(p: list[int], bracket: list) -> None:
@@ -320,7 +300,7 @@ class RzCertificate:
     real_rooted: bool
     all_nonpositive: bool
     all_simple: bool
-    points: list[Fraction] | None
+    points: list[Dyadic] | None
     poly: list[int]
 
 
@@ -335,18 +315,17 @@ def certify_rz(p: Poly | list, near: RzCertificate | None = None) -> RzCertifica
         raise ValueError("zero polynomial")
     zeros = next(i for i, c in enumerate(d) if c)
     poly = sf = d[zeros:]
-    seed = _dyadics(near.points) if near and near.real_rooted else None
-    points = None if seed is None else _rationals(_seeded(poly, near.poly, seed))
-    if points is None or not _alternates([poly], [0] * degree(poly), points):
-        points = _rationals(_search(poly))
-    if points is None:
-        sf = squarefree(poly)
-        if len(sf) < len(poly):
-            poly, points = sf, _rationals(_search(sf))
-    turns = [0] * degree(poly)
-    real_rooted = points is not None and _alternates([poly], turns, points)
+    points = _seeded(poly, near.poly, near.points) if near and near.real_rooted else None
+    real_rooted = points is not None and _alternates([poly], [0] * degree(poly), points)
+    if not real_rooted:
+        points = _search(poly)
+        if points is None:
+            sf = squarefree(poly)
+            if len(sf) < len(poly):
+                poly, points = sf, _search(sf)
+        real_rooted = points is not None and _alternates([poly], [0] * degree(poly), points)
     # the other roots are negative iff the last point can move to 0
-    nonpositive = real_rooted and _alternates([poly], turns, points[:-1] + [Fraction(0)])
+    nonpositive = real_rooted and _alternates([poly], [0] * degree(poly), points[:-1] + [(0, 0)])
     return RzCertificate(real_rooted, nonpositive, zeros <= 1 and len(sf) == len(d) - zeros,
                          points, poly)
 
@@ -401,11 +380,11 @@ def check_relation(p: Poly | list, q: Poly | list, relation: str,
     polys = [_divmod(d, g)[0] for d in (dp, dq)]
     # with a constant gcd the cofactors are p and q: a certificate of the
     # whole polynomial (all roots simple, none at 0) brackets its roots
-    found = [_dyadics(c.points) if len(g) == 1 and c.all_simple and d[0] else None
+    found = [c.points if len(g) == 1 and c.all_simple and d[0] else None
              for c, d in zip(certs, (dp, dq))]
     # interlace: q p q ... p q; alternate-left: p q p ... p q
     turns = [(k + shift) % 2 for k in range(len(polys[0]) + len(polys[1]) - 2)]
-    points = _rationals(_merge(polys, found))
+    points = _merge(polys, found)
     if points is None or not _alternates(polys, turns, points):
         return RelationReport(relation, False, "roots out of order", certs)
     return RelationReport(relation, True, certs=certs)

@@ -46,7 +46,7 @@ same rows.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import factorial
 
 from .poly import ONE, Poly, Q, X, Y, ZERO, dot
 
@@ -184,21 +184,27 @@ def s_from_stirling(n: int) -> Poly:
 
     Expands sum_k p(n+1, n-2k+2) (2x-1)^k, asserts exact divisibility by
     2^(n+1) * x, and returns the quotient.  With m = n + 1, the integer
-    p(m, m-2k+1) is (-1)^k sum_i w_i (C(i, m-2k) - C(i, m-2k+1)) over the row
-    weights w_i = i! S(m, i) (-2)^(m-i), i = 1..m, computed once for the row.
+    p(m, m-2k+1) is (-1)^k (c_(m-2k) - c_(m-2k+1)), where c_j = sum_i w_i C(i, j)
+    over the row weights w_i = i! S(m, i) (-2)^(m-i), i = 1..m: the
+    coefficients of sum_i w_i (1+t)^i, computed once for the row by Horner.
     The top summand is allowed to vanish rather than being truncated silently.
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
     m = n + 1
     weights = [factorial(i) * stirling2(m, i) * (-2) ** (m - i) for i in range(1, m + 1)]
+    # c_j by Horner in 1 + t on sum_i w_i (1+t)^i: each product adds c_(j-1) to c_j
+    c = [0]
+    for w in reversed(weights):
+        c[0] += w
+        c = [a + b for a, b in zip(c + [0], [0] + c)]
+    c = [0] + c + [0]  # c[j + 1] is c_j for j = -1..m+1, zero at both ends
     # by Horner in t = 2x - 1, from the top summand down, on the x-coefficients
     acc: list[int] = []
     for k in range(n // 2 + 1, -1, -1):
-        j = m - 2 * k  # -1 only for the top summand of an even n, where C(i, -1) = 0
-        p = sum(w * ((comb(i, j) if j >= 0 else 0) - comb(i, j + 1))
-                for i, w in enumerate(weights, 1))
-        # acc * (2x - 1): c_i <- 2 c_(i-1) - c_i
+        j = m - 2 * k  # -1 only for the top summand of an even n
+        p = c[j + 1] - c[j + 2]
+        # acc * (2x - 1): a_i <- 2 a_(i-1) - a_i
         acc = [2 * a - b for a, b in zip([0] + acc, acc + [0])]
         acc[0] += (-1) ** k * p
     if acc[0]:

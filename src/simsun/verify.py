@@ -1,7 +1,7 @@
 """Registry of machine-checkable identities with exact verdicts.
 
 Every entry pairs a checker with a default bound chosen so the whole suite
-runs in seconds: a cold ``verify all`` takes 3-5 s on a 2-core x86_64 host.
+runs in seconds: a cold ``verify all`` takes about 2 s on a 2-core x86_64 host.
 A checker yields comparisons ``(where, lhs, rhs)``: two independently
 computed sides (recurrence vs. closed form, generator vs. statistic scan,
 series vs. triangle, ...) and a label locating them.  ``run`` is the one

@@ -24,6 +24,12 @@ def from_roots(rs, scale=1, quadratic=None) -> Poly:
     return p
 
 
+def value(point) -> Fraction:
+    """The rational a dyadic pair (n, e) stands for, n/2^e."""
+    n, e = point
+    return F(n, 2**e)
+
+
 def test_dense_conversion():
     assert roots.dense(ONE + 11 * X + 4 * X**2) == [F(1), F(11), F(4)]
     assert roots.dense([1, 0]) == [F(1)]
@@ -68,7 +74,8 @@ def test_certify_examples():
     assert cert.real_rooted and not cert.all_nonpositive
     cert = roots.certify_rz(Poly.from_x_coeffs([2, 3, 1]))  # (x+1)(x+2)
     assert cert.real_rooted and cert.all_simple
-    assert len(cert.points) == 3 and cert.points == sorted(set(cert.points))
+    assert len(cert.points) == 3
+    assert all(value(a) < value(b) for a, b in zip(cert.points, cert.points[1:]))
     cert = roots.certify_rz(Poly.from_x_coeffs([1, 2, 1]))  # doubled root
     assert cert.real_rooted and cert.all_nonpositive and not cert.all_simple
     cert = roots.certify_rz(Poly.from_x_coeffs([1, 0, 2, 0, 1]))  # (1+x^2)^2
@@ -82,14 +89,15 @@ def test_certify_examples():
 
 
 def test_checker_refuses_bad_certificates():
-    p = [2, 3, 1]  # (x+1)(x+2), roots -2 and -1
-    assert roots._alternates([p], [0, 0], [F(-3), F(-3, 2), F(0)])
-    assert not roots._alternates([p], [0, 0], [F(-3), F(0), F(-3, 2)])  # not increasing
-    assert not roots._alternates([p], [0, 0], [F(-3), F(-1), F(0)])  # a point on a root
-    assert not roots._alternates([p], [0], [F(-3), F(-3, 2)])  # one root unaccounted
+    p = [2, 3, 1]  # (x+1)(x+2), roots -2 and -1; (-3, 1) is -3/2
+    assert roots._alternates([p], [0, 0], [(-3, 0), (-3, 1), (0, 0)])
+    assert not roots._alternates([p], [0, 0], [(-3, 0), (0, 0), (-3, 1)])  # not increasing
+    assert not roots._alternates([p], [0, 0], [(-3, 0), (-1, 0), (0, 0)])  # a point on a root
+    assert not roots._alternates([p], [0], [(-3, 0), (-3, 1)])  # one root unaccounted
+    assert not roots._alternates([p], [0, 0], [(-3, 0), (-3, 1), (0, -1)])  # e < 0
     # x + 2 and x + 1: the root of the first comes first
-    assert roots._alternates([[2, 1], [1, 1]], [0, 1], [F(-3), F(-3, 2), F(0)])
-    assert not roots._alternates([[2, 1], [1, 1]], [1, 0], [F(-3), F(-3, 2), F(0)])
+    assert roots._alternates([[2, 1], [1, 1]], [0, 1], [(-3, 0), (-3, 1), (0, 0)])
+    assert not roots._alternates([[2, 1], [1, 1]], [1, 0], [(-3, 0), (-3, 1), (0, 0)])
 
 
 def test_relation_examples():
@@ -210,7 +218,6 @@ def test_each_way_the_proposer_ends(monkeypatch, p, q, gcd, found):
     q = q or roots.derivative(p)
     points = roots._seeded(p, q, roots._search(q))
     assert gcds == [gcd]  # each pair passes the patience once, in one gap
-    points = roots._rationals(points)
     assert (points is not None and roots._alternates([p], [0] * roots.degree(p), points)) == found
 
 
@@ -258,6 +265,86 @@ root_lists = st.lists(root_values, max_size=5)
 # x^2 + 1, x^2 + x + 1, x^2 - 2x + 3, 2x^2 + x + 4
 quadratics = st.none() | st.sampled_from([(1, 0, 1), (1, 1, 1), (3, -2, 1), (4, 1, 2)])
 scales = st.sampled_from([1, -1, 3, -2])
+
+
+def reference_alternates(polys, turns, points) -> bool:
+    """The checker's verdict by Fraction arithmetic on the values of the
+    points: they increase, no polynomial vanishes at one, polys[turns[k]]
+    changes sign across gap k and polys[j] is named deg polys[j] times."""
+    if any(e < 0 for _, e in points):
+        return False
+    ts = [value(t) for t in points]
+    if len(ts) != len(turns) + 1 or any(a >= b for a, b in zip(ts, ts[1:])):
+        return False
+    if any(turns.count(j) != len(p) - 1 for j, p in enumerate(polys)):
+        return False
+    signs = [[(v > 0) - (v < 0) for v in (sum(c * t**i for i, c in enumerate(p)) for p in polys)]
+             for t in ts]
+    return all(0 not in row for row in signs) and all(
+        before[owner] != after[owner] for owner, before, after in zip(turns, signs, signs[1:]))
+
+
+# roots k/2^j of one or two polynomials; a planted certificate has a point
+# below, between and above them, spelled with 3 to 5 bits after the point
+dyadic_roots = st.lists(st.tuples(st.integers(-8, 8), st.integers(0, 2)), max_size=4)
+SPOILERS = ("none", "swap", "on a root", "two spellings", "turn dropped", "turn flipped",
+            "negative exponent", "random points")
+
+
+@st.composite
+def checker_cases(draw):
+    root_sets = draw(st.lists(dyadic_roots, min_size=1, max_size=2))
+    polys = [roots.dense(from_roots([value(r) for r in rs], draw(scales))) for rs in root_sets]
+    owned = sorted((value(r), j) for j, rs in enumerate(root_sets) for r in rs)
+    turns = [j for _, j in owned]
+    ts = [r for r, _ in owned]
+    ts = [ts[0] - 1] + [(a + b) / 2 for a, b in zip(ts, ts[1:])] + [ts[-1] + 1] if ts else [F(0)]
+    bits = draw(st.integers(3, 5))
+    points = [(int(t * 2**bits), bits) for t in ts]
+    spoiler = draw(st.sampled_from(SPOILERS))
+    k = draw(st.integers(0, len(points) - 1))
+    if spoiler == "swap" and k + 1 < len(points):
+        points[k], points[k + 1] = points[k + 1], points[k]
+    if spoiler == "on a root" and owned:
+        points[k] = draw(st.sampled_from([r for rs in root_sets for r in rs]))
+    if spoiler == "two spellings" and k + 1 < len(points):
+        points[k + 1] = (points[k][0] * 2, points[k][1] + 1)
+    if spoiler == "turn dropped" and turns:
+        del turns[k % len(turns)]
+    if spoiler == "turn flipped" and turns:
+        turns[k % len(turns)] = 1 - turns[k % len(turns)]
+    if spoiler == "negative exponent":
+        points[k] = (points[k][0], draw(st.integers(-3, -1)))
+    if spoiler == "random points":
+        points = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 4)),
+                               min_size=len(points), max_size=len(points)))
+    simple = len({r for r, _ in owned}) == len(owned)
+    return polys, turns, points, spoiler == "none" and simple
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(checker_cases())
+def test_checker_matches_the_fraction_reference(case):
+    polys, turns, points, valid = case
+    verdict = roots._alternates(polys, turns, points)
+    assert verdict == reference_alternates(polys, turns, points)
+    # an unspoiled certificate of simple roots passes
+    assert verdict or not valid
+
+
+def test_a_seeded_chain_checks_each_certificate_once(monkeypatch):
+    checks = []
+    alternates = roots._alternates
+    monkeypatch.setattr(roots, "_alternates",
+                        lambda *args: checks.append(args[2]) or alternates(*args))
+    s = triangles.family_polys("S", 30)
+    cert = roots.certify_rz(s[2])
+    for n in range(3, 31):
+        checks.clear()
+        cert = roots.certify_rz(s[n], near=cert)
+        assert _verdict(cert) == (True, True, True)
+        # the certificate, then its last point moved to 0 for nonpositivity
+        assert checks == [cert.points, cert.points[:-1] + [(0, 0)]]
 
 
 def weakly_ordered(xs, ts, relation) -> bool:
