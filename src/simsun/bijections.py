@@ -185,10 +185,6 @@ def _obj(tree: Tree, level: np.ndarray, i: int) -> tuple:
     return classes.objects(tree, level[i : i + 1])[0]
 
 
-def _rank(tree: Tree, level: np.ndarray) -> np.ndarray:
-    return perms.ranks(classes.one_line(level) if tree.cycles else level)
-
-
 def _verify(name: str, n: int, sizes, stat: str, scanner, cover: str) -> VerifyReport:
     """The claims of φ and ψ, read off the walk by Lehmer rank; the first to fail,
     in this order: a source without ``sizes(des)`` images, a repeated image, an
@@ -206,7 +202,7 @@ def _verify(name: str, n: int, sizes, stat: str, scanner, cover: str) -> VerifyR
     owner = np.full(math.factorial(m), -1, dtype=np.int32)  # source rank by image rank
     repeat = statistic = ""
     for sources, images in _walk(name, n):
-        src, img = perms.ranks(sources), _rank(tree, images)
+        src, img = perms.ranks(sources), perms.ranks(images)
         np.add.at(images_of, src, np.int32(1))  # an int32 one keeps ``at`` fast
         # a repeated image finds its rank set, or its place taken by another row
         earlier, at = owner[img], np.arange(len(img), dtype=np.int32)
@@ -235,7 +231,7 @@ def _walk_back(name: str, tree: Tree, n: int, m: int, owner: np.ndarray) -> str:
     has by image rank, else the first image not reached once (-1 - k in the
     ``owner`` it uses up, for an image reached k times)."""
     for targets, back in _walk(name + "-1", m):
-        t = _rank(tree, targets)
+        t = perms.ranks(targets)
         got = owner[t]
         for i in np.flatnonzero((got >= 0) & (got != perms.ranks(back)))[:1]:
             return (f"inverse({_obj(tree, targets, i)}) = {_obj(FIRST, back, i)}"
@@ -244,8 +240,8 @@ def _walk_back(name: str, tree: Tree, n: int, m: int, owner: np.ndarray) -> str:
         np.subtract.at(owner, t, np.int32(1))
     bad = np.flatnonzero((owner >= 0) | (owner < -2))
     if len(bad):
-        word, hits = perms.unrank(int(bad[0]), m), max(-1 - int(owner[bad[0]]), 0)
-        return f"{perms.to_cycles(word) if tree.cycles else word} has {hits} sources"
+        row = perms.word_array([perms.unrank(int(bad[0]), m)], m)
+        return f"{_obj(tree, row, 0)} has {max(-1 - int(owner[bad[0]]), 0)} sources"
     return ""
 
 

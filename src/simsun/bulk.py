@@ -1,14 +1,14 @@
 """Vectorized brute-force oracles for the big enumeration sweeps.
 
 One engine, ``_sweep``, drives all three: ``perms.depth_first`` grows a
-tree of ``classes`` (first-kind words, all permutations, second-kind signed
-cycle forms) by its unlabelled ``grow`` up to the level below the bound, in
+tree of ``classes`` (first-kind words, all permutations, second-kind cycle
+words) by its unlabelled ``grow`` up to the level below the bound, in
 blocks of at most ``perms._CHUNK`` rows, so no level is held whole.  A
-scanner reads one key a row off each block's words or signed cycle forms,
+scanner reads one key a row off each block's words or cycle words,
 independently of any recurrence, and ``np.bincount`` adds the keys into the
 level's bins.  A word's key is its ascent set (``perms.ascent_masks``,
 2^(m-1) bins), whose statistics are read once a level off
-``perms.mask_stats``; a cycle form's is (exc, fix, cyc), each in 0..m, as
+``perms.mask_stats``; a cycle word's is (exc, fix, cyc), each in 0..m, as
 one base-(m + 1) number.
 
 The top level, most of the objects, is never written: each of its objects
@@ -16,8 +16,8 @@ is a (parent, place) pair, a parent of the level below and one of the
 places ``classes.open_places`` opens in it, the same rule ``grow`` follows.
 Its key follows from the parent's key and the place: an ascent set gains an
 ascent into the new largest letter and a descent out of it, and a cycle
-form's (exc, fix, cyc) gains what putting m + 1 after a letter (or as a new
-fixed point) changes.  The keys are derived for as many parents at a time
+word's (exc, fix, cyc) gains what putting m + 1 after a letter (or in front,
+a new fixed point) changes.  The keys are derived for as many parents at a time
 as ``depth_first`` extends, at most ``perms._CHUNK`` children, and binned
 one place column at a time, so the memory stays that of a block.
 
@@ -46,9 +46,9 @@ def simsun_word_distributions(n_max: int) -> dict[int, Counter]:
 
 def simsun_cycle_distributions(n_max: int) -> dict[int, Counter]:
     """Per-n joint counts of (exc, fix, cyc) over second-kind simsun
-    permutations, read off the stored signed cycle forms: exc by comparing
-    each letter with its successor, fix as the one-letter cycles, cyc as the
-    cycle starts."""
+    permutations, read off the stored cycle words: exc by comparing each
+    letter with its successor, fix as the one-letter cycles, cyc as the
+    cycle starts, the left-to-right minima."""
     return _sweep("cycles", n_max, classes.SECOND, _cycle_key, _child_cycle_keys, _cycle_keys)
 
 
@@ -118,10 +118,10 @@ def _all_word_keys(m: int, masks: np.ndarray):
 
 
 def _cycle_stats(level: np.ndarray) -> list[np.ndarray]:
-    # off the signed cycle forms: an excedance is a letter whose successor
-    # in its cycle is larger, a fixed point a cycle that starts where it ends
-    letters, start, last, succ = classes._successors(level)
-    return [(succ > letters).sum(axis=1), (start & last).sum(axis=1), start.sum(axis=1)]
+    # off the cycle words: an excedance is a letter whose successor in its
+    # cycle is larger, a fixed point a cycle that starts where it ends
+    start, last, succ = classes._successors(level)
+    return [(succ > level).sum(axis=1), (start & last).sum(axis=1), start.sum(axis=1)]
 
 
 def _cycle_key(level: np.ndarray) -> tuple[np.ndarray, int]:
@@ -139,13 +139,13 @@ def _child_cycle_keys(block: np.ndarray, keys: np.ndarray, at: np.ndarray):
     radix = m + 2
     exc, fix, cyc = np.unravel_index(keys, (m + 1,) * 3)
     base = (exc * radix + fix) * radix + cyc  # the parent's key in the children's radix
-    letters, _, _, succ = classes._successors(block)
+    succ = classes._successors(block)[2]
 
     def column(c: int) -> np.ndarray:
         rows = at[:, c]
         if not c:
             return base[rows] + radix + 1
-        u, v = letters[rows, c - 1], succ[rows, c - 1]
+        u, v = block[rows, c - 1], succ[rows, c - 1]
         return base[rows] + (v <= u) * radix**2 - (v == u) * radix
 
     return radix**3, map(column, range(m + 1))

@@ -7,9 +7,9 @@ a one-row call.  Both recognizers are one row-mask kernel, on a letters ×
 rows copy, that finds no double descent of a word, or for the second kind
 no double ascent of its cycle word (``perms``), in any restriction to [k].
 The three trees, first-kind words (descent and free gaps), all
-permutations (interior-peak and free gaps) and second-kind cycle forms
+permutations (interior-peak and free gaps) and second-kind cycle words
 (excedance and plain letters), list the labelled places of a level, insert
-the next entry there and strip it again; ``level`` grows every level whole
+the next entry into a gap and strip it again; ``level`` grows every level whole
 from the empty object.  The ``bulk`` sweeps grow the same trees with no
 label computed, depth first in blocks of rows (``perms.depth_first``),
 never holding a level whole, and read their top level off the parents and
@@ -18,6 +18,7 @@ never holding a level whole, and read their top level off the parents and
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterator, NamedTuple
 
@@ -76,15 +77,14 @@ def is_simsun_second(word: Word) -> bool:
 # -- labelled insertion trees as level arrays ----------------------------------
 #
 # A level holds the objects of one size m as rows of an integer array: words
-# for FIRST and PEAK; for SECOND standard cycle forms, flattened, with the
-# first letter of each cycle negated (the signs are the cycle-start mask).
-# The entry m + 1 goes into places c = 0..m: for a word the gap before its
-# (c+1)-th letter; for a cycle form right after its c-th letter, or, for
-# c = 0, a new singleton cycle put last (the one way it is negative).  A
-# place's label is (kind, rank): kind 0 is END (rank 0), kinds 1 and 2 are
-# the tree's two letters, ranked from 1.  A tree's ``marks`` read off a
-# chunk of rows the kind-1 and kind-2 masks, the END columns and a function
-# giving the two rank grids.
+# for FIRST and PEAK, cycle words (``perms.cycle_word``) for SECOND, whose
+# cycles start at their left-to-right minima.  In every tree the entry m + 1
+# goes into a gap c = 0..m, before the (c+1)-th letter: in a cycle word gap
+# 0 makes it a new singleton cycle and gap c >= 1 puts it after the c-th
+# letter, in that letter's cycle.  A place's label is (kind, rank): kind 0
+# is END (rank 0), kinds 1 and 2 are the tree's two letters, ranked from 1.
+# A tree's ``marks`` read off a chunk of rows the kind-1 and kind-2 masks,
+# the END columns and a function giving the two rank grids.
 
 Label = tuple[str, int]
 
@@ -93,7 +93,7 @@ class Tree(NamedTuple):
     kinds: tuple[str, str]
     marks: Callable[[np.ndarray], tuple]
     count: Callable[[int], int]  # objects of size n
-    cycles: bool = False
+    cycles: bool = False  # rows are cycle words, objects standard cycle forms
 
 
 def _word_marks(a: np.ndarray) -> tuple:
@@ -125,46 +125,57 @@ def _peak_marks(a: np.ndarray) -> tuple:
 
 
 def _successors(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Letters, cycle-start and cycle-end masks and successors at each
-    position of signed cycle forms: the k-th cycle end of the array, in
-    row-major order, is followed by the k-th cycle start."""
-    letters, start = np.abs(a), a < 0
+    """Cycle-start and cycle-end masks and successors at each position of
+    cycle words: the k-th cycle end of the array, in row-major order, is
+    followed by the k-th cycle start."""
+    start = np.minimum.accumulate(a, axis=1) == a
     last = np.ones_like(start)
     last[:, :-1] = start[:, 1:]
-    succ = np.empty_like(letters)
-    succ[:, :-1] = letters[:, 1:]
-    succ[last] = letters[start]
-    return letters, start, last, succ
+    succ = np.empty_like(a)
+    succ[:, :-1] = a[:, 1:]
+    succ[last] = a[start]
+    return start, last, succ
 
 
 def _cycle_marks(a: np.ndarray) -> tuple:
     """Second kind: u_r after the r-th excedance position (increasing), v_s
-    after the s-th letter, left to right, that is neither an excedance
-    position nor a cyclic peak value, END for a new singleton cycle."""
+    after the s-th letter, in standard cycle form, that is neither an
+    excedance position nor a cyclic peak value, END for a new singleton
+    cycle."""
     rows, m = a.shape
-    letters, start, last, succ = _successors(a)
-    pred = np.empty_like(letters)
-    pred[:, 1:] = letters[:, :-1]
-    pred[start] = letters[last]
+    start, last, succ = _successors(a)
+    pred = np.empty_like(a)
+    pred[:, 1:] = a[:, :-1]
+    pred[start] = a[last]
     up = np.zeros((rows, m + 1), dtype=bool)
     plain = up.copy()
-    up[:, 1:] = succ > letters
-    plain[:, 1:] = (succ <= letters) & (letters <= pred)
+    up[:, 1:] = succ > a
+    plain[:, 1:] = (succ <= a) & (a <= pred)
 
     def ranks() -> tuple[np.ndarray, np.ndarray]:
         # u ranks count the excedance positions by letter value
         every = np.arange(rows)[:, None]
         by_value = np.zeros((rows, m), dtype=np.int64)
-        by_value[every, letters - 1] = up[:, 1:]
+        by_value[every, a - 1] = up[:, 1:]
         rank = np.zeros((rows, m + 1), dtype=np.int64)
-        rank[:, 1:] = by_value.cumsum(axis=1)[every, letters - 1]
-        return rank, plain.cumsum(axis=1)
+        rank[:, 1:] = by_value.cumsum(axis=1)[every, a - 1]
+        # v ranks count, in standard order, the plain letters of the cycles
+        # to the right (smaller minima) and those of the own cycle up to here:
+        # seen less its value at the cycle's end, filled back from each end,
+        # and less its value before the cycle's start, filled forward
+        seen = plain.cumsum(axis=1)
+        before, to_end = np.zeros_like(seen), np.full_like(seen, m)
+        before[:, 1:] = np.where(start, seen[:, :-1], 0)
+        to_end[:, 1:] = np.where(last, seen[:, 1:], m)
+        np.maximum.accumulate(before, axis=1, out=before)
+        to_end = np.minimum.accumulate(to_end[:, ::-1], axis=1)[:, ::-1]
+        return rank, seen[:, -1:] - to_end + seen - before
 
     return up, plain, [0], ranks
 
 
 #: first-kind simsun words, all permutations by interior peaks, and
-#: second-kind simsun permutations as signed cycle forms
+#: second-kind simsun permutations as cycle words
 FIRST = Tree(("x", "y"), _word_marks, perms._zigzag_rows)
 PEAK = Tree(("p", "q"), _peak_marks, math.factorial)
 SECOND = Tree(("u", "v"), _cycle_marks, perms._zigzag_rows, cycles=True)
@@ -190,12 +201,12 @@ def insert(tree: Tree, level: np.ndarray, row: np.ndarray, place: np.ndarray) ->
     ``place[i]``, columns sorted by place and then by row as in ``places``."""
     at = np.zeros((len(level), level.shape[1] + 1), dtype=bool)
     at[row, place] = True
-    return _put(tree, level, at)
+    return _put(level, at)
 
 
 def grow(tree: Tree, level: np.ndarray) -> np.ndarray:
     """The next level: the next entry put into every row at every place."""
-    return _put(tree, level, open_places(tree, level))
+    return _put(level, open_places(tree, level))
 
 
 def open_places(tree: Tree, level: np.ndarray) -> np.ndarray:
@@ -213,17 +224,15 @@ def strip(tree: Tree, level: np.ndarray) -> tuple[np.ndarray, ...]:
     """The inverse of ``insert``: the parent of every row, its largest entry
     removed, and the kind and rank of the place that entry held."""
     rows, m = level.shape
-    every = np.arange(rows)
-    at = np.argmax(np.abs(level) == m, axis=1)
-    parents = level[np.arange(m) != at[:, None]].reshape(rows, m - 1)
-    place = np.where(level[every, at] < 0, 0, at)
+    place = np.argmax(level == m, axis=1)
+    parents = level[np.arange(m) != place[:, None]].reshape(rows, m - 1)
     row, where, kind, rank = places(tree, parents)
-    i = np.searchsorted(where * rows + row, place * rows + every)
+    i = np.searchsorted(where * rows + row, place * rows + np.arange(rows))
     return parents, kind[i], rank[i]
 
 
-def _put(tree: Tree, level: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Children of the rows at each place marked in ``at``, place by place."""
+def _put(level: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Children of the rows at each gap marked in ``at``, gap by gap."""
     m = level.shape[1]
     sizes = at.sum(axis=0)
     ends = sizes.cumsum()
@@ -231,10 +240,9 @@ def _put(tree: Tree, level: np.ndarray, at: np.ndarray) -> np.ndarray:
     for c in np.flatnonzero(sizes).tolist():
         src = level[at[:, c]]
         block = child[ends[c] - len(src) : ends[c]]
-        g, entry = (m, -(m + 1)) if tree.cycles and not c else (c, m + 1)
-        block[:, :g] = src[:, :g]
-        block[:, g] = entry
-        block[:, g + 1:] = src[:, g:]
+        block[:, :c] = src[:, :c]
+        block[:, c] = m + 1
+        block[:, c + 1:] = src[:, c:]
     return child
 
 
@@ -250,45 +258,22 @@ def level(tree: Tree, n: int) -> np.ndarray:
     return a
 
 
-def one_line(level: np.ndarray) -> np.ndarray:
-    """The rows of a SECOND level as maps in one-line notation."""
-    out = np.empty_like(level)
-    for part in perms.chunks(len(level)):
-        letters, _, _, succ = _successors(level[part])
-        np.put_along_axis(out[part], letters - 1, succ, axis=1)
-    return out
-
-
-def cycle_words(level: np.ndarray) -> np.ndarray:
-    """The rows of a SECOND level as cycle words, the cycles in reverse
-    order: each place moves by the letters after its cycle less those before
-    it, read off running maxima of the cycle starts and, from the right, of
-    the cycle ends (the places before a start, place 0 after the last)."""
-    places = np.arange(level.shape[1], dtype=level.dtype)[:, None]
-    start = level.T < 0
-    moves = np.where(np.roll(start, -1, axis=0), places[::-1], 0)
-    perms.running(np.maximum, moves[::-1])
-    moves += places
-    moves -= perms.running(np.maximum, np.where(start, places, 0))
-    words = np.empty_like(level)
-    np.put_along_axis(words, moves.T, level, axis=1)
-    return np.abs(words, out=words)
-
-
 def objects(tree: Tree, level: np.ndarray) -> list[tuple]:
-    """The rows as tuples: words, or cycle forms in standard form."""
+    """The rows as tuples: words, or cycle forms in standard form, a cycle
+    word cut at its left-to-right minima and its cycles reversed."""
     rows = level.tolist()
     if not tree.cycles:
         return list(map(tuple, rows))
-    cuts = [[i for i, v in enumerate(row) if v < 0] + [len(row)] for row in rows]
-    return [tuple(tuple(map(abs, row[a:b])) for a, b in zip(cut, cut[1:]))
+    cuts = [[i for i, low in enumerate(itertools.accumulate(row, min)) if row[i] == low]
+            for row in rows]
+    return [tuple(tuple(row[a:b]) for a, b in zip(cut, cut[1:] + [len(row)]))[::-1]
             for row, cut in zip(rows, cuts)]
 
 
 def one_row(tree: Tree, obj: tuple) -> np.ndarray:
     """One object as a level of one row; cycle forms must be standard."""
     if tree.cycles:
-        obj = [-v if not i else v for cyc in obj for i, v in enumerate(cyc)]
+        obj = [v for cyc in reversed(obj) for v in cyc]
     return perms.word_array([obj], len(obj))
 
 
@@ -312,7 +297,7 @@ def _labels(tree: Tree, obj: tuple) -> dict[int, Label]:
     place c >= 1 is named by its c-th letter."""
     level = one_row(tree, obj)
     _, place, kind, rank = places(tree, level)
-    key = np.abs(level[0])[place - 1] if tree.cycles else place
+    key = level[0][place - 1] if tree.cycles else place
     names = ("END",) + tree.kinds
     return {p: (names[k], r) for p, k, r in zip(key.tolist(), kind.tolist(), rank.tolist()) if k}
 

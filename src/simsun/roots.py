@@ -240,7 +240,10 @@ def _seeded(p: list[int], q: list[int], known: list[Dyadic]) -> list[Dyadic] | N
     follow q's (both are tried).  It ends if ``known`` is a valid
     certificate of q: at q's root in a gap, p has the wanted sign, vanishes
     (a shared root) or has the wrong sign, which the slope bound proves.
+    A point with a negative exponent is refused, as the checker refuses it.
     """
+    if any(e < 0 for _, e in known):
+        return None
     if q == p:
         return known
     shift = degree(p) - degree(q)

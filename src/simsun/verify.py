@@ -319,20 +319,19 @@ def _cardinalities(n_max: int) -> Comparisons:
 
 def _rank_maps(n: int) -> list[tuple[str, tuple, tuple]]:
     # both sides as (row count, bool map over the n! ranks): the filters read
-    # one stream of all n! words, in rank order; the generated rows, second-kind
-    # ones as cycle words, are marked at their ranks a chunk at a time, so a
-    # repeated row shows in the count
+    # one stream of all n! words, in rank order, the second kind's as cycle
+    # words; the generated rows, words or cycle words, are marked at their
+    # ranks a chunk at a time, so a repeated row shows in the count
     filt1, filt2 = [], []
     for chunk in perms.permutation_chunks(n):
         filt1.append(classes.simsun_first_mask(chunk))
         filt2.append(classes.simsun_second_mask(chunk))
     maps = []
-    for kind, tree, filt, read in (("first", classes.FIRST, filt1, lambda rows: rows),
-                                   ("second", classes.SECOND, filt2, classes.cycle_words)):
+    for kind, tree, filt in (("first", classes.FIRST, filt1), ("second", classes.SECOND, filt2)):
         filt, gen = np.concatenate(filt), classes.level(tree, n)
         seen = np.zeros_like(filt)
         for part in perms.chunks(len(gen)):
-            seen[perms.ranks(read(gen[part]))] = True
+            seen[perms.ranks(gen[part])] = True
         maps.append((kind, (len(gen), seen.tobytes()), (int(filt.sum()), filt.tobytes())))
     return maps
 

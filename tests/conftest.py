@@ -8,9 +8,10 @@ kept for a test stuck inside one C call, where no signal handler runs.  The
 limit is a BaseException, so hypothesis does not catch it and replay the
 hanging example while shrinking.
 
-Each test starts with an empty ``triangles._cache``: a family's rows
-built by an earlier test would otherwise hide a fault that a test patches
-into what builds them (``triangles.FIRST_ORDER``, say).
+Each test starts with an empty ``triangles._cache`` and ``bulk._cache``:
+a family's rows or a sweep's counts made by an earlier test would otherwise
+hide a fault that a test patches into what makes them
+(``triangles.FIRST_ORDER`` or a sweep's derived top level, say).
 
 The ``one_line`` fixture is the reading of cycle words shared by the
 one-line references of ``test_perms`` and ``test_classes``.
@@ -21,7 +22,7 @@ import signal
 import numpy as np
 import pytest
 
-from simsun import triangles
+from simsun import bulk, triangles
 
 LIMIT_S = 120
 
@@ -47,6 +48,11 @@ def time_limit():
 @pytest.fixture(autouse=True)
 def cold_family_rows(monkeypatch):
     monkeypatch.setattr(triangles, "_cache", {})
+
+
+@pytest.fixture(autouse=True)
+def cold_sweeps(monkeypatch):
+    monkeypatch.setattr(bulk, "_cache", {})
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ pass/fail line) per criterion.  Arithmetic is exact, tolerance is zero."""
 
 import time
 
-from simsun import bijections, bulk, cli, triangles, verify
+from simsun import bijections, cli, triangles, verify
 
 
 def _report(criterion: str, ok: bool) -> None:
@@ -124,9 +124,6 @@ def test_criterion_11_roots():
 
 
 def test_criterion_12_verify_all_and_mutation(monkeypatch, capsys):
-    # cold: a sweep cached by an earlier test would serve the grown levels of
-    # a larger bound, so a fault of a sweep's derived top level would not show
-    monkeypatch.setattr(bulk, "_cache", {})
     clean = cli.main(["verify", "all"])
 
     original = triangles.family_polys

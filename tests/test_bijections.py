@@ -1,5 +1,6 @@
 """The block correspondence and the descent-to-excedance bijection."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -34,6 +35,16 @@ def test_block_example():
 def test_psi_example():
     assert bijections.psi_forward((3, 4, 1, 2)) == ((1, 4, 3), (2,))
     assert bijections.psi_inverse(((1, 4, 3), (2,))) == (3, 4, 1, 2)
+
+
+# sha256 of the lines "word image" over RS_7 in sorted order, recorded while
+# the second-kind tree stored signed standard cycle forms
+PSI_7 = "1bf74805b6d692239b60ce7f5de750e40c1ec05726c9caab5071190d1d51e749"
+
+
+def test_psi_images_are_unchanged():
+    text = "\n".join(f"{w} {bijections.psi_forward(w)}" for w in sorted(classes.gen_simsun_first(7)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PSI_7
 
 
 def test_non_members_rejected():

@@ -118,7 +118,6 @@ def test_counts_fold_over_chunks(monkeypatch):
     # each level into many, the last one partial
     sweeps = ("simsun_word_distributions", "simsun_cycle_distributions",
               "all_perm_word_distributions")
-    monkeypatch.setattr(bulk, "_cache", {})
     whole = {name: getattr(bulk, name)(7) for name in sweeps}
     monkeypatch.setattr(perms, "_CHUNK", 7)
     monkeypatch.setattr(bulk, "_cache", {})
@@ -131,7 +130,6 @@ def test_blocks_never_exceed_the_chunk(monkeypatch):
     # that a sweep bins, the derived top level's too, has at most _CHUNK rows:
     # no level is handed on whole (level 6 of all permutations has 720)
     monkeypatch.setattr(perms, "_CHUNK", 7)
-    monkeypatch.setattr(bulk, "_cache", {})
     seen = {"grow": [], "_extend_zigzags": [], "_allowed": [], "bincount": []}
     for module, name, at in ((classes, "grow", 1), (perms, "_extend_zigzags", 0),
                              (perms, "_allowed", 0), (np, "bincount", 0)):

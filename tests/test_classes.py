@@ -101,8 +101,8 @@ def test_array_places_match_scalar_reference(tree, reference, members):
             assert sorted(found) == sorted(reference(obj)), obj
 
 
-def _as_maps(tree, level):
-    return sorted(map(tuple, (classes.one_line(level) if tree.cycles else level).tolist()))
+def _as_maps(level):
+    return sorted(map(tuple, level.tolist()))
 
 
 def test_levels_match_filters_and_the_sweeps(monkeypatch):
@@ -115,7 +115,6 @@ def test_levels_match_filters_and_the_sweeps(monkeypatch):
         return grown
 
     monkeypatch.setattr(classes, "grow", record)
-    monkeypatch.setattr(bulk, "_cache", {})
     # a sweep grows every level below its bound and derives the top one
     # without building it, so a bound of 9 grows levels 1..8
     bulk.simsun_word_distributions(9)
@@ -134,12 +133,11 @@ def test_levels_match_filters_and_the_sweeps(monkeypatch):
                 labelled = classes.insert(tree, labelled, row, place)
             # the labelled insert at every place is the unlabelled growth
             assert (labelled == classes.level(tree, n)).all()
-            assert _as_maps(tree, labelled) == _as_maps(tree, np.concatenate(swept[tree, n]))
-            # and the recognizers over all n! words find the same rows, read
-            # as cycle words for the second kind
+            assert _as_maps(labelled) == _as_maps(np.concatenate(swept[tree, n]))
+            # and the recognizers over all n! words find the same rows, which
+            # the second kind's reads as cycle words
             filtered = np.concatenate([c[mask(c)] for c in perms.permutation_chunks(n)])
-            read = classes.cycle_words if tree.cycles else lambda rows: rows
-            assert _as_maps(classes.PEAK, read(labelled)) == _as_maps(classes.PEAK, filtered)
+            assert _as_maps(labelled) == _as_maps(filtered)
 
 
 def _walked(name, n):
@@ -156,7 +154,6 @@ def test_engine_folds_over_chunks(monkeypatch):
         out += [_walked(name, 6) for name in ("phi", "phi-1", "psi", "psi-1")]
         out += [bijections._map(name, classes.level(tree, 6))
                 for name, tree in (("phi", classes.FIRST), ("psi-1", classes.SECOND))]
-        out += [classes.one_line(classes.level(classes.SECOND, 6))]
         return out + [bijections.verify_phi(5).counts, bijections.verify_psi(6).counts]
 
     whole = run()
@@ -241,7 +238,7 @@ def _grown(tree, n, rng, closed=False):
         at = classes.open_places(tree, row)[0]
         place = rng.choice(np.flatnonzero(~at if closed and m == n - 1 else at))
         row = classes.insert(tree, row, np.zeros(1, dtype=np.intp), np.array([place]))
-    return classes.cycle_words(row) if tree.cycles else row
+    return row
 
 
 @pytest.mark.parametrize("n", [1100, 4000])
@@ -262,7 +259,7 @@ def test_cycle_words_of_levels():
         level = classes.level(classes.SECOND, n)
         cycle_forms = classes.objects(classes.SECOND, level)
         words = [list(perms.cycle_word(perms.from_cycles(c))) for c in cycle_forms]
-        assert classes.cycle_words(level).tolist() == words, n
+        assert level.tolist() == words, n
 
 
 def test_first_kind_recognizer():

@@ -77,11 +77,14 @@ def test_enumerate_deterministic(capsys):
 
 
 # sha256 of the json listing at n = 8, recorded while cud read one-line
-# words and the zigzags were grown from candidate masks
+# words, the zigzags were grown from candidate masks and the second-kind
+# tree stored signed standard cycle forms
 LISTED_8 = {
     "cud": "2a2f04e8e2eecfe473fe034b31691a42bb94f360d8da62f7817e70fc00306e25",
     "alternating": "ae7813c6a181dbb4e40efeb60b109f1e367636a8c1662dda28c3f524746a91fc",
     "snakes": "2145cc1eb53180d239ebd543f1296bea60b351200489aaebf55e22f412d0e316",
+    "simsun1": "d837bb0f655601d88f4d7c175812c1a9dd0f0b9cf0e7c3eb51a7c163295aed98",
+    "simsun2": "6f9710f580cfe7344f8229962b33f97629ab3514cbe91481d10151a088a0038e",
 }
 
 
@@ -116,7 +119,6 @@ def test_verify_single(capsys):
 def test_sweep_over_row_budget_exits_2(capsys, monkeypatch):
     # a tiny budget stands in for a level too large for the machine
     monkeypatch.setattr(perms, "ROW_BUDGET", 1000)
-    monkeypatch.setattr(bulk, "_cache", {})
 
     def refuse(*args):
         raise AssertionError("a level was built before the budget check")

@@ -210,15 +210,23 @@ def test_refused_seeds_fall_back_to_the_search(monkeypatch, bad):
     ([2, 3, 1], [0, 1], [1], False),  # 0 is not between -2 and -1: the slope bound
     # (x+1)(x+1+2^-80): the root of p' is more than 64 halvings from the gap's width
     ([2**80 + 1, 2**81 + 1, 2**80], None, [1], True),
+    # a seed with a negative exponent is refused before any gap, as the checker refuses it
+    ([2, 3, 1], ([1, 1], [(-5, 0), (1, -1)]), None, False),
 ])
 def test_each_way_the_proposer_ends(monkeypatch, p, q, gcd, found):
+    # q seeds p with its searched points, or with the points paired with it
     gcds = []
     poly_gcd = roots.poly_gcd
     monkeypatch.setattr(roots, "poly_gcd", lambda a, b: gcds.append(poly_gcd(a, b)) or gcds[-1])
-    q = q or roots.derivative(p)
-    points = roots._seeded(p, q, roots._search(q))
-    assert gcds == [gcd]  # each pair passes the patience once, in one gap
+    q, known = q if isinstance(q, tuple) else (q or roots.derivative(p), None)
+    points = roots._seeded(p, q, known or roots._search(q))
+    assert gcds == ([gcd] if gcd else [])  # each pair passes the patience once, in one gap
     assert (points is not None and roots._alternates([p], [0] * roots.degree(p), points)) == found
+    if known:
+        # certify_rz falls back to the search
+        near = roots.certify_rz(q)
+        near.points = known
+        assert roots.certify_rz(p, near=near) == roots.certify_rz(p)
 
 
 def test_a_refused_row_breaks_no_later_row(monkeypatch):

@@ -270,8 +270,6 @@ def _drop_y_derivative(table):
          "y-derivative-cycles", "y-derivative-egf", "cycle-top-level", "cycle-reading"],
 )
 def test_every_side_catches_a_fault(monkeypatch, module, provider, fault, identity, detail):
-    # a sweep cached by an earlier test would hide a fault of what it reads
-    monkeypatch.setattr(bulk, "_cache", {})
     monkeypatch.setattr(module, provider, fault(getattr(module, provider)))
     report = verify.run(identity, 5)
     assert not report.ok
@@ -347,8 +345,7 @@ def test_object_checks_refuse_the_top_bound_first(monkeypatch, identity):
                                              ("psi-transport", 9)])
 def test_listing_checks_stay_small(monkeypatch, identity, bound):
     # numpy reports its buffers to tracemalloc, so the traced peak does not
-    # depend on the machine; no sweep cached earlier is reused
-    monkeypatch.setattr(bulk, "_cache", {})
+    # depend on the machine
     tracemalloc.start()
     try:
         report = verify.run(identity, bound)
