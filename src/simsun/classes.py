@@ -297,9 +297,11 @@ def _labels(tree: Tree, obj: tuple) -> dict[int, Label]:
     place c >= 1 is named by its c-th letter."""
     level = one_row(tree, obj)
     _, place, kind, rank = places(tree, level)
+    labeled = kind > 0
+    place, kind, rank = place[labeled], kind[labeled], rank[labeled]
     key = level[0][place - 1] if tree.cycles else place
-    names = ("END",) + tree.kinds
-    return {p: (names[k], r) for p, k, r in zip(key.tolist(), kind.tolist(), rank.tolist()) if k}
+    return {p: (tree.kinds[k - 1], r)
+            for p, k, r in zip(key.tolist(), kind.tolist(), rank.tolist())}
 
 
 def label_first(word: Word) -> dict[int, Label]:

@@ -1,20 +1,24 @@
 """Command-line front end.
 
 Subcommands: triangle, enumerate, verify, bijection, roots, series.
-Everything is deterministic; output formats are text, csv and json, except
-that ``bijection`` prints text or json only.  Exit codes: 0 success, 1
-identity violation, 2 usage error or ``TooLarge`` (a sweep level, zigzag
-array, permutation stream or phi/psi walk over ``perms.ROW_BUDGET`` rows,
-a phi block over ``bijections.PHI_BLOCK_LIMIT`` or a psi input over
-``bijections.PSI_LENGTH_LIMIT``), 141 (128 + SIGPIPE, no traceback) when
-the reader closes stdout early, as ``| head`` does.
+Everything is deterministic.  Each subcommand builds its rows once and
+hands them to one writer, ``_emit``, which prints the chosen format: one
+JSON document, a CSV table (header first, every row ending in CRLF) or
+text lines; ``bijection`` prints text or json only.  Exit codes: 0
+success, 1 identity violation, 2 usage error or ``TooLarge`` (a sweep
+level, zigzag array, permutation stream or phi/psi walk over
+``perms.ROW_BUDGET`` rows, a phi block over ``bijections.PHI_BLOCK_LIMIT``
+or a psi input over ``bijections.PSI_LENGTH_LIMIT``), 141 (128 + SIGPIPE,
+no traceback) when the reader closes stdout early, as ``| head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -39,8 +43,25 @@ class UsageError(Exception):
     pass
 
 
-def _emit_json(command: str, params: dict, results: list) -> None:
-    print(json.dumps({"command": command, "params": params, "results": results}))
+def _emit(args, params: dict, results: list, table, lines) -> None:
+    """Print ``args.format`` only: the JSON document of ``results``, the
+    CSV rows of ``table`` or the text ``lines``.  ``table`` and ``lines``
+    may be lazy; the formats not chosen are never read."""
+    if args.format == "json":
+        print(json.dumps({"command": args.command, "params": params, "results": results}))
+    elif args.format == "csv":
+        csv.writer(sys.stdout).writerows(table)
+    else:
+        for line in lines:
+            print(line)
+
+
+def _checked(convert, value):
+    """``convert(value)``, the ValueError it raises on bad input a usage error."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _poly_json(p: Poly):
@@ -55,48 +76,31 @@ def parse_perm(text: str):
     """Parse --perm input: a word as digits (n <= 9) or comma-separated
     values, or a cycle form like (1,4,3)(2).  Returns a Word or Cycles."""
     text = text.strip()
-    if text.startswith("("):
-        cycles = []
-        for part in text.replace(")(", ")|(").split("|"):
-            if not (part.startswith("(") and part.endswith(")")):
-                raise UsageError(f"bad cycle syntax: {text!r}")
-            body = part[1:-1]
-            try:
-                cycles.append(tuple(int(v) for v in body.split(",")))
-            except ValueError:
-                raise UsageError(f"bad cycle syntax: {text!r}") from None
-        try:
-            return perms.standardize(tuple(cycles))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    cyclic = text.startswith("(")
     try:
-        if "," in text:
-            word = tuple(int(v) for v in text.split(","))
+        if cyclic:
+            parts = text.replace(")(", ")|(").split("|")
+            if not all(part.startswith("(") and part.endswith(")") for part in parts):
+                raise ValueError(text)
+            value = tuple(tuple(int(v) for v in part[1:-1].split(",")) for part in parts)
         else:
-            word = tuple(int(ch) for ch in text)
+            value = tuple(int(v) for v in (text.split(",") if "," in text else text))
     except ValueError:
-        raise UsageError(f"bad permutation: {text!r}") from None
-    try:
-        return perms.check_word(word)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"bad {'cycle syntax' if cyclic else 'permutation'}: {text!r}") from None
+    return _checked(perms.standardize if cyclic else perms.check_word, value)
 
 
 def _verdicts(args, key: str, reports: list) -> int:
-    """Print reports in ``args.format`` under ``key``, the argument that
-    selected them ("identity" or "suite"); exit 1 when any failed."""
-    results = [{key: r.identity, "bound": r.bound, "ok": r.ok, "detail": r.detail,
-                "cases": r.cases} for r in reports]
-    if args.format == "json":
-        _emit_json(args.command, {key: getattr(args, key), "n_max": args.n_max}, results)
-    elif args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=[key, "bound", "ok", "detail", "cases"])
-        writer.writeheader()
-        writer.writerows(results)
-    else:
-        for r in reports:
-            verdict = "pass" if r.ok else f"FAIL ({r.detail})"
-            print(f"{r.identity}: bound {r.bound}: {verdict}")
+    """Print reports in ``args.format``, one row of ``IdentityReport``
+    fields each, the first named ``key``: the argument that selected them
+    ("identity" or "suite").  Exit 1 when any failed."""
+    names = [f.name for f in dataclasses.fields(verify.IdentityReport)]
+    rows = [[getattr(r, name) for name in names] for r in reports]
+    header = [key, *names[1:]]
+    _emit(args, {key: getattr(args, key), "n_max": args.n_max},
+          [dict(zip(header, row)) for row in rows], [header, *rows],
+          (f"{r.identity}: bound {r.bound}: {'pass' if r.ok else f'FAIL ({r.detail})'}"
+           for r in reports))
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -111,24 +115,18 @@ def cmd_triangle(args) -> int:
     if args.family not in triangles.FAMILIES:
         raise UsageError(f"unknown family {args.family!r}")
     polys = triangles.family_polys(args.family, args.n)
-    if args.format == "csv":
-        for p in polys:
-            if p.variables() - {"x"}:
-                raise UsageError(f"family {args.family} is not univariate; csv unavailable")
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["family", "n", "k", "value"])
+
+    def table():
+        if any(p.variables() - {"x"} for p in polys):
+            raise UsageError(f"family {args.family} is not univariate; csv unavailable")
+        yield ["family", "n", "k", "value"]
         for n, p in enumerate(polys):
             for k, c in enumerate(p.x_coeffs()):
-                writer.writerow([args.family, n, k, c])
-    elif args.format == "json":
-        _emit_json(
-            "triangle",
-            {"family": args.family, "n": args.n},
-            [{"n": n, "poly": _poly_json(p)} for n, p in enumerate(polys)],
-        )
-    else:
-        for n, p in enumerate(polys):
-            print(f"{args.family}_{n} = {p.text()}")
+                yield [args.family, n, k, c]
+
+    _emit(args, {"family": args.family, "n": args.n},
+          [{"n": n, "poly": _poly_json(p)} for n, p in enumerate(polys)], table(),
+          (f"{args.family}_{n} = {p.text()}" for n, p in enumerate(polys)))
     return 0
 
 
@@ -152,20 +150,11 @@ def cmd_enumerate(args) -> int:
             rec = perms.word_stats(obj)
             rows.append({"perm": ",".join(map(str, obj)), "des": rec.des, "lpk": rec.lpk,
                          "pk": rec.pk, "uprun": rec.uprun})
-    if args.format == "json":
-        _emit_json(
-            "enumerate", {"class": args.cls, "n": args.n}, rows + [{"count": len(rows)}]
-        )
-    elif args.format == "csv":
-        if rows:
-            writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"count,{len(rows)}")
-    else:
-        for row in rows:
-            print("  ".join(f"{k}={v}" for k, v in row.items()))
-        print(f"count {len(rows)}")
+    count = len(rows)  # at least 1: every class has a member of every size
+    _emit(args, {"class": args.cls, "n": args.n}, rows + [{"count": count}],
+          itertools.chain([list(rows[0])], map(list, map(dict.values, rows)), [["count", count]]),
+          itertools.chain(("  ".join(f"{k}={v}" for k, v in r.items()) for r in rows),
+                          [f"count {count}"]))
     return 0
 
 
@@ -186,53 +175,29 @@ def cmd_bijection(args) -> int:
         if args.n < 1:
             raise UsageError("--n must be at least 1")
         report = getattr(bijections, f"verify_{args.map}")(args.n)
-        if args.format == "json":
-            _emit_json("bijection", {"map": args.map, "n": args.n},
-                       [{"ok": report.ok, "detail": report.detail, "counts": report.counts}])
-        else:
-            verdict = "pass" if report.ok else f"FAIL ({report.detail})"
-            print(f"{args.map} exhaustive check at n={args.n}: {verdict}")
+        verdict = "pass" if report.ok else f"FAIL ({report.detail})"
+        _emit(args, {"map": args.map, "n": args.n},
+              [{"ok": report.ok, "detail": report.detail, "counts": report.counts}], None,
+              [f"{args.map} exhaustive check at n={args.n}: {verdict}"])
         return 0 if report.ok else 1
 
     obj = parse_perm(args.perm)
+    cyclic = bool(obj) and isinstance(obj[0], tuple)
+    if args.map == "phi" and cyclic:
+        raise UsageError("the block correspondence takes a word, not cycles")
+    forward = bijections.phi_forward if args.map == "phi" else (
+        bijections.psi_inverse if cyclic else bijections.psi_forward)
+    image = _checked(forward, obj)
+    words, cycles = classes.format_labeled_word, classes.format_labeled_cycles
+    source = (cycles if cyclic else words)(obj)
     if args.map == "phi":
-        if isinstance(obj[0] if obj else 0, tuple):
-            raise UsageError("the block correspondence takes a word, not cycles")
-        try:
-            block = bijections.phi_forward(obj)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        source = classes.format_labeled_word(obj)
-        images = ["".join(map(str, w)) if len(w) <= 9 else ",".join(map(str, w))
-                  for w in block]
-        if args.format == "json":
-            _emit_json("bijection", {"map": "phi", "perm": args.perm},
-                       [{"source": source, "images": images}])
-        else:
-            print(f"source: {source}")
-            for img in images:
-                print(f"image:  {img}")
+        images = ["".join(map(str, w)) if len(w) <= 9 else ",".join(map(str, w)) for w in image]
+        result = {"source": source, "images": images}
     else:
-        if obj and isinstance(obj[0], tuple):
-            try:
-                word = bijections.psi_inverse(obj)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            source = classes.format_labeled_cycles(obj)
-            image = classes.format_labeled_word(word)
-        else:
-            try:
-                cycles = bijections.psi_forward(obj)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            source = classes.format_labeled_word(obj)
-            image = classes.format_labeled_cycles(cycles)
-        if args.format == "json":
-            _emit_json("bijection", {"map": "psi", "perm": args.perm},
-                       [{"source": source, "image": image}])
-        else:
-            print(f"source: {source}")
-            print(f"image:  {image}")
+        images = [(words if cyclic else cycles)(image)]
+        result = {"source": source, "image": images[0]}
+    _emit(args, {"map": args.map, "perm": args.perm}, [result], None,
+          [f"source: {source}", *(f"image:  {img}" for img in images)])
     return 0
 
 
@@ -252,22 +217,11 @@ def cmd_series(args) -> int:
         raise UsageError(f"unknown series {args.name!r}")
     if not 0 <= args.order <= 24:
         raise UsageError(f"order={args.order} out of range (max 24)")
-    f = series.build(args.name, args.order)
-    rows = list(enumerate(f.coeffs))
-    if args.format == "json":
-        _emit_json(
-            "series",
-            {"name": args.name, "order": args.order},
-            [{"n": n, "poly": _poly_json(p)} for n, p in rows],
-        )
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "value"])
-        for n, p in rows:
-            writer.writerow([n, p.text()])
-    else:
-        for n, p in rows:
-            print(f"{n}: {p.text()}")
+    rows = list(enumerate(series.build(args.name, args.order).coeffs))
+    _emit(args, {"name": args.name, "order": args.order},
+          [{"n": n, "poly": _poly_json(p)} for n, p in rows],
+          [["n", "value"], *([n, p.text()] for n, p in rows)],
+          (f"{n}: {p.text()}" for n, p in rows))
     return 0
 
 
@@ -327,13 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name in ("n", "n_max"):
-        if (getattr(args, name, None) or 0) < 0:
-            print(f"error: --{name.replace('_', '-')} must be nonnegative", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
+        for name in ("n", "n_max"):
+            if (getattr(args, name, None) or 0) < 0:
+                raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
         return args.func(args)
     except (UsageError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

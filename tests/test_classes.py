@@ -392,6 +392,9 @@ def test_label_second_counts_and_example():
         assert kinds.count("v") == 6 - 2 * exc
     with pytest.raises(ValueError):
         classes.label_second(((1, 5, 3, 4), (2,)))
+    # the empty cycle form has no letters to label, as the empty word has none
+    assert classes.label_second(()) == {} and classes.format_labeled_cycles(()) == ""
+    assert classes.label_first(()) == {} and classes.format_labeled_word(()) == ""
 
 
 def test_format_uses_commas_for_wide_words():
