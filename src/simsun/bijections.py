@@ -89,7 +89,7 @@ def _join(rows: np.ndarray, kinds: np.ndarray, ranks: np.ndarray, other: Tree,
     # grow only the places picked, once each
     used = np.zeros(len(irow), dtype=bool)
     used[pick] = True
-    children = classes.insert(other, images, irow[used], iplace[used])
+    children = classes.insert(images, irow[used], iplace[used])
     return children[np.cumsum(used)[pick] - 1], index
 
 
@@ -101,7 +101,7 @@ def _walk(name: str, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     def extend(sources: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row, place, kind, rank = classes.places(tree, sources)
         images, index = _join(row, codes[kind], rank, other, images, np.arange(len(images)))
-        return classes.insert(tree, sources, row, place)[index], images
+        return classes.insert(sources, row, place)[index], images
 
     steps = n - root.shape[1]
     return (b for depth, b in perms.depth_first((root, image), extend, steps) if depth == steps)

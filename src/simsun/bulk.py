@@ -1,8 +1,8 @@
 """Vectorized brute-force oracles for the big enumeration sweeps.
 
-One engine, ``_sweep``, drives all three: ``perms.depth_first`` grows a
-tree of ``classes`` (first-kind words, all permutations, second-kind cycle
-words) by its unlabelled ``grow`` up to the level below the bound, in
+One engine, ``_sweep``, drives all four: ``perms.depth_first`` grows a
+tree of ``classes`` (first-kind words, twice, all permutations, second-kind
+cycle words) by its unlabelled ``grow`` up to the level below the bound, in
 blocks of at most ``perms._CHUNK`` rows, so no level is held whole.  A
 scanner reads one key a row off each block's words or cycle words,
 independently of any recurrence, and ``np.bincount`` adds the keys into the
@@ -50,6 +50,12 @@ def simsun_cycle_distributions(n_max: int) -> dict[int, Counter]:
     letter with its successor, fix as the one-letter cycles, cyc as the
     cycle starts, the left-to-right minima."""
     return _sweep("cycles", n_max, classes.SECOND, _cycle_key, _child_cycle_keys, _cycle_keys)
+
+
+def simsun_left_peak_distributions(n_max: int) -> dict[int, Counter]:
+    """Per-n joint counts of (des, lpk, word_stats' lpk = pk + [first step down])
+    over the first-kind simsun permutations, lpk by its definition."""
+    return _sweep("left peaks", n_max, classes.FIRST, _ascents, _child_ascents, _left_peak_keys)
 
 
 def all_perm_word_distributions(n_max: int) -> dict[int, Counter]:
@@ -111,6 +117,15 @@ def _word_keys(m: int, masks: np.ndarray):
     # down-up exactly when the 0-prepended word has m runs (an int: JSON dumps a bool as true)
     table = perms.mask_stats(m)[masks].tolist()
     return ((des, pk, uprun, lpk - pk, int(uprun == m)) for des, lpk, pk, _, uprun in table)
+
+
+def _left_peak_keys(m: int, masks: np.ndarray):
+    # lpk: the 0-prepended word rises at step 0 and at step i + 1 where the word
+    # rises at step i; a peak is a rise not followed by one, before the last step
+    up = masks << 1 | 1
+    lpk = np.bitwise_count(up & ~(up >> 1) & ((1 << max(m - 1, 0)) - 1))
+    des, pk_first_down = perms.mask_stats(m)[masks, :2].T.tolist()
+    return zip(des, lpk.tolist(), pk_first_down)
 
 
 def _all_word_keys(m: int, masks: np.ndarray):

@@ -196,7 +196,7 @@ def places(tree: Tree, level: np.ndarray) -> tuple[np.ndarray, ...]:
     return row, place, kind[row, place], rank[row, place]
 
 
-def insert(tree: Tree, level: np.ndarray, row: np.ndarray, place: np.ndarray) -> np.ndarray:
+def insert(level: np.ndarray, row: np.ndarray, place: np.ndarray) -> np.ndarray:
     """The child level: the next entry put into ``level[row[i]]`` at
     ``place[i]``, columns sorted by place and then by row as in ``places``."""
     at = np.zeros((len(level), level.shape[1] + 1), dtype=bool)

@@ -17,21 +17,21 @@ compared for every n from the first n to the bound, n outer and pairs inner,
 labelled ``n={n}`` or ``n={n} ({label})``.  A side is given the bound,
 computes its rows once and returns a function from n to row n: rows of
 triangle families (``_family``), a marginal of a ``bulk`` sweep
-(``_swept``), EGF coefficients (``_egf``), a closed form (``_closed``), a
-per-n oracle evaluated when compared (``_each``), a per-n listing oracle
-run at every n, largest first (``_listed``), or a root verdict compared
-against an always-true side: simple nonpositive real roots (``_rz``) or a
-root-ordering relation (``_related``), each row's certificate seeded from
-the previous row's.
+(``_swept``), the binomial self-convolution of transformed left-peak rows
+(``_binomial_square``), EGF coefficients (``_egf``), a closed form
+(``_closed``), a per-n oracle evaluated when compared (``_each``), a per-n
+listing oracle run at every n, largest first (``_listed``), or a root
+verdict compared against an always-true side: simple nonpositive real roots
+(``_rz``) or a root-ordering relation (``_related``), each row's
+certificate seeded from the previous row's.  A side named in several pairs
+is built once (cardinalities' Euler listing); no chain is named in two.
 
-Ten checker functions remain, each for a reason: ``_s_what_convolution``
-and ``_euler_convolution`` convolve all rows; ``_p_recurrence_cleared``,
+Six checker functions remain, each for a reason: ``_p_recurrence_cleared``,
 ``_p_low_coeffs`` and ``_t_split`` state single coefficients;
-``_cardinalities`` shares one Euler number between two rows;
 ``_filter_matches_generator`` reads both sides of each size, largest first,
-as maps over the permutation ranks, and ``_descent_left_peak`` both sides
-off one depth-first walk; ``_series_pde`` builds both sides from one
-series; ``_bijection`` reports the walk's own failure detail.
+as maps over the permutation ranks; ``_series_pde`` builds both sides from
+one series; ``_bijection`` reports the walk's own failure detail.  No check
+grows a level itself.
 
 Checkers and sides look up their providers (``triangles.family_polys``, the
 ``bulk`` sweeps, ``series.build``, ...) on the module each time they run, so
@@ -80,11 +80,14 @@ class Entry:
 
 def _rows(*pairs: tuple[str | None, int, Side, Side]) -> Callable[[int], Comparisons]:
     """Checker comparing row n of each pair's two sides, n outer, pairs inner.
-    Each side is asked for its rows in increasing n, once each, which the
-    certificate chains of ``_rz`` and ``_related`` rely on."""
+    A side named in several pairs is built once.  Each side is asked for its
+    rows in increasing n, once each, which the certificate chains of ``_rz``
+    and ``_related`` rely on: a chain is never named in two pairs."""
 
     def check(n_max: int) -> Comparisons:
-        built = [(label, first, left(n_max), right(n_max)) for label, first, left, right in pairs]
+        named = dict.fromkeys(side for _, _, *both in pairs for side in both)  # once each, in order
+        sides = {side: side(n_max) for side in named}
+        built = [(label, first, sides[left], sides[right]) for label, first, left, right in pairs]
         for n in range(n_max + 1):
             for label, first, lhs, rhs in built:
                 if n >= first:
@@ -109,9 +112,9 @@ def _family(*names: str, shift: int = 0, fn=None) -> Side:
     return side
 
 
-def _swept(sweep: str, pick, keep=None) -> Side:
+def _swept(sweep: str, pick=lambda key: (0, 0, 0), keep=None) -> Side:
     """Level-n marginal of a ``bulk`` sweep: each key passing ``keep``
-    adds its count to the monomial ``pick(key)``."""
+    adds its count to the monomial ``pick(key)``, by default 1."""
 
     def side(n_max: int):
         dist = getattr(bulk, sweep)(n_max)
@@ -123,6 +126,24 @@ def _swept(sweep: str, pick, keep=None) -> Side:
                     e = pick(key)
                     terms[e] = terms.get(e, 0) + c
             return Poly(terms)
+
+        return row
+
+    return side
+
+
+def _binomial_square(transform: Callable[[Poly], Poly]) -> Side:
+    """Row n: the sum over k of C(n, k) r_k r_(n-k), r_k = transform(What_k), each
+    unordered pair k < n - k once, doubled, and an even n's middle term once."""
+
+    def side(n_max: int):
+        r = [transform(w) for w in triangles.family_polys("What", n_max)]
+
+        def row(n: int) -> Poly:
+            terms = [(2 * comb(n, k), r[k], r[n - k]) for k in range((n + 1) // 2)]
+            if n % 2 == 0:
+                terms.append((comb(n, n // 2), r[n // 2], r[n // 2]))
+            return dot(terms)
 
         return row
 
@@ -190,6 +211,8 @@ def _related(p: Side, q: Side, relation: str) -> Side:
 
 
 _TRUE = _each(lambda n: True)
+_ZERO = _each(lambda n: 0)
+_ZIGZAG = _listed(lambda n: perms.euler_number(n + 1))
 
 
 def _x(i: int):
@@ -202,9 +225,11 @@ def _q(i: int):
     return lambda key: (0, key[i], 0)
 
 
-# sweep keys: words (des, pk, uprun, first step down, alternating),
-# cycles (exc, fix, cyc), all permutations (lpk, pk, altruns)
+# sweep keys: words (des, pk, uprun, first step down, alternating), left
+# peaks (des, lpk, pk + [first step down]), cycles (exc, fix, cyc), all
+# permutations (lpk, pk, altruns)
 _WORDS = "simsun_word_distributions"
+_LEFT_PEAKS = "simsun_left_peak_distributions"
 _CYCLES = "simsun_cycle_distributions"
 _ALL = "all_perm_word_distributions"
 
@@ -257,17 +282,6 @@ def _bijection(verifier: str) -> Callable[[int], Comparisons]:
 # -- triangle and closed-form identities ---------------------------------------
 
 
-def _s_what_convolution(n_max: int) -> Comparisons:
-    s = triangles.family_polys("S", n_max)
-    what = [w.subs(x=2 * X) for w in triangles.family_polys("What", n_max)]
-    for n in range(n_max + 1):
-        # each unordered pair k < n - k once, doubled, and the middle term of an even n
-        terms = [(2 * comb(n, k), what[k], what[n - k]) for k in range((n + 1) // 2)]
-        if n % 2 == 0:
-            terms.append((comb(n, n // 2), what[n // 2], what[n // 2]))
-        yield f"n={n}", dot(terms), 2**n * s[n]
-
-
 def _p_recurrence_cleared(n_max: int) -> Comparisons:
     p = triangles.family_polys("P", n_max + 1)
     for n in range(1, n_max + 1):
@@ -297,24 +311,7 @@ def _t_split(n_max: int) -> Comparisons:
                    _coeff(t[n], 2 * k + 1) + _coeff(t[n], 2 * k + 2))
 
 
-def _euler_convolution(n_max: int) -> Comparisons:
-    springer = [_coeff(w.subs(x=2), 0) for w in triangles.family_polys("What", n_max)]
-    euler = _listed(lambda n: perms.euler_number(n + 1))(n_max)
-    for n in range(n_max + 1):
-        rhs = sum(comb(n, k) * springer[k] * springer[n - k] for k in range(n + 1))
-        yield f"n={n}", euler(n) * 2**n, rhs
-
-
 # -- enumeration vs. recurrence -------------------------------------------------
-
-
-def _cardinalities(n_max: int) -> Comparisons:
-    words = bulk.simsun_word_distributions(n_max)
-    cycles = bulk.simsun_cycle_distributions(n_max)
-    for n in range(n_max + 1):
-        euler = perms.euler_number(n + 1)
-        yield f"n={n} (first kind)", sum(words[n].values()), euler
-        yield f"n={n} (second kind)", sum(cycles[n].values()), euler
 
 
 def _rank_maps(n: int) -> list[tuple[str, tuple, tuple]]:
@@ -343,27 +340,6 @@ def _filter_matches_generator(n_max: int) -> Comparisons:
             yield f"n={n} ({kind} kind)", gen, filt
 
 
-def _descent_left_peak(n_max: int) -> Comparisons:
-    # counts per level of the words where des and word_stats' lpk
-    # (= pk + [first step down]), read through the ascent-set table, differ from
-    # lpk read off its definition: the interior peaks of the 0-prepended word
-    # (an int8 zero keeps the letters narrow).  The tree is walked depth first.
-    perms.check_budget(classes.FIRST.count(n_max), f"the level of size {n_max}")
-    tables = [perms.mask_stats(m)[:, :2] for m in range(n_max + 1)]
-    bad_des, bad_pk = [0] * (n_max + 1), [0] * (n_max + 1)
-    root = (np.zeros((1, 0), dtype=np.int8),)
-    for m, (words,) in perms.depth_first(root, lambda a: (classes.grow(classes.FIRST, a),), n_max):
-        des, pk_first_down = tables[m][perms.ascent_masks(words)].T
-        up = np.diff(words, axis=1, prepend=np.int8(0)) > 0
-        lpk = (up[:, :-1] & ~up[:, 1:]).sum(axis=1)
-        bad_des[m] += int((des != lpk).sum())
-        bad_pk[m] += int((lpk != pk_first_down).sum())
-    for n in range(n_max + 1):
-        yield f"n={n}: des vs lpk", bad_des[n], 0
-        if n >= 2:
-            yield f"n={n}: lpk vs pk + [first step down]", bad_pk[n], 0
-
-
 # -- generating-function checks -------------------------------------------------
 
 
@@ -382,7 +358,8 @@ def _series_pde(order: int) -> Comparisons:
 
 REGISTRY: dict[str, Entry] = {
     "s-what-convolution": Entry(
-        _s_what_convolution, 14,
+        _pair(_binomial_square(lambda w: w.subs(x=2 * X)), _family("S", fn=lambda n, s: 2**n * s)),
+        14,
         "descent rows equal the binomial convolution of doubled left-peak rows",
     ),
     "w-doubling": Entry(
@@ -424,7 +401,7 @@ REGISTRY: dict[str, Entry] = {
     ),
     "corner-alternating": Entry(
         _rows(("alternating count vs corner", 0,
-               _swept(_WORDS, lambda k: (0, 0, 0), lambda k: k[4]),
+               _swept(_WORDS, keep=lambda k: k[4]),
                _family("T", fn=lambda n, t: _coeff(t, n))),
               ("corner vs middle coefficient", 1, _family("T", fn=lambda n, t: _coeff(t, n)),
                _family("S", "P", fn=lambda n, s, p: _coeff(p if n % 2 else s, n // 2)))), 12,
@@ -435,7 +412,9 @@ REGISTRY: dict[str, Entry] = {
         "orbit-count triangle is a reindexing of the descent triangle",
     ),
     "euler-convolution": Entry(
-        _euler_convolution, 10, "zigzag numbers from the binomial convolution of Springer numbers"
+        _pair(_listed(lambda n: perms.euler_number(n + 1) << n),
+              _binomial_square(lambda w: w.subs(x=2))), 10,
+        "zigzag numbers from the binomial convolution of Springer numbers",
     ),
     "trivariate-binomial": Entry(
         # key (exc, fix, cyc) -> monomial x^exc q^cyc y^fix
@@ -485,14 +464,19 @@ REGISTRY: dict[str, Entry] = {
         "alternating-run triangle vs. scans over all permutations",
     ),
     "cardinalities": Entry(
-        _cardinalities, 10, "both kinds are counted by the zigzag numbers"
+        _rows(("first kind", 0, _swept(_WORDS), _ZIGZAG),
+              ("second kind", 0, _swept(_CYCLES), _ZIGZAG)), 10,
+        "both kinds are counted by the zigzag numbers",
     ),
     "filter-matches-generator": Entry(
         _filter_matches_generator, 9,
         "membership filters agree with the insertion generators as sets",
     ),
     "descent-left-peak": Entry(
-        _descent_left_peak, 10, "des = lpk on the first kind; lpk = pk + [first step down]"
+        _rows(("des vs lpk", 0, _swept(_LEFT_PEAKS, keep=lambda k: k[0] != k[1]), _ZERO),
+              ("lpk vs pk + [first step down]", 2,
+               _swept(_LEFT_PEAKS, keep=lambda k: k[1] != k[2]), _ZERO)), 10,
+        "des = lpk on the first kind; lpk = pk + [first step down]",
     ),
     "descent-excedance": Entry(
         _pair(_swept(_WORDS, _x(0)), _swept(_CYCLES, _x(0))), 10,

@@ -1,6 +1,7 @@
 """Acceptance suite: twelve exact criteria, one test (and one printed
 pass/fail line) per criterion.  Arithmetic is exact, tolerance is zero."""
 
+import hashlib
 import time
 
 from simsun import bijections, cli, triangles, verify
@@ -124,7 +125,10 @@ def test_criterion_11_roots():
 
 
 def test_criterion_12_verify_all_and_mutation(monkeypatch, capsys):
-    clean = cli.main(["verify", "all"])
+    clean = cli.main(["verify", "all", "--format", "json"])
+    # the default verdict document: ids, bounds, ok, details and case counts
+    document = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert document == "951c093046e52a9ad2c61460a79a4ab9bd5c02d6458b3cc5bdd651d04822dd35"
 
     original = triangles.family_polys
 

@@ -41,6 +41,18 @@ def test_cycle_sweep_matches_enumeration(monkeypatch):
                               classes.gen_simsun_second, key)
 
 
+def test_left_peak_sweep_matches_enumeration(monkeypatch):
+    def key(w):
+        # lpk by its definition: the interior peaks of the 0-prepended word
+        v = (0, *w)
+        lpk = sum(v[i - 1] < v[i] > v[i + 1] for i in range(1, len(v) - 1))
+        rec = perms.word_stats(w)
+        return rec.des, lpk, rec.lpk
+
+    _matches_enumeration_cold(monkeypatch, "simsun_left_peak_distributions",
+                              classes.gen_simsun_first, key)
+
+
 def test_all_permutation_sweep_matches_enumeration(monkeypatch):
     def key(w):
         rec = perms.word_stats(w)

@@ -130,7 +130,7 @@ def test_levels_match_filters_and_the_sweeps(monkeypatch):
         for n in range(1, 9):
             if n > 1:
                 row, place, _, _ = classes.places(tree, labelled)
-                labelled = classes.insert(tree, labelled, row, place)
+                labelled = classes.insert(labelled, row, place)
             # the labelled insert at every place is the unlabelled growth
             assert (labelled == classes.level(tree, n)).all()
             assert _as_maps(labelled) == _as_maps(np.concatenate(swept[tree, n]))
@@ -237,7 +237,7 @@ def _grown(tree, n, rng, closed=False):
     for m in range(n):
         at = classes.open_places(tree, row)[0]
         place = rng.choice(np.flatnonzero(~at if closed and m == n - 1 else at))
-        row = classes.insert(tree, row, np.zeros(1, dtype=np.intp), np.array([place]))
+        row = classes.insert(row, np.zeros(1, dtype=np.intp), np.array([place]))
     return row
 
 

@@ -256,7 +256,7 @@ def _drop_y_derivative(table):
         # the decreasing word of [5] gains an interior peak
         (perms, "mask_stats", _bump_table(0, 2, 5), "enum-interior-peaks", "n=5"),
         # the increasing word of [5], a first-kind member, gains a descent
-        (perms, "mask_stats", _bump_table(-1, 0, 5), "descent-left-peak", "n=5: des vs lpk"),
+        (perms, "mask_stats", _bump_table(-1, 0, 5), "descent-left-peak", "n=5 (des vs lpk)"),
         (triangles, "FIRST_ORDER", _drop_y_derivative, "trivariate-binomial", "n=2"),
         (triangles, "FIRST_ORDER", _drop_y_derivative, "series-trivariate", "n=2"),
         # only the top level of a cold cycle sweep is derived, not built
@@ -295,7 +295,21 @@ def test_descent_left_peak_second_comparison_can_fail(monkeypatch, part):
     monkeypatch.setattr(perms, "word_stats", faulted)
     report = verify.run("descent-left-peak", 5)
     assert not report.ok
-    assert report.detail == "n=2: lpk vs pk + [first step down]"
+    assert report.detail == "n=2 (lpk vs pk + [first step down])"
+
+
+def test_a_side_shared_by_two_rows_is_built_once(monkeypatch):
+    # cardinalities' two rows name one Euler listing: E_1..E_7 once each,
+    # not once a row
+    euler, calls = perms.euler_number, []
+
+    def counted(n):
+        calls.append(n)
+        return euler(n)
+
+    monkeypatch.setattr(perms, "euler_number", counted)
+    assert verify.run("cardinalities", 6).ok
+    assert sorted(calls) == list(range(1, 8))
 
 
 @pytest.mark.parametrize(
